@@ -19,7 +19,6 @@ from .core import (
     Transaction,
     block_digest,
     create_transaction,
-    credential_size,
     digest,
     msch,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "block_digest",
     "build_allocation",
     "create_transaction",
-    "credential_size",
     "digest",
     "kwm",
     "load_config",

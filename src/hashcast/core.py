@@ -51,11 +51,6 @@ def msch(d: str) -> str:
     return d[0]
 
 
-def credential_size() -> int:
-    """Fixed serialized size of one PK+signature pair (bytes)."""
-    return CREDENTIAL_BYTES
-
-
 @dataclass(frozen=True)
 class PublicKey:
     raw: bytes

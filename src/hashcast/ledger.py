@@ -10,14 +10,12 @@ once and becomes the epoch's routing and selection authority.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Block, KeyPair, PublicKey, Transaction, block_digest, make_block, msch
 from .verification import (
-    MisbehaviorReport,
     SetParams,
     VerificationOutcome,
-    audit_endorsed_block,
     verify_endorsements,
 )
 from .weights import WEIGHT_DICTIONARY, RangeAllocation, build_allocation
@@ -46,7 +44,6 @@ class RangeDistributor:
         self.excluded = excluded
         self.wd = WEIGHT_DICTIONARY if wd is None else wd
         self.registrations: dict[str, PublicKey] = {}
-        self.registration_times: dict[str, float] = {}
         self.allocation: Optional[RangeAllocation] = None
 
     def register_interest(self, pk: PublicKey, now: float) -> RegistrationResult:
@@ -57,7 +54,6 @@ class RangeDistributor:
         if pk.display in self.excluded:
             return RegistrationResult(accepted=False, reason="excluded")
         self.registrations[pk.display] = pk
-        self.registration_times[pk.display] = now
         return RegistrationResult(accepted=True)
 
     def finalize_allocation(self, now: float) -> RangeAllocation:
@@ -68,15 +64,6 @@ class RangeDistributor:
         if self.allocation is None:
             self.allocation = build_allocation(self.registrations.values(), self.wd)
         return self.allocation
-
-
-@dataclass(frozen=True)
-class GenesisBlock:
-    """First block of a deployment; carries the two contract actors."""
-
-    parameters: tuple[tuple[str, str], ...]
-    range_distributor: RangeDistributor
-    traffic_accounting: object
 
 
 class PendingPool:
@@ -173,24 +160,23 @@ def commit_transactions(
     if len(pool) < block_size and not (allow_partial and len(pool) > 0):
         return None
     txs = pool.take(min(block_size, len(pool)))
+    return grind_block(keypair, previous_digest, txs, alloc, backend)
+
+
+def grind_block(
+    keypair: KeyPair,
+    previous_digest: str,
+    txs: Sequence[Transaction],
+    alloc: RangeAllocation,
+    backend,
+) -> Block:
+    """Try nonces until the block digest starts inside the signer's own range."""
     own_range = alloc.range_for(keypair.public)
     for nonce in range(MAX_COMMIT_TRIES):
         block = make_block(keypair, previous_digest, txs, nonce, backend)
         if own_range.covers(msch(block_digest(block))):
             return block
-    raise RuntimeError("could not land a block digest inside the owner range")
-
-
-def audit_block(
-    block: Block,
-    alloc: RangeAllocation,
-    params: SetParams,
-    backend,
-    auditor: PublicKey,
-    known_transactions: Container[str] = frozenset(),
-) -> tuple[VerificationOutcome, Optional[MisbehaviorReport]]:
-    """Post-hoc full verification by any node; never mutates a ledger."""
-    return audit_endorsed_block(block, alloc, params, backend, auditor, known_transactions)
+    raise RuntimeError(f"no nonce below {MAX_COMMIT_TRIES} lands the digest in the signer's range")
 
 
 def export_ledger_lines(ledgers: Sequence[Ledger]) -> list[str]:

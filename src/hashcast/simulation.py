@@ -3,8 +3,8 @@
 One run wires the whole pipeline together: registration window, range
 allocation, transaction injection, hash-directed multicast through the
 backbone, double verification, endorsement, endorsed-block broadcast, and
-epoch settlement.  The baseline mode floods every item over a random overlay
-among the same population and lets every node verify everything.
+epoch settlement.  The baseline mode floods every item over a ring laid on a
+seeded shuffle of the same population and lets every node verify everything.
 
 Everything is driven by a single event queue; equal-time events fire in
 insertion order, and all randomness comes from per-purpose seeded streams,
@@ -22,26 +22,24 @@ from typing import Optional
 from . import transmission
 from .config import ScenarioConfig
 from .core import (
+    Block,
     KeyPair,
     PublicKey,
     SimulatedSigner,
     Transaction,
     block_digest,
     create_transaction,
-    make_block,
-    msch,
     serialize_block,
     serialize_transaction,
     transaction_id,
 )
 from .fees import Payment, TrafficAccounting, compute_tmf
 from .ledger import (
-    GenesisBlock,
     Ledger,
     PendingPool,
     RangeDistributor,
-    audit_block,
     commit_transactions,
+    grind_block,
 )
 from .transmission import (
     BackboneGraph,
@@ -57,9 +55,12 @@ from .transmission import (
 from .verification import (
     MisbehaviorReport,
     SetParams,
-    endorse_block,
+    VerificationOutcome,
+    audit_endorsed_block,
+    ring_members,
     select_validator_set,
     select_verifier_set,
+    tally_endorsement,
     validator_set_for_block,
     verifier_offset,
     verify_block,
@@ -145,6 +146,14 @@ class Identity:
 
 
 class _RunBase:
+    """The run path both modes share: epochs, traffic, pools, ledgers, blocks.
+
+    A subclass provides `_schedule_epoch` (which calls `_schedule_traffic`
+    and schedules the event that calls `_open_epoch`), `_send_tx` for a
+    fresh transaction, `_chain_head` for the digest a validator's next block
+    links to, and `_send_block` for a freshly cut block.
+    """
+
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.backend = SimulatedSigner()
@@ -161,6 +170,10 @@ class _RunBase:
         self.allocation_tables: list[str] = []
         self.settlement_lines: list[str] = []
         self.routing_dump = ""
+        self.alloc: Optional[RangeAllocation] = None
+        self.pools: dict[str, PendingPool] = {}
+        self.ledgers: dict[int, dict[str, Ledger]] = {}
+        self.epoch_index = 0
         self._build_population()
 
     def log(self, actor: str, kind: str, info: str) -> None:
@@ -193,6 +206,77 @@ class _RunBase:
     def epoch_start(self, epoch: int) -> float:
         return epoch * self.config.epoch_length_ms()
 
+    # -- run -----------------------------------------------------------
+
+    def run(self) -> MetricsReport:
+        for epoch in range(self.config.epochs):
+            self._schedule_epoch(epoch)
+        self.queue.run()
+        committed = 0
+        for epoch_ledgers in self.ledgers.values():
+            for ledger in epoch_ledgers.values():
+                committed += sum(len(b.transactions) for b in ledger.blocks)
+        self.metrics.committed_tx = committed
+        return self.metrics
+
+    def _schedule_traffic(self, epoch: int) -> None:
+        """The epoch's tx injections after its registration window, then the flush."""
+        config = self.config
+        start = self.epoch_start(epoch)
+        window_end = start + config.gamma_ms
+        for k in range(config.txs_in_epoch(epoch)):
+            at = window_end + (k + 1) * config.tx_interval_ms
+            self.queue.push(at, self._inject_tx)
+        epoch_end = start + config.epoch_length_ms()
+        self.queue.push(epoch_end - config.epoch_margin_ms / 2, self._flush_pools)
+
+    def _open_epoch(self, epoch: int, alloc: RangeAllocation, actor: str) -> None:
+        """Publish the epoch's allocation and give every range owner a fresh pool and ledger."""
+        self.alloc = alloc
+        self.allocation_tables.append(alloc.table())
+        self.log(actor, "allocation", f"epoch={epoch} validators={len(alloc.validators)}")
+        self.pools = {}
+        self.ledgers[epoch] = {}
+        for pk in alloc.validators:
+            self.pools[pk.display] = PendingPool(owner=pk, alloc=alloc)
+            self.ledgers[epoch][pk.display] = Ledger(owner=pk)
+
+    # -- transactions and blocks ----------------------------------------
+
+    def _inject_tx(self) -> None:
+        sender_id = self.rng_schedule.choice(self.sender_ids)
+        ident = self.identities[sender_id]
+        tx = create_transaction(ident.keypair, self.make_payload(), self.backend)
+        self.metrics.injected_tx += 1
+        self.log(f"node.{sender_id}", "inject-tx", tx.id)
+        self._send_tx(ident, tx)
+
+    def _commit_block(self, display: str, allow_partial: bool) -> None:
+        ident = self.by_display[display]
+        block = commit_transactions(
+            ident.keypair,
+            self.pools[display],
+            self.config.block_size,
+            self.alloc,
+            self.backend,
+            self._chain_head(display),
+            allow_partial=allow_partial,
+        )
+        if block is None:
+            return
+        self.metrics.blocks_committed += 1
+        d = block_digest(block)
+        self.log(f"node.{ident.node_id}", "commit-block", d)
+        self._send_block(ident, block, d)
+
+    def _flush_pools(self) -> None:
+        if self.alloc is None:
+            return
+        for pk in self.alloc.validators:
+            pool = self.pools.get(pk.display)
+            if pool is not None and len(pool) > 0:
+                self._commit_block(pk.display, allow_partial=True)
+
 
 class VericomRun(_RunBase):
     """Backbone-routed multicast mode."""
@@ -204,22 +288,13 @@ class VericomRun(_RunBase):
         self.home: dict[str, int] = {}
         self.excluded: set[str] = set()
         self.excluded_bns: set[int] = set()
-        self.alloc: Optional[RangeAllocation] = None
         self.params: Optional[SetParams] = None
-        self.epoch_index = 0
-        self.pools: dict[str, PendingPool] = {}
-        self.ledgers: dict[int, dict[str, Ledger]] = {}
         self.chain_tip: dict[str, str] = {}
         self.block_states: dict[str, dict] = {}
-        self.dishonest: set[str] = set()
+        self.dishonest: set[bytes] = set()  # raw keys of colluding verifiers
         self.malicious_generator: Optional[Identity] = None
         self.accounting = TrafficAccounting(config.tf_value)
-        self.genesis = GenesisBlock(
-            parameters=tuple(sorted((k, str(v)) for k, v in config.to_dict().items())),
-            range_distributor=RangeDistributor(window_end_ms=config.gamma_ms),
-            traffic_accounting=self.accounting,
-        )
-        self.vrd: RangeDistributor = self.genesis.range_distributor
+        self.vrd: Optional[RangeDistributor] = None  # set by _begin_epoch
 
     # -- setup ---------------------------------------------------------
 
@@ -290,14 +365,10 @@ class VericomRun(_RunBase):
     # -- run -----------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        config = self.config
         self._join_all()
         lowest = self.graph.nodes[min(self.graph.nodes)]
-        for epoch in range(config.epochs):
-            self._schedule_epoch(epoch)
-        self.queue.run()
+        super().run()
         self.routing_dump = transmission.routing_table_text(lowest)
-        self._finalize_metrics()
         return self.metrics
 
     def _schedule_epoch(self, epoch: int) -> None:
@@ -310,14 +381,8 @@ class VericomRun(_RunBase):
             at = start + config.gamma_ms * (i + 1) / (len(active) + 2)
             self.queue.push(at, self._register, ident)
         self.queue.push(window_end, self._finalize_allocation, epoch)
-        offset = 0
-        for prior in range(epoch):
-            offset += config.txs_in_epoch(prior)
-        for k in range(config.txs_in_epoch(epoch)):
-            at = window_end + (k + 1) * config.tx_interval_ms
-            self.queue.push(at, self._inject_tx, offset + k)
+        self._schedule_traffic(epoch)
         epoch_end = start + config.epoch_length_ms()
-        self.queue.push(epoch_end - config.epoch_margin_ms / 2, self._flush_pools)
         self.queue.push(epoch_end - config.epoch_margin_ms / 10, self._settle, epoch)
         if not self.graph.trusted:
             window = config.monitor_window_ms
@@ -344,30 +409,17 @@ class VericomRun(_RunBase):
         self.log(f"node.{ident.node_id}", "register", f"{ident.display[:8]} {status}")
 
     def _finalize_allocation(self, epoch: int) -> None:
-        self.alloc = self.vrd.finalize_allocation(self.queue.now)
-        ring_size = len(self.alloc.validators)
+        alloc = self.vrd.finalize_allocation(self.queue.now)
         self.params = SetParams(
-            n=self.config.n, m=self.config.m, num_validators=ring_size
+            n=self.config.n, m=self.config.m, num_validators=len(alloc.validators)
         )
-        self.allocation_tables.append(self.alloc.table())
-        self.log("vrd", "allocation", f"epoch={epoch} validators={ring_size}")
-        self.pools = {}
-        self.ledgers[epoch] = {}
-        self.chain_tip = {}
-        for pk in self.alloc.validators:
-            self.pools[pk.display] = PendingPool(owner=pk, alloc=self.alloc)
-            self.ledgers[epoch][pk.display] = Ledger(owner=pk)
-            self.chain_tip[pk.display] = ""
+        self._open_epoch(epoch, alloc, "vrd")
+        self.chain_tip = {pk.display: "" for pk in alloc.validators}
         self._arm_attack(epoch)
 
     # -- transaction pipeline -------------------------------------------
 
-    def _inject_tx(self, index: int) -> None:
-        sender_id = self.rng_schedule.choice(self.sender_ids)
-        ident = self.identities[sender_id]
-        tx = create_transaction(ident.keypair, self.make_payload(), self.backend)
-        self.metrics.injected_tx += 1
-        self.log(f"node.{sender_id}", "inject-tx", tx.id)
+    def _send_tx(self, ident: Identity, tx: Transaction) -> None:
         if ident.display not in self.home:
             self.metrics.routing_failures += 1
             return
@@ -427,24 +479,12 @@ class VericomRun(_RunBase):
             if len(pool) >= self.config.block_size:
                 self._commit_block(display, allow_partial=False)
 
-    def _commit_block(self, display: str, allow_partial: bool) -> None:
-        ident = self.by_display[display]
-        pool = self.pools[display]
-        block = commit_transactions(
-            ident.keypair,
-            pool,
-            self.config.block_size,
-            self.alloc,
-            self.backend,
-            self.chain_tip[display],
-            allow_partial=allow_partial,
-        )
-        if block is None:
-            return
-        self.chain_tip[display] = block_digest(block)
-        self.metrics.blocks_committed += 1
-        self.log(f"node.{ident.node_id}", "commit-block", block_digest(block))
-        bn_id = self.home[display]
+    def _chain_head(self, display: str) -> str:
+        return self.chain_tip[display]
+
+    def _send_block(self, ident: Identity, block: Block, d: str) -> None:
+        self.chain_tip[ident.display] = d
+        bn_id = self.home[ident.display]
         send_time = self.queue.now
         arrive = send_time + self.access[(ident.node_id, bn_id)]
         self.queue.push(arrive, self._block_at_backbone, block, bn_id, send_time)
@@ -462,7 +502,6 @@ class VericomRun(_RunBase):
             "expected": [pk.display for pk in verifier_set.members],
             "verdicts": {},
             "main": verifier_set.main.display,
-            "send_time": send_time,
         }
         self._multicast(
             bn_id,
@@ -481,57 +520,35 @@ class VericomRun(_RunBase):
         state = self.block_states.get(d)
         if state is None or display in state["verdicts"]:
             return
-        if display in self.dishonest:
-            outcome_ok = True
-        else:
-            outcome_ok = verify_block(block, self.alloc, self.backend).ok
-        state["verdicts"][display] = outcome_ok
         ident = self.by_display[display]
+        if ident.public.raw in self.dishonest:
+            outcome = VerificationOutcome.valid()
+        else:
+            outcome = verify_block(block, self.alloc, self.backend)
+        state["verdicts"][display] = outcome
         self.log(
             f"node.{ident.node_id}",
             "block-verdict",
-            f"{d} {'valid' if outcome_ok else 'invalid'}",
+            f"{d} {'valid' if outcome.ok else 'invalid'}",
         )
         if len(state["verdicts"]) < len(state["expected"]):
             return
-        if all(state["verdicts"].values()):
-            self._assemble_endorsements(block, state)
-        else:
-            self._reject_block(block, state)
-
-    def _assemble_endorsements(self, block, state) -> None:
-        members = [self.by_display[disp].keypair for disp in state["expected"]]
-        endorsed = endorse_block(block, members, self.backend)
+        verdicts = [
+            (self.by_display[disp].keypair, state["verdicts"][disp])
+            for disp in state["expected"]
+        ]
+        endorsed, report = tally_endorsement(block, verdicts, self.backend, self.dishonest)
+        if report is not None:
+            self._record_report(report)
+            return
         self.metrics.endorsed_blocks += 1
-        d = block_digest(block)
         self.log("sim", "block-endorsed", d)
         main_display = state["main"]
-        ident = self.by_display[main_display]
+        main = self.by_display[main_display]
         bn_id = self.home[main_display]
         send_time = self.queue.now
-        arrive = send_time + self.access[(ident.node_id, bn_id)]
+        arrive = send_time + self.access[(main.node_id, bn_id)]
         self.queue.push(arrive, self._broadcast_endorsed, endorsed, bn_id, send_time)
-
-    def _reject_block(self, block, state) -> None:
-        d = block_digest(block)
-        rejectors = [
-            self.by_display[disp].public
-            for disp, ok in sorted(state["verdicts"].items())
-            if not ok
-        ]
-        false_claimers = [
-            self.by_display[disp].public
-            for disp, ok in sorted(state["verdicts"].items())
-            if ok and disp in self.dishonest
-        ]
-        report = MisbehaviorReport(
-            kind="block-rejected",
-            item_digest=d,
-            reason="rejected-by-verifier-set",
-            accused=tuple([block.generator] + false_claimers),
-            reporters=tuple(rejectors),
-        )
-        self._record_report(report)
 
     def _record_report(self, report: MisbehaviorReport) -> None:
         self.metrics.reports.append(report)
@@ -575,7 +592,7 @@ class VericomRun(_RunBase):
                 self.log(f"node.{ident.node_id}", kind, block_digest(endorsed))
         if ident.role == "auditor":
             self.metrics.audit_ops += 1
-            outcome, report = audit_block(
+            outcome, report = audit_endorsed_block(
                 endorsed, self.alloc, self.params, self.backend, ident.public
             )
             if report is not None:
@@ -583,14 +600,6 @@ class VericomRun(_RunBase):
                 self._record_report(report)
 
     # -- epoch maintenance ----------------------------------------------
-
-    def _flush_pools(self) -> None:
-        if self.alloc is None:
-            return
-        for pk in self.alloc.validators:
-            pool = self.pools.get(pk.display)
-            if pool is not None and len(pool) > 0:
-                self._commit_block(pk.display, allow_partial=True)
 
     def _settle(self, epoch: int) -> None:
         ledgers = self.ledgers.get(epoch, {})
@@ -640,13 +649,6 @@ class VericomRun(_RunBase):
         self.log("sim", "backbone-reconstructed", f"excluded={sorted(self.excluded_bns)}")
         self._join_all()
 
-    def _finalize_metrics(self) -> None:
-        committed = 0
-        for epoch_ledgers in self.ledgers.values():
-            for ledger in epoch_ledgers.values():
-                committed += sum(len(b.transactions) for b in ledger.blocks)
-        self.metrics.committed_tx = committed
-
     # -- attacks ---------------------------------------------------------
 
     def _arm_attack(self, epoch: int) -> None:
@@ -657,19 +659,14 @@ class VericomRun(_RunBase):
                 raise RuntimeError("malicious generator did not register")
             self.malicious_generator = generator
             gen_pos = self.alloc.position_of(generator.public)
-            offset = verifier_offset(self.params)
-            ring = self.alloc.validators
-            total = len(ring)
-            center = (gen_pos + offset) % total
-            verifier_positions = [
-                (center + off) % total for off in range(-config.m, config.m + 1)
-            ]
+            center = gen_pos + verifier_offset(self.params)
+            verifiers = ring_members(self.alloc, center, config.m)
             if config.attack == "false-verification":
                 # only the relocated main verifier colludes; its wing mates
                 # stay honest and will reject the forged block.
-                self.dishonest = {ring[center].display}
+                self.dishonest = {verifiers[config.m].raw}
             else:
-                self.dishonest = {ring[p].display for p in verifier_positions}
+                self.dishonest = {pk.raw for pk in verifiers}
             window_end = self.epoch_start(epoch) + config.gamma_ms
             at = window_end + 5 * config.tx_interval_ms + config.tx_interval_ms / 2
             self.queue.push(at, self._inject_forged_block)
@@ -686,27 +683,23 @@ class VericomRun(_RunBase):
     def _inject_forged_block(self) -> None:
         generator = self.malicious_generator
         fake_tx = self._forged_transaction()
-        own_range = self.alloc.range_for(generator.public)
-        block = None
-        for nonce in range(200_000):
-            candidate = make_block(
-                generator.keypair, self.chain_tip[generator.display], [fake_tx], nonce, self.backend
-            )
-            if own_range.covers(msch(block_digest(candidate))):
-                block = candidate
-                break
-        self.chain_tip[generator.display] = block_digest(block)
-        self.log(
-            f"node.{generator.node_id}", "commit-forged-block", block_digest(block)
+        block = grind_block(
+            generator.keypair,
+            self.chain_tip[generator.display],
+            [fake_tx],
+            self.alloc,
+            self.backend,
         )
-        bn_id = self.home[generator.display]
-        send_time = self.queue.now
-        arrive = send_time + self.access[(generator.node_id, bn_id)]
-        self.queue.push(arrive, self._block_at_backbone, block, bn_id, send_time)
+        d = block_digest(block)
+        self.log(f"node.{generator.node_id}", "commit-forged-block", d)
+        self._send_block(generator, block, d)
 
 
 class BaselineRun(_RunBase):
-    """Conventional broadcast mode: flood everything, everyone verifies."""
+    """Conventional broadcast mode: flood everything, everyone verifies.
+
+    Items travel over a ring laid on a seeded shuffle of the nodes.
+    """
 
     def __init__(self, config: ScenarioConfig):
         super().__init__(config)
@@ -726,56 +719,21 @@ class BaselineRun(_RunBase):
                     self.edge_delay[key] = self.rng_access.uniform(
                         config.access_delay_min_ms, config.access_delay_max_ms
                     )
-        self.alloc: Optional[RangeAllocation] = None
-        self.pools: dict[str, PendingPool] = {}
-        self.ledgers: dict[int, dict[str, Ledger]] = {}
-        self.epoch_index = 0
         self.seen: dict[str, set[int]] = {}
 
-    def run(self) -> MetricsReport:
-        config = self.config
-        for epoch in range(config.epochs):
-            self._schedule_epoch(epoch)
-        self.queue.run()
-        committed = 0
-        for epoch_ledgers in self.ledgers.values():
-            for ledger in epoch_ledgers.values():
-                committed += sum(len(b.transactions) for b in ledger.blocks)
-        self.metrics.committed_tx = committed
-        return self.metrics
-
     def _schedule_epoch(self, epoch: int) -> None:
-        config = self.config
-        start = self.epoch_start(epoch)
-        window_end = start + config.gamma_ms
+        window_end = self.epoch_start(epoch) + self.config.gamma_ms
         self.queue.push(window_end, self._allocate, epoch)
-        offset = sum(config.txs_in_epoch(e) for e in range(epoch))
-        for k in range(config.txs_in_epoch(epoch)):
-            at = window_end + (k + 1) * config.tx_interval_ms
-            self.queue.push(at, self._inject_tx, offset + k)
-        epoch_end = start + config.epoch_length_ms()
-        self.queue.push(epoch_end - config.epoch_margin_ms / 2, self._flush_pools)
+        self._schedule_traffic(epoch)
 
     def _allocate(self, epoch: int) -> None:
         vrd = RangeDistributor(window_end_ms=self.queue.now)
         for ident in self.validators[: self.config.ring_size]:
             vrd.register_interest(ident.public, self.queue.now)
-        self.alloc = vrd.finalize_allocation(self.queue.now)
         self.epoch_index = epoch
-        self.allocation_tables.append(self.alloc.table())
-        self.log("sim", "allocation", f"epoch={epoch} validators={len(self.alloc.validators)}")
-        self.pools = {}
-        self.ledgers[epoch] = {}
-        for pk in self.alloc.validators:
-            self.pools[pk.display] = PendingPool(owner=pk, alloc=self.alloc)
-            self.ledgers[epoch][pk.display] = Ledger(owner=pk)
+        self._open_epoch(epoch, vrd.finalize_allocation(self.queue.now), "sim")
 
-    def _inject_tx(self, index: int) -> None:
-        sender_id = self.rng_schedule.choice(self.sender_ids)
-        ident = self.identities[sender_id]
-        tx = create_transaction(ident.keypair, self.make_payload(), self.backend)
-        self.metrics.injected_tx += 1
-        self.log(f"node.{sender_id}", "inject-tx", tx.id)
+    def _send_tx(self, ident: Identity, tx: Transaction) -> None:
         size = len(serialize_transaction(tx))
         # the originator verifies its own item once, like every other node.
         self.metrics.verify_ops += 1
@@ -831,38 +789,17 @@ class BaselineRun(_RunBase):
         if pool is None:
             return
         if pool.add(item) and len(pool) >= self.config.block_size:
-            self._commit(ident.display, allow_partial=False)
+            self._commit_block(ident.display, allow_partial=False)
 
-    def _commit(self, display: str, allow_partial: bool) -> None:
-        ident = self.by_display[display]
-        ledger = self.ledgers[self.epoch_index][display]
-        block = commit_transactions(
-            ident.keypair,
-            self.pools[display],
-            self.config.block_size,
-            self.alloc,
-            self.backend,
-            ledger.head_digest,
-            allow_partial=allow_partial,
-        )
-        if block is None:
-            return
-        ledger.append_unendorsed(block)
-        self.metrics.blocks_committed += 1
-        d = block_digest(block)
-        self.log(f"node.{ident.node_id}", "commit-block", d)
+    def _chain_head(self, display: str) -> str:
+        return self.ledgers[self.epoch_index][display].head_digest
+
+    def _send_block(self, ident: Identity, block: Block, d: str) -> None:
+        self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
         size = len(serialize_block(block))
         self.metrics.verify_ops += 1  # committer's own verification of the block
         self.seen.setdefault(d, set()).add(ident.node_id)
         self._flood_from(ident.node_id, "block", block, d, size, self.queue.now)
-
-    def _flush_pools(self) -> None:
-        if self.alloc is None:
-            return
-        for pk in self.alloc.validators:
-            pool = self.pools.get(pk.display)
-            if pool is not None and len(pool) > 0:
-                self._commit(pk.display, allow_partial=True)
 
 
 def execute(config: ScenarioConfig):
@@ -876,9 +813,3 @@ def run_scenario(config: ScenarioConfig) -> tuple[MetricsReport, list[str]]:
     """Run one scenario to completion; returns the report and event log."""
     run = execute(config)
     return run.metrics, run.log_lines
-
-
-def run_baseline(config: ScenarioConfig) -> tuple[MetricsReport, list[str]]:
-    if config.mode != "baseline":
-        raise ValueError("run_baseline requires a baseline-mode config")
-    return run_scenario(config)

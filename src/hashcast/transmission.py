@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 # Serialized routing-table sizing: each table is framed and signed by its
 # owner (one 459-byte credential + 64-byte frame) and carries fixed-width
@@ -106,12 +106,6 @@ class BackboneGraph:
                 if a < b:
                     out.append((a, b, delay))
         return out
-
-    def home_of(self, display: str) -> Optional[int]:
-        for node_id in self.ids:
-            if display in self.nodes[node_id].attached:
-                return node_id
-        return None
 
 
 def build_backbone(
@@ -272,7 +266,6 @@ def apply_route_update(bn: BackboneNode, update: RouteUpdate) -> bool:
 @dataclass
 class Delivery:
     display: str
-    hops: int
     delay_ms: float
 
 
@@ -333,7 +326,6 @@ def route_multicast(
             result.deliveries.append(
                 Delivery(
                     display=display,
-                    hops=0,  # filled below from the routed path
                     delay_ms=delay_so_far + destinations[display],
                 )
             )
@@ -342,27 +334,7 @@ def route_multicast(
             result.link_transmissions += 1
             pending.append((nxt, delay_so_far + node.neighbors[nxt], onward[nxt]))
 
-    # hop counts: links traversed plus the final access leg.
-    hop_map = _hop_counts(graph, origin, [d.display for d in result.deliveries])
-    for delivery in result.deliveries:
-        delivery.hops = hop_map[delivery.display]
     return result
-
-
-def _hop_counts(graph: BackboneGraph, origin: int, displays: Iterable[str]) -> dict[str, int]:
-    counts = {}
-    for display in displays:
-        hops = 1  # final access leg
-        cur = origin
-        guard = 0
-        while display not in graph.nodes[cur].attached:
-            cur = graph.nodes[cur].routes[display]
-            hops += 1
-            guard += 1
-            if guard > len(graph.nodes) + 1:
-                raise RoutingError("routing loop detected")
-        counts[display] = hops
-    return counts
 
 
 def assign_monitors(graph: BackboneGraph, rng, group_size: int) -> None:

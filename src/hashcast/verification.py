@@ -109,12 +109,9 @@ class MisbehaviorReport:
     accused: tuple[PublicKey, ...]
     reporters: tuple[PublicKey, ...]
 
-    @property
-    def accused_keys(self) -> frozenset[bytes]:
-        return frozenset(pk.raw for pk in self.accused)
 
-
-def _ring_set(alloc: RangeAllocation, center: int, wing: int) -> list[PublicKey]:
+def ring_members(alloc: RangeAllocation, center: int, wing: int) -> list[PublicKey]:
+    """Ring node `center` with `wing` predecessors and successors, wrapping."""
     ring = alloc.validators
     total = len(ring)
     positions = [(center + off) % total for off in range(-wing, wing + 1)]
@@ -126,7 +123,7 @@ def select_validator_set(
 ) -> ValidatorSet:
     """Main validator = range owner of the digest's first symbol, plus wings."""
     center = alloc.owner_index(msch(d))
-    members = _ring_set(alloc, center, params.n)
+    members = ring_members(alloc, center, params.n)
     return ValidatorSet(main=alloc.validators[center], members=tuple(members))
 
 
@@ -142,13 +139,13 @@ def select_verifier_set(
 ) -> VerifierSet:
     """Verifier set for a block digest, never overlapping the validator set."""
     candidate = alloc.owner_index(msch(d))
-    members = _ring_set(alloc, candidate, params.m)
+    members = ring_members(alloc, candidate, params.m)
     relocated = False
     if any(pk.raw in vset.member_keys for pk in members):
         center = (alloc.position_of(vset.main) + verifier_offset(params)) % len(
             alloc.validators
         )
-        members = _ring_set(alloc, center, params.m)
+        members = ring_members(alloc, center, params.m)
         candidate = center
         relocated = True
     vs = VerifierSet(
@@ -163,7 +160,7 @@ def validator_set_for_block(
 ) -> ValidatorSet:
     """The validator set a block came from: wings around its generator."""
     center = alloc.position_of(block.generator)
-    members = _ring_set(alloc, center, params.n)
+    members = ring_members(alloc, center, params.n)
     return ValidatorSet(main=block.generator, members=tuple(members))
 
 
@@ -248,27 +245,19 @@ def endorse_block(block: Block, signers: Sequence[KeyPair], backend) -> Block:
     )
 
 
-def run_endorsement(
+def tally_endorsement(
     block: Block,
-    members: Sequence[KeyPair],
-    alloc: RangeAllocation,
+    verdicts: Sequence[tuple[KeyPair, VerificationOutcome]],
     backend,
-    known_transactions: Container[str] = frozenset(),
-    dishonest: frozenset[bytes] = frozenset(),
+    dishonest: Container[bytes] = frozenset(),
 ) -> tuple[Optional[Block], Optional[MisbehaviorReport]]:
-    """Let every verifier-set member vote, then endorse or accuse.
+    """Endorse or accuse once every verifier-set member has voted.
 
-    Members listed in `dishonest` claim the block is valid no matter what.
-    The block is endorsed only if every member votes valid; otherwise the
-    honest rejectors emit a report naming the generator and any member that
-    falsely voted valid.
+    `verdicts` holds one vote per member, in verifier-set order.  The block
+    is endorsed only if every vote is valid; otherwise the rejectors emit a
+    report naming the generator and every member listed in `dishonest` (raw
+    keys) that voted valid, with the first rejector's reason.
     """
-    verdicts = []
-    for kp in members:
-        if kp.public.raw in dishonest:
-            verdicts.append((kp, VerificationOutcome.valid()))
-        else:
-            verdicts.append((kp, verify_block(block, alloc, backend, known_transactions)))
     rejectors = [kp.public for kp, outcome in verdicts if not outcome.ok]
     if not rejectors:
         return endorse_block(block, [kp for kp, _ in verdicts], backend), None

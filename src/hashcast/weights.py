@@ -115,41 +115,6 @@ class ValidationRange:
 
 
 @dataclass(frozen=True)
-class Dht:
-    """Ring of validators in allocation order with wrap-around navigation."""
-
-    ring: tuple[PublicKey, ...]
-
-    def __len__(self) -> int:
-        return len(self.ring)
-
-    def index_of(self, pk: PublicKey) -> int:
-        for i, member in enumerate(self.ring):
-            if member.raw == pk.raw:
-                return i
-        raise ValueError("public key is not on the ring")
-
-    def at(self, index: int) -> PublicKey:
-        return self.ring[index % len(self.ring)]
-
-    def neighbors(self, pk: PublicKey, count: int, direction: str) -> list[PublicKey]:
-        """The `count` nodes immediately after (or before) `pk`, wrapping."""
-        if count >= len(self.ring):
-            raise ValueError("neighbor count must be smaller than the ring")
-        if direction not in ("successor", "predecessor"):
-            raise ValueError("direction must be 'successor' or 'predecessor'")
-        start = self.index_of(pk)
-        step = 1 if direction == "successor" else -1
-        return [self.at(start + step * (k + 1)) for k in range(count)]
-
-    def successors(self, pk: PublicKey, count: int) -> list[PublicKey]:
-        return self.neighbors(pk, count, "successor")
-
-    def predecessors(self, pk: PublicKey, count: int) -> list[PublicKey]:
-        return self.neighbors(pk, count, "predecessor")
-
-
-@dataclass(frozen=True)
 class RangeAllocation:
     """Finalized mapping of validators to validation ranges.
 
@@ -161,10 +126,6 @@ class RangeAllocation:
     validators: tuple[PublicKey, ...]
     kwms: tuple[Fraction, ...]
     ranges: tuple[ValidationRange, ...]
-
-    @property
-    def dht(self) -> Dht:
-        return Dht(ring=self.validators)
 
     def owner_index(self, symbol: str) -> int:
         idx = ALPHABET_INDEX[symbol]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -148,6 +149,63 @@ class TestRunCommand:
         config = write_json(tmp_path / "c.json", {"tx_count": -1})
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "tx_count" in capsys.readouterr().err
+
+
+# Expected sha256 of each output file.  Any change to a run's outputs is a
+# change of behaviour; the attack presets' values equal those recorded in
+# perfbench/preset_references.json.
+GOLDEN_OUTPUTS = {
+    "attack-a": {
+        "events.log": "f3c5318315ae28cc69f5884211a0c828fd2d98bb7cfd589944b304f68e6a42bf",
+        "ledgers.txt": "17eb1346dee5bbaae4a7236df9f87dd2134fc0d8b92ab2bce3b9e4bee1592f05",
+        "runs.csv": "ff6094273f05de55b1ca741bb40478920f2a026d7714e20b75f2f427f709f12a",
+        "summary.txt": "a0e924e217d5f70083c5aecdd3a7031924eb26e9e97a0382e3ee07ad9ca87e1e",
+    },
+    "attack-b": {
+        "events.log": "42dcb3ecfc922638a4d3fe95763e6008e1e8a90a457cc13b36150ca3dac0d3be",
+        "ledgers.txt": "193fb18caf6bf906294568eb96fc64937327195f7b380645f50e8dc5c1b26639",
+        "runs.csv": "a3b851fe288a4c37ca6f0a1b20edf855804a9f92d487fbfcb9e89a5ba5752afc",
+        "summary.txt": "87d3f7aaa34ac9f5445ce7a2aa34677034c9267afb2ccc9e9bf9b9f6cb0fd424",
+    },
+    "attack-c": {
+        "events.log": "4b9dc2805bf7fec95f6787cf824c794dd2d18320d29552ca2a453572c9b5fdc0",
+        "ledgers.txt": "672ca53726046fff1c9bfd3324ff9a4c4eca9df3053ba5f011f87d112728f4a9",
+        "runs.csv": "8c05c5c5fc63750d3908c6f07613351359c08a6aab33a3390dcc1c0748eeb560",
+        "summary.txt": "6c7a986d16f4341a5c7b6af8aebc2c85232038d2521df6ba9842813cc722e107",
+    },
+    "baseline-small": {
+        "events.log": "259d6e2bc67c788fa9ed428701a87aec4f214c3e6a94052d96599e78faa9acce",
+        "ledgers.txt": "5d0772831995458ed913df082fcf95c6194c9a4f4d40a51dab090469f2ac2a25",
+        "runs.csv": "c29d94aef36f69bcedf5213f74185b422bc150e2086008901e79817a26b18ec5",
+        "summary.txt": "aa1eb68ba568eee603357cb7b38fbb3d76d0208d57e002fc8f67258c488a2199",
+    },
+}
+
+BASELINE_SMALL = {
+    "mode": "baseline",
+    "num_iot_nodes": 20,
+    "num_validators": 10,
+    "block_size": 3,
+    "tx_count": 30,
+    "epochs": 2,
+    "seed": 7,
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+    def test_outputs_match_recorded_hashes(self, tmp_path, name):
+        if name == "baseline-small":
+            config = write_json(tmp_path / "c.json", BASELINE_SMALL)
+        else:
+            config = str(PRESETS / f"{name}.json")
+        out = tmp_path / "out"
+        assert main(["run", "-c", config, "-o", str(out)]) == 0
+        hashes = {
+            file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in GOLDEN_OUTPUTS[name]
+        }
+        assert hashes == GOLDEN_OUTPUTS[name]
 
 
 class TestSweepCommand:

@@ -12,7 +12,6 @@ from hashcast.core import (
     SimulatedSigner,
     block_digest,
     create_transaction,
-    credential_size,
     digest,
     make_block,
     msch,
@@ -89,13 +88,13 @@ class TestSignatures:
 
 class TestCredentialAccounting:
     def test_credential_size(self):
-        assert credential_size() == 459 == CREDENTIAL_BYTES
+        assert CREDENTIAL_BYTES == 459
 
     def test_endorsement_overhead_three_verifiers(self):
-        assert 3 * credential_size() == 1377
+        assert 3 * CREDENTIAL_BYTES == 1377
 
     def test_endorsement_overhead_single(self):
-        assert 1 * credential_size() == 459
+        assert 1 * CREDENTIAL_BYTES == 459
 
 
 class TestTransactionSerialization:

@@ -2,19 +2,23 @@ import dataclasses
 
 import pytest
 
-from hashcast.core import block_digest, create_transaction, make_block, msch
+from hashcast.core import block_digest, create_transaction, msch
 from hashcast.ledger import (
-    GenesisBlock,
     Ledger,
     PendingPool,
     RangeDistributor,
-    audit_block,
     commit_transactions,
     export_ledger_lines,
+    grind_block,
     scan_chain_integrity,
     scan_range_discipline,
 )
-from hashcast.verification import SetParams, endorse_block, expected_verifier_set
+from hashcast.verification import (
+    SetParams,
+    audit_endorsed_block,
+    endorse_block,
+    expected_verifier_set,
+)
 from hashcast.weights import build_allocation
 from conftest import make_keypairs
 
@@ -167,6 +171,19 @@ class TestCommit:
         )
         assert block is not None and len(block.transactions) == 3
 
+    def test_grinding_failure_raises(self, backend, monkeypatch):
+        kps, alloc, by_display = setup_ring(backend)
+        owner_kp = by_display[alloc.validators[0].display]
+        txs = txs_for_owner(backend, alloc, owner_kp.public, 2)
+        monkeypatch.setattr("hashcast.ledger.MAX_COMMIT_TRIES", 0)
+        with pytest.raises(RuntimeError, match="no nonce below 0"):
+            grind_block(owner_kp, "", txs, alloc, backend)
+        pool = PendingPool(owner=owner_kp.public, alloc=alloc)
+        for tx in txs:
+            pool.add(tx)
+        with pytest.raises(RuntimeError, match="no nonce below 0"):
+            commit_transactions(owner_kp, pool, 2, alloc, backend, "")
+
 
 class TestAppend:
     def _endorsed_block(self, backend):
@@ -225,7 +242,7 @@ class TestAudit:
             block, [by_display[pk.display] for pk in verifier_set.members], backend
         )
         auditor = backend.keypair(b"aud").public
-        outcome, report = audit_block(endorsed, alloc, params, backend, auditor)
+        outcome, report = audit_endorsed_block(endorsed, alloc, params, backend, auditor)
         assert outcome.ok and report is None
 
     def test_colluding_fake_block_reported(self, backend):
@@ -234,17 +251,13 @@ class TestAudit:
         owner_kp = by_display[alloc.validators[3].display]
         fake_tx = create_transaction(kps[7], b"real", backend)
         fake_tx = dataclasses.replace(fake_tx, signature=b"\x00" * 32)
-        own = alloc.range_for(owner_kp.public)
-        for nonce in range(100_000):
-            block = make_block(owner_kp, "", [fake_tx], nonce, backend)
-            if own.covers(msch(block_digest(block))):
-                break
+        block = grind_block(owner_kp, "", [fake_tx], alloc, backend)
         verifier_set = expected_verifier_set(block, alloc, params)
         endorsed = endorse_block(
             block, [by_display[pk.display] for pk in verifier_set.members], backend
         )
         auditor = backend.keypair(b"aud").public
-        outcome, report = audit_block(endorsed, alloc, params, backend, auditor)
+        outcome, report = audit_endorsed_block(endorsed, alloc, params, backend, auditor)
         assert not outcome.ok
         assert report is not None
         assert len(report.accused) == 4  # one generator + 2m+1 endorsers
@@ -280,14 +293,3 @@ class TestScans:
         assert len(lines) == 1
         assert str(2) in lines[0]
 
-
-def test_genesis_holds_contract_actors(backend):
-    from hashcast.fees import TrafficAccounting
-
-    vrd = RangeDistributor(window_end_ms=50.0)
-    ta = TrafficAccounting(tf=1)
-    genesis = GenesisBlock(parameters=(("seed", "1"),), range_distributor=vrd, traffic_accounting=ta)
-    assert genesis.range_distributor is vrd
-    assert genesis.traffic_accounting is ta
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        genesis.parameters = ()

@@ -2,7 +2,7 @@ import pytest
 
 from hashcast.config import ConfigError, ScenarioConfig
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
-from hashcast.simulation import execute, run_baseline, run_scenario
+from hashcast.simulation import execute, run_scenario
 
 
 def small_config(**overrides):
@@ -128,10 +128,6 @@ class TestBaseline:
     def test_conservation(self):
         report, _ = run_scenario(small_config(mode="baseline", tx_count=60))
         assert report.committed_tx == 60
-
-    def test_run_baseline_guard(self):
-        with pytest.raises(ValueError):
-            run_baseline(small_config(mode="vericom"))
 
 
 class TestModeComparison:

@@ -13,18 +13,20 @@ from hashcast.core import (
     serialize_block,
     transaction_id,
 )
+from hashcast.ledger import grind_block
 from hashcast.verification import (
     REASON_BAD_ENDORSEMENT,
     REASON_BAD_SIGNATURE,
     REASON_MISSING_PREVIOUS,
     REASON_RANGE_MISMATCH,
     SetParams,
+    VerificationOutcome,
     audit_endorsed_block,
     endorse_block,
     expected_verifier_set,
-    run_endorsement,
     select_validator_set,
     select_verifier_set,
+    tally_endorsement,
     validator_set_for_block,
     verifier_offset,
     verify_block,
@@ -55,13 +57,15 @@ def admissible_params(total):
     return out
 
 
-def grind_block(keypair, prev, txs, alloc, backend):
-    own = alloc.range_for(keypair.public)
-    for nonce in range(100_000):
-        block = make_block(keypair, prev, txs, nonce, backend)
-        if own.covers(msch(block_digest(block))):
-            return block
-    raise AssertionError("grinding failed")
+def vote(block, members, alloc, backend, dishonest=frozenset()):
+    """One verdict per member; members in `dishonest` (raw keys) claim valid."""
+    verdicts = []
+    for kp in members:
+        if kp.public.raw in dishonest:
+            verdicts.append((kp, VerificationOutcome.valid()))
+        else:
+            verdicts.append((kp, verify_block(block, alloc, backend)))
+    return verdicts
 
 
 class TestSetParams:
@@ -285,9 +289,11 @@ class TestEndorsementFlow:
 
     def test_honest_endorsement(self, backend):
         alloc, params, block, members, _ = self._pipeline(backend)
-        endorsed, report = run_endorsement(block, members, alloc, backend)
+        verdicts = vote(block, members, alloc, backend)
+        endorsed, report = tally_endorsement(block, verdicts, backend)
         assert report is None
         assert len(endorsed.endorsements) == 3
+        assert [end.verifier for end in endorsed.endorsements] == [kp.public for kp in members]
         assert verify_endorsements(endorsed, alloc, params, backend).ok
         grown = len(serialize_block(endorsed)) - len(serialize_block(block))
         assert grown == 459 * 3
@@ -297,7 +303,8 @@ class TestEndorsementFlow:
         forged_tx = dataclasses.replace(block.transactions[0], payload=b"evil")
         forged_tx = dataclasses.replace(forged_tx, id=transaction_id(forged_tx))
         forged = dataclasses.replace(block, transactions=(forged_tx,))
-        endorsed, report = run_endorsement(forged, members, alloc, backend)
+        verdicts = vote(forged, members, alloc, backend)
+        endorsed, report = tally_endorsement(forged, verdicts, backend)
         assert endorsed is None
         assert report is not None
         assert block.generator in report.accused
@@ -309,16 +316,15 @@ class TestEndorsementFlow:
         forged_tx = dataclasses.replace(forged_tx, id=transaction_id(forged_tx))
         forged = dataclasses.replace(block, transactions=(forged_tx,))
         dishonest = frozenset({members[0].public.raw})
-        endorsed, report = run_endorsement(
-            forged, members, alloc, backend, dishonest=dishonest
-        )
+        verdicts = vote(forged, members, alloc, backend, dishonest)
+        endorsed, report = tally_endorsement(forged, verdicts, backend, dishonest)
         assert endorsed is None
         assert members[0].public in report.accused
         assert len(report.reporters) == 2
 
     def test_auditor_revalidates_endorsed_block(self, backend):
         alloc, params, block, members, by_display = self._pipeline(backend)
-        endorsed, _ = run_endorsement(block, members, alloc, backend)
+        endorsed, _ = tally_endorsement(block, vote(block, members, alloc, backend), backend)
         auditor = backend.keypair(b"aud").public
         outcome, report = audit_endorsed_block(
             endorsed, alloc, params, backend, auditor
@@ -352,6 +358,39 @@ class TestEndorsementFlow:
         endorsed = endorse_block(block, members[:2], backend)
         outcome = verify_endorsements(endorsed, alloc, params, backend)
         assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
+
+
+class TestTally:
+    def test_two_dishonest_outvoted_by_three_honest(self, backend):
+        # m=2: five verifiers; a forged block signed by its generator, two
+        # colluders vote valid and the three honest members reject it.
+        kps = make_keypairs(backend, 12, "tl")
+        alloc = build_allocation([kp.public for kp in kps])
+        by_display = {kp.public.display: kp for kp in kps}
+        params = SetParams(n=1, m=2, num_validators=12)
+        generator = by_display[alloc.validators[3].display]
+        forged_tx = create_transaction(kps[8], b"pay", backend)
+        forged_tx = dataclasses.replace(forged_tx, signature=b"\x00" * 32)
+        forged_tx = dataclasses.replace(forged_tx, id=transaction_id(forged_tx))
+        forged = grind_block(generator, "", [forged_tx], alloc, backend)
+        verifier_set = expected_verifier_set(forged, alloc, params)
+        members = [by_display[pk.display] for pk in verifier_set.members]
+        # pick colluders listed against display order, so set order is what counts
+        i, j = next(
+            (i, j)
+            for i in range(len(members))
+            for j in range(i + 1, len(members))
+            if members[i].public.display > members[j].public.display
+        )
+        dishonest = frozenset({members[i].public.raw, members[j].public.raw})
+        verdicts = vote(forged, members, alloc, backend, dishonest)
+        endorsed, report = tally_endorsement(forged, verdicts, backend, dishonest)
+        assert endorsed is None
+        assert report.accused == (generator.public, members[i].public, members[j].public)
+        honest = [kp.public for k, kp in enumerate(members) if k not in (i, j)]
+        assert report.reporters == tuple(honest)
+        assert report.reason == REASON_BAD_SIGNATURE
+        assert report.item_digest == block_digest(forged)
 
 
 class TestValidatorSetForBlock:

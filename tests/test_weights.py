@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashcast.core import ALPHABET, ALPHABET_INDEX
+from hashcast.verification import ring_members
 from hashcast.weights import (
     WEIGHT_DICTIONARY,
-    Dht,
     allocate_ranges,
     build_allocation,
     char_weight,
@@ -202,38 +202,38 @@ class TestRangeOf:
         d = "K23HQ" + "0" * 27
         owner = alloc.range_of(d[0])
         assert owner == alloc.validators[2]
-        assert alloc.dht.successors(owner, 1) == [alloc.validators[3]]
+        assert ring_members(alloc, alloc.position_of(owner), 1)[2] == alloc.validators[3]
 
 
 class TestDht:
+    """The validator ring: allocation order, navigated with wrap-around by `ring_members`."""
+
     def _ring(self, backend, count):
         pks = [kp.public for kp in make_keypairs(backend, count, "ring")]
-        return pks, Dht(ring=tuple(pks))
+        return pks, allocate_ranges(pks)
 
     def test_single_successor(self, backend):
-        pks, dht = self._ring(backend, 4)
-        assert dht.successors(pks[1], 1) == [pks[2]]
+        pks, alloc = self._ring(backend, 4)
+        assert ring_members(alloc, 1, 1) == [pks[0], pks[1], pks[2]]
 
     def test_predecessors_wrap(self, backend):
-        pks, dht = self._ring(backend, 4)
-        assert dht.predecessors(pks[0], 2) == [pks[3], pks[2]]
+        pks, alloc = self._ring(backend, 4)
+        assert ring_members(alloc, 0, 2)[:2] == [pks[2], pks[3]]
 
     def test_inverse_navigation(self, backend):
-        pks, dht = self._ring(backend, 7)
-        for start in pks:
+        pks, alloc = self._ring(backend, 7)
+        for start, pk in enumerate(pks):
             for count in (1, 2, 3):
-                forward = dht.successors(start, count)[-1]
-                assert dht.predecessors(forward, count)[-1] == start
-
-    def test_count_must_be_less_than_ring(self, backend):
-        pks, dht = self._ring(backend, 4)
-        with pytest.raises(ValueError):
-            dht.neighbors(pks[0], 4, "successor")
+                forward = ring_members(alloc, start, count)[-1]
+                back = ring_members(alloc, alloc.position_of(forward), count)[0]
+                assert back == pk
 
     def test_allocation_order_is_ring_order(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 6, "ro")]
         alloc = build_allocation(pks)
-        assert alloc.dht.ring == alloc.validators
+        centers = [ring_members(alloc, i, 0) for i in range(len(pks))]
+        assert centers == [[pk] for pk in alloc.validators]
+        assert ring_members(alloc, len(pks) - 1, 1)[2] == alloc.validators[0]
 
 
 def test_allocation_table_renders(backend):
