@@ -42,11 +42,9 @@ class ScenarioConfig:
     gamma_ms: float = 100.0
     tx_interval_ms: float = 1.0
     epoch_margin_ms: float = 200.0
-    rui_period_ms: float = 250.0
     trust_mode: str = "trusted"
     attack: str = "none"
     adversary_ids: tuple[int, ...] = ()
-    drop_rate: float = 1.0
     seed: int = 1
     payload_size: int = 510
     verify_cost_ms: float = 0.1
@@ -83,14 +81,11 @@ class ScenarioConfig:
             raise ConfigError("backbone_capacity must be non-negative (0 = auto)")
         if self.payload_size < 0:
             raise ConfigError("payload_size must be non-negative")
-        if not (0.0 <= self.drop_rate <= 1.0):
-            raise ConfigError("drop_rate must be within [0, 1]")
         for key in (
             "link_delay_ms",
             "gamma_ms",
             "tx_interval_ms",
             "epoch_margin_ms",
-            "rui_period_ms",
             "monitor_window_ms",
             "access_delay_min_ms",
             "access_delay_max_ms",
@@ -176,11 +171,6 @@ class ScenarioConfig:
             return cls(**values)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["adversary_ids"] = list(self.adversary_ids)
-        return out
 
     def with_overrides(self, **overrides) -> "ScenarioConfig":
         return dataclasses.replace(self, **overrides)

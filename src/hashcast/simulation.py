@@ -45,12 +45,12 @@ from .transmission import (
     BackboneGraph,
     assign_monitors,
     build_backbone,
+    compute_routes,
     evaluate_window,
     join_network,
     reconstruct_backbone,
     route_multicast,
     routing_table_bytes,
-    sync_views,
 )
 from .verification import (
     MisbehaviorReport,
@@ -85,7 +85,6 @@ class MetricsReport:
     committed_tx: int = 0
     blocks_committed: int = 0
     endorsed_blocks: int = 0
-    rui_updates: int = 0
     isolated: list[str] = field(default_factory=list)
     reports: list[MisbehaviorReport] = field(default_factory=list)
     detected: bool = False
@@ -350,7 +349,7 @@ class VericomRun(_RunBase):
             else:
                 self.home[ident.display] = attached
         self.metrics.isolated.extend(isolated)
-        sync_views(self.graph)
+        compute_routes(self.graph)
         if not self.graph.trusted:
             assign_monitors(self.graph, self.rng_monitor, self.config.monitor_group_size)
         table_size = max(routing_table_bytes(bn) for bn in self.graph.nodes.values())
@@ -390,10 +389,6 @@ class VericomRun(_RunBase):
             for w in range(1, ticks + 1):
                 at = min(start + w * window, epoch_end - config.epoch_margin_ms / 4)
                 self.queue.push(at, self._monitor_window, w)
-        period = config.rui_period_ms
-        ticks = int(config.epoch_length_ms() // period)
-        for w in range(1, ticks + 1):
-            self.queue.push(start + w * period, self._rui_tick)
 
     def _begin_epoch(self, epoch: int) -> None:
         self.epoch_index = epoch
@@ -419,14 +414,23 @@ class VericomRun(_RunBase):
 
     # -- transaction pipeline -------------------------------------------
 
-    def _send_tx(self, ident: Identity, tx: Transaction) -> None:
-        if ident.display not in self.home:
+    def _uplink(self, ident: Identity, handler, item) -> bool:
+        """Send an item over the sender's access link to its backbone node.
+
+        A sender attached to no backbone node counts one routing failure
+        and sends nothing; the return value says whether the item went out.
+        """
+        bn_id = self.home.get(ident.display)
+        if bn_id is None:
             self.metrics.routing_failures += 1
-            return
-        bn_id = self.home[ident.display]
+            return False
         send_time = self.queue.now
         arrive = send_time + self.access[(ident.node_id, bn_id)]
-        self.queue.push(arrive, self._tx_at_backbone, tx, bn_id, send_time)
+        self.queue.push(arrive, handler, item, bn_id, send_time)
+        return True
+
+    def _send_tx(self, ident: Identity, tx: Transaction) -> None:
+        self._uplink(ident, self._tx_at_backbone, tx)
 
     def _tx_at_backbone(self, tx: Transaction, bn_id: int, send_time: float) -> None:
         if bn_id not in self.graph.nodes:
@@ -483,11 +487,8 @@ class VericomRun(_RunBase):
         return self.chain_tip[display]
 
     def _send_block(self, ident: Identity, block: Block, d: str) -> None:
-        self.chain_tip[ident.display] = d
-        bn_id = self.home[ident.display]
-        send_time = self.queue.now
-        arrive = send_time + self.access[(ident.node_id, bn_id)]
-        self.queue.push(arrive, self._block_at_backbone, block, bn_id, send_time)
+        if self._uplink(ident, self._block_at_backbone, block):
+            self.chain_tip[ident.display] = d
 
     def _block_at_backbone(self, block, bn_id: int, send_time: float) -> None:
         if bn_id not in self.graph.nodes:
@@ -543,12 +544,7 @@ class VericomRun(_RunBase):
             return
         self.metrics.endorsed_blocks += 1
         self.log("sim", "block-endorsed", d)
-        main_display = state["main"]
-        main = self.by_display[main_display]
-        bn_id = self.home[main_display]
-        send_time = self.queue.now
-        arrive = send_time + self.access[(main.node_id, bn_id)]
-        self.queue.push(arrive, self._broadcast_endorsed, endorsed, bn_id, send_time)
+        self._uplink(self.by_display[state["main"]], self._broadcast_endorsed, endorsed)
 
     def _record_report(self, report: MisbehaviorReport) -> None:
         self.metrics.reports.append(report)
@@ -617,21 +613,6 @@ class VericomRun(_RunBase):
                 self.metrics.penalties.append(display)
             self.excluded.add(display)
         self.log("ta", "settlement", f"epoch={epoch} penalties={len(settlement.penalties)}")
-
-    def _rui_tick(self) -> None:
-        updates = []
-        for bn_id in self.graph.ids:
-            update = transmission.emit_route_update(self.graph.nodes[bn_id])
-            if update is not None:
-                updates.append(update)
-        for update in updates:
-            self.metrics.rui_updates += 1
-            self.log(f"bn.{update.origin}", "route-update", f"seq={update.sequence}")
-            for bn_id in self.graph.ids:
-                if bn_id != update.origin:
-                    transmission.apply_route_update(self.graph.nodes[bn_id], update)
-        if updates:
-            transmission.compute_routes(self.graph)
 
     def _monitor_window(self, window: int) -> None:
         flagged, _records = evaluate_window(self.graph, window)

@@ -1,8 +1,8 @@
 """The backbone network: topology, joins, routing, multicast, and monitoring.
 
-Backbone nodes route all chain traffic.  Each node keeps its own view of
-which destinations live behind which backbone node (synced through periodic
-route updates) and a next-hop table computed from link delays with a
+Backbone nodes route all chain traffic.  After every round of joins, one
+routing pass reads which destinations are attached to which backbone node
+and gives every node a next-hop table computed from link delays with a
 deterministic shortest-path pass.  Multicast forwards one copy per link and
 fans out only where destination paths diverge.
 
@@ -42,13 +42,6 @@ class JoinResponse:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class RouteUpdate:
-    origin: int
-    sequence: int
-    attached: tuple[tuple[str, str], ...]  # (key display, role), sorted
-
-
 @dataclass
 class MonitorRecord:
     monitored: int
@@ -67,24 +60,15 @@ class BackboneNode:
         self.capacity = capacity
         self.neighbors: dict[int, float] = {}  # neighbor id -> link delay ms
         self.attached: dict[str, str] = {}  # key display -> role
-        # This node's view of where every destination lives.
-        self.known_home: dict[str, int] = {}
-        self.known_roles: dict[str, str] = {}
         # Next hops: per destination key and per backbone node.
         self.routes: dict[str, int] = {}
         self.bn_next: dict[int, int] = {}
-        self.rui_sequence = 0
-        self.last_advertised: Optional[tuple[tuple[str, str], ...]] = None
-        self.seen_sequences: dict[int, int] = {}
         # Monitoring counters for the current window.
         self.window_inbound = 0
         self.window_forwarded = 0
         self.monitors: tuple[int, ...] = ()
         # Adversarial behavior toggle.
         self.drop_all = False
-
-    def attachment_list(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.attached.items()))
 
 
 class BackboneGraph:
@@ -95,9 +79,6 @@ class BackboneGraph:
     @property
     def ids(self) -> list[int]:
         return sorted(self.nodes)
-
-    def link_delay(self, a: int, b: int) -> float:
-        return self.nodes[a].neighbors[b]
 
     def links(self) -> list[tuple[int, int, float]]:
         out = []
@@ -162,11 +143,20 @@ def shortest_paths(graph: BackboneGraph) -> dict[int, dict[int, float]]:
 
 
 def compute_routes(graph: BackboneGraph) -> None:
-    """Fill every node's next-hop tables from its own destination view.
+    """Fill every node's next-hop tables toward every attached destination.
 
-    The next hop toward a destination is the neighbor on a minimum-total-delay
-    path; among equal-cost neighbors the lowest id wins.
+    Destinations are the validator and auditor keys attached anywhere on the
+    backbone, each homed at the node it is attached to.  The next hop toward
+    a destination is the neighbor on a minimum-total-delay path to its home;
+    among equal-cost neighbors the lowest id wins.  Call it again after any
+    change to the graph or its attachments.
     """
+    homes = sorted(
+        (display, node_id)
+        for node_id in graph.ids
+        for display, role in graph.nodes[node_id].attached.items()
+        if role in ROUTABLE_ROLES
+    )
     dist = shortest_paths(graph)
     for src in graph.ids:
         node = graph.nodes[src]
@@ -186,13 +176,7 @@ def compute_routes(graph: BackboneGraph) -> None:
             if best is None:
                 raise RoutingError(f"no next hop from {src} to {dst}")
             node.bn_next[dst] = best
-        node.routes = {}
-        for display, home in sorted(node.known_home.items()):
-            if node.known_roles.get(display) not in ROUTABLE_ROLES:
-                continue
-            if home not in node.bn_next:
-                raise RoutingError(f"destination {display[:8]}.. homed at unknown node")
-            node.routes[display] = node.bn_next[home]
+        node.routes = {display: node.bn_next[home] for display, home in homes}
 
 
 def process_join(bn: BackboneNode, display: str, role: str) -> JoinResponse:
@@ -220,47 +204,6 @@ def join_network(
         if process_join(graph.nodes[node_id], display, role).accepted:
             return node_id
     return None
-
-
-def sync_views(graph: BackboneGraph) -> None:
-    """Bootstrap exchange: every node learns every attachment, routes rebuilt."""
-    union_home: dict[str, int] = {}
-    union_role: dict[str, str] = {}
-    for node_id in graph.ids:
-        for display, role in graph.nodes[node_id].attached.items():
-            union_home[display] = node_id
-            union_role[display] = role
-    for node_id in graph.ids:
-        node = graph.nodes[node_id]
-        node.known_home = dict(union_home)
-        node.known_roles = dict(union_role)
-        node.last_advertised = node.attachment_list()
-    compute_routes(graph)
-
-
-def emit_route_update(bn: BackboneNode) -> Optional[RouteUpdate]:
-    """Advertise the attached list, but only if it changed since last time."""
-    current = bn.attachment_list()
-    if current == bn.last_advertised:
-        return None
-    bn.rui_sequence += 1
-    bn.last_advertised = current
-    return RouteUpdate(origin=bn.id, sequence=bn.rui_sequence, attached=current)
-
-
-def apply_route_update(bn: BackboneNode, update: RouteUpdate) -> bool:
-    """Refresh one origin's attachments in this node's view; stale -> ignored."""
-    if update.sequence <= bn.seen_sequences.get(update.origin, 0):
-        return False
-    bn.seen_sequences[update.origin] = update.sequence
-    stale = [d for d, home in bn.known_home.items() if home == update.origin]
-    for display in stale:
-        del bn.known_home[display]
-        del bn.known_roles[display]
-    for display, role in update.attached:
-        bn.known_home[display] = update.origin
-        bn.known_roles[display] = role
-    return True
 
 
 @dataclass

@@ -29,9 +29,10 @@ class TestLoadConfig:
         assert config.tx_count > 0
 
     def test_unknown_key_named(self, tmp_path):
-        path = write_json(tmp_path / "c.json", {"num_iot_nodez": 5})
-        with pytest.raises(ConfigError, match="num_iot_nodez"):
-            load_config(path)
+        for key in ("num_iot_nodez", "rui_period_ms", "drop_rate"):
+            path = write_json(tmp_path / "c.json", {key: 5})
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
 
     def test_inadmissible_set_params(self, tmp_path):
         path = write_json(

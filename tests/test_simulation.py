@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashcast.config import ConfigError, ScenarioConfig
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
@@ -231,6 +233,117 @@ class TestAttacks:
             small_config(mode="baseline", attack="dropping", adversary_ids=(1,))
 
 
+class TestUnattachedSender:
+    """A node attached to no backbone node sends nothing, and the run goes on."""
+
+    def test_forged_block_from_isolated_generator(self):
+        # two backbone nodes of capacity 4 leave the forging validator 11 out
+        cfg = ScenarioConfig(
+            num_iot_nodes=12,
+            num_validators=12,
+            num_backbone=2,
+            backbone_capacity=4,
+            tx_count=40,
+            block_size=2,
+            attack="false-verification",
+            adversary_ids=(11,),
+            seed=3,
+        )
+        run = execute(cfg)
+        generator = run.malicious_generator.display
+        assert generator in run.metrics.isolated
+        assert run.chain_tip[generator] == ""  # the unsent block is not a tip
+        assert run.metrics.routing_failures >= 1
+
+    def test_flush_after_rebuild_isolates_validators(self):
+        # the rebuild shrinks capacity, so some validators holding pooled
+        # transactions are left unattached when the epoch flush cuts blocks
+        cfg = ScenarioConfig(
+            num_iot_nodes=30,
+            num_validators=30,
+            num_backbone=4,
+            backbone_topology="chain",
+            block_size=5,
+            tx_count=40,
+            trust_mode="untrusted",
+            monitor_window_ms=30.0,
+            attack="dropping",
+            adversary_ids=(1,),
+            seed=101,
+        )
+        run = execute(cfg)
+        assert run.metrics.detected
+        assert run.metrics.isolated
+        assert run.metrics.routing_failures >= 1
+        assert run.metrics.committed_tx <= run.metrics.injected_tx
+
+    def test_endorsement_whose_main_verifier_was_isolated(self):
+        # a rebuild isolates the main verifier after it received the block
+        cfg = ScenarioConfig(
+            num_iot_nodes=11,
+            num_validators=11,
+            num_backbone=4,
+            backbone_topology="chain",
+            block_size=1,
+            tx_count=49,
+            epochs=3,
+            trust_mode="untrusted",
+            monitor_window_ms=5.0,
+            attack="dropping",
+            adversary_ids=(0,),
+            seed=43672,
+        )
+        run = execute(cfg)
+        broadcasts = [l for l in run.log_lines if "broadcast-endorsed" in l]
+        assert len(broadcasts) < run.metrics.endorsed_blocks
+        assert run.metrics.routing_failures >= 1
+
+
+@st.composite
+def honest_configs(draw):
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(0, 2))
+    least = max(4 * n, 3 * n + (m if n > m else 2 * m) + 1)
+    validators = draw(st.integers(least, least + 6))
+    return ScenarioConfig(
+        num_iot_nodes=draw(st.integers(validators, validators + 8)),
+        num_validators=validators,
+        num_backbone=draw(st.integers(1, 8)),
+        backbone_topology=draw(st.sampled_from(["random-connected", "chain", "star"])),
+        n=n,
+        m=m,
+        block_size=draw(st.integers(1, 5)),
+        tx_count=draw(st.integers(1, 30)),
+        epochs=draw(st.integers(1, 3)),
+        auditor=draw(st.booleans()),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+class TestWholeRunProperties:
+    @given(honest_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_honest_trusted_run_invariants(self, cfg):
+        run = execute(cfg)
+        metrics = run.metrics
+        assert metrics.committed_tx <= metrics.injected_tx
+        committed = [
+            tx.id
+            for ledgers in run.ledgers.values()
+            for ledger in ledgers.values()
+            for block in ledger.blocks
+            for tx in block.transactions
+        ]
+        assert len(committed) == len(set(committed))
+        for ledgers in run.ledgers.values():
+            for ledger in ledgers.values():
+                assert scan_chain_integrity(ledger)
+        assert metrics.verify_ops == (
+            (2 * cfg.n + 1) * metrics.injected_tx
+            + (2 * cfg.m + 1) * metrics.blocks_committed
+        )
+
+
 class TestUntrustedHonest:
     def test_no_false_flags(self):
         cfg = small_config(trust_mode="untrusted", tx_count=60, monitor_window_ms=30.0)
@@ -257,6 +370,6 @@ class TestRingCap:
         # all 80 validator keys remain routable destinations
         bn = run.graph.nodes[min(run.graph.nodes)]
         validator_routes = [
-            d for d, role in bn.known_roles.items() if role == "validator"
+            d for d in bn.routes if run.by_display[d].role == "validator"
         ]
         assert len(validator_routes) == 80

@@ -5,13 +5,10 @@ import pytest
 from hashcast.transmission import (
     ROUTING_ENTRY_BYTES,
     ROUTING_TABLE_BASE_BYTES,
-    RouteUpdate,
     TopologyError,
-    apply_route_update,
     assign_monitors,
     build_backbone,
     compute_routes,
-    emit_route_update,
     evaluate_window,
     join_network,
     process_join,
@@ -20,7 +17,6 @@ from hashcast.transmission import (
     routing_table_bytes,
     routing_table_text,
     shortest_paths,
-    sync_views,
 )
 
 
@@ -61,7 +57,7 @@ class TestBuildBackbone:
     def test_two_nodes_one_link(self):
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
         assert graph.ids == [0, 1]
-        assert graph.link_delay(0, 1) == 1.0
+        assert graph.nodes[0].neighbors[1] == 1.0
 
     def test_disconnected_rejected(self):
         with pytest.raises(TopologyError):
@@ -98,7 +94,7 @@ class TestComputeRoutes:
         attach(graph, 2, "VN.2")
         attach(graph, 3, "VN.3")
         attach(graph, 4, "VN.4")
-        sync_views(graph)
+        compute_routes(graph)
         table = graph.nodes[1].routes
         assert table["VN.4"] == 4
         assert table["VN.2"] == 2
@@ -110,7 +106,7 @@ class TestComputeRoutes:
             [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)],
         )
         attach(graph, 2, "dest")
-        sync_views(graph)
+        compute_routes(graph)
         assert graph.nodes[0].routes["dest"] == 1
         assert shortest_paths(graph)[0][2] == 2.0
 
@@ -125,14 +121,15 @@ class TestComputeRoutes:
         # next hops sit on shortest paths
         for i in range(20):
             attach(graph, rng.randrange(20), f"node-{i}")
-        sync_views(graph)
+        compute_routes(graph)
+        homes = {d: bn for bn in graph.ids for d in graph.nodes[bn].attached}
         for src in graph.ids:
             node = graph.nodes[src]
             for display, nxt in node.routes.items():
-                home = node.known_home[display]
+                home = homes[display]
                 if home == src:
                     continue
-                assert graph.link_delay(src, nxt) + oracle[nxt][home] == pytest.approx(
+                assert node.neighbors[nxt] + oracle[nxt][home] == pytest.approx(
                     oracle[src][home]
                 )
 
@@ -142,8 +139,20 @@ class TestComputeRoutes:
             [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)],
         )
         attach(graph, 3, "dest")
-        sync_views(graph)
+        compute_routes(graph)
         assert graph.nodes[0].routes["dest"] == 1
+
+    def test_tables_match_oracle_after_churn(self):
+        graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
+        attach(graph, 0, "a")
+        attach(graph, 1, "b")
+        compute_routes(graph)
+        # "b" re-attaches to the other backbone node
+        del graph.nodes[1].attached["b"]
+        attach(graph, 0, "b")
+        compute_routes(graph)
+        assert graph.nodes[1].routes["b"] == 0
+        assert graph.nodes[1].routes["a"] == 0
 
 
 class TestJoins:
@@ -175,52 +184,6 @@ class TestJoins:
         assert join_network("a", "validator", {0: 3.0, 1: 0.5}, graph) == 1
 
 
-class TestRouteUpdates:
-    def _graph(self):
-        graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
-        attach(graph, 0, "a")
-        attach(graph, 1, "b")
-        sync_views(graph)
-        return graph
-
-    def test_quiescent_after_sync(self):
-        graph = self._graph()
-        for bn in graph.nodes.values():
-            assert emit_route_update(bn) is None
-
-    def test_emits_on_change(self):
-        graph = self._graph()
-        attach(graph, 0, "c")
-        update = emit_route_update(graph.nodes[0])
-        assert update is not None
-        assert ("c", "validator") in update.attached
-        assert emit_route_update(graph.nodes[0]) is None  # advertised once
-
-    def test_stale_sequence_ignored(self):
-        graph = self._graph()
-        attach(graph, 0, "c")
-        update = emit_route_update(graph.nodes[0])
-        assert apply_route_update(graph.nodes[1], update)
-        assert not apply_route_update(graph.nodes[1], update)
-        stale = RouteUpdate(origin=0, sequence=0, attached=())
-        assert not apply_route_update(graph.nodes[1], stale)
-
-    def test_tables_match_oracle_after_churn(self):
-        graph = self._graph()
-        # "b" re-attaches to the other backbone node
-        del graph.nodes[1].attached["b"]
-        attach(graph, 0, "b")
-        updates = [emit_route_update(graph.nodes[i]) for i in (0, 1)]
-        assert all(u is not None for u in updates)
-        for update in updates:
-            for bn_id in graph.ids:
-                if bn_id != update.origin:
-                    apply_route_update(graph.nodes[bn_id], update)
-        compute_routes(graph)
-        assert graph.nodes[1].routes["b"] == 0
-        assert graph.nodes[1].routes["a"] == 0
-
-
 class TestMulticast:
     def _graph(self):
         graph = build_backbone(
@@ -230,7 +193,7 @@ class TestMulticast:
         attach(graph, 2, "VN.2")
         attach(graph, 3, "VN.3")
         attach(graph, 4, "VN.4")
-        sync_views(graph)
+        compute_routes(graph)
         return graph
 
     def test_shared_next_hop_coalesces(self):
@@ -256,7 +219,7 @@ class TestMulticast:
             home = rng.randrange(15)
             attach(graph, home, f"d{i}")
             displays.append((f"d{i}", home))
-        sync_views(graph)
+        compute_routes(graph)
         oracle = floyd_warshall(graph)
         origin = 0
         result = route_multicast(
@@ -274,7 +237,7 @@ class TestMulticast:
             graph = random_connected_graph(rng, 12)
             for i in range(8):
                 attach(graph, rng.randrange(12), f"d{i}")
-            sync_views(graph)
+            compute_routes(graph)
             result = route_multicast(graph, 0, {f"d{i}": 0.2 for i in range(8)})
             edges = len(graph.links())
             flood = 2 * edges - (len(graph.ids) - 1)
@@ -296,7 +259,7 @@ class TestMonitoring:
         )
         attach(graph, 0, "src")
         attach(graph, 2, "dst")
-        sync_views(graph)
+        compute_routes(graph)
         assign_monitors(graph, random.Random(0), 2)
         if dropper is not None:
             graph.nodes[dropper].drop_all = True
@@ -334,7 +297,7 @@ class TestMonitoring:
         assert 2 in rebuilt.nodes[0].neighbors
         attach(rebuilt, 0, "src")
         attach(rebuilt, 2, "dst")
-        sync_views(rebuilt)
+        compute_routes(rebuilt)
         result = route_multicast(rebuilt, 0, {"dst": 0.5})
         assert [d.display for d in result.deliveries] == ["dst"]
 
@@ -349,7 +312,7 @@ class TestRoutingTableAccounting:
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
         for i in range(4):
             attach(graph, i % 2, f"v{i}")
-        sync_views(graph)
+        compute_routes(graph)
         bn = graph.nodes[0]
         assert routing_table_bytes(bn) == ROUTING_TABLE_BASE_BYTES + 4 * ROUTING_ENTRY_BYTES
 
@@ -357,14 +320,14 @@ class TestRoutingTableAccounting:
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
         attach(graph, 0, "v0", role="validator")
         attach(graph, 1, "plain", role="node")
-        sync_views(graph)
+        compute_routes(graph)
         assert "v0" in graph.nodes[1].routes
         assert "plain" not in graph.nodes[0].routes
 
     def test_table_dump_format(self):
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
         attach(graph, 1, "validator-key-1234")
-        sync_views(graph)
+        compute_routes(graph)
         text = routing_table_text(graph.nodes[0])
         assert "next hop" in text
         assert "validator-ke" in text
