@@ -8,13 +8,18 @@ into one fixed-size 459-byte credential blob, so byte accounting is identical
 for every signature backend.
 
 All types in this module are immutable values; they can be shared freely
-between concurrent readers.
+between concurrent readers.  A `Block` computes its digest from its own
+content the first time `Block.digest` is read and keeps it; no caller can
+supply one, so the cached value always matches the content, and a copy made
+with `replace` (or `endorse_block`) computes its own.  `block_digest` is the
+uncached computation behind it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -31,14 +36,24 @@ CREDENTIAL_BYTES = 459
 FORMAT_TAG = b"\x01"
 
 
+# Every base-62 symbol pair, least significant symbol first: entry
+# lo + 62 * hi is ALPHABET[lo] + ALPHABET[hi].
+_SYMBOL_PAIRS = tuple(lo + hi for hi in ALPHABET for lo in ALPHABET)
+_PAIR_BASE = len(_SYMBOL_PAIRS)
+
+
 def digest(content: bytes) -> str:
-    """Fixed-length base-62 digest of arbitrary bytes (SHA-256 re-encoded)."""
+    """Fixed-length base-62 digest of arbitrary bytes (SHA-256 re-encoded).
+
+    The symbols are the base-62 digits of the SHA-256 value, least
+    significant first; each `divmod` peels off two of them.
+    """
     value = int.from_bytes(hashlib.sha256(content).digest(), "big")
-    symbols = []
-    for _ in range(DIGEST_LENGTH):
-        value, idx = divmod(value, 62)
-        symbols.append(ALPHABET[idx])
-    return "".join(symbols)
+    pairs = []
+    for _ in range(DIGEST_LENGTH // 2):
+        value, idx = divmod(value, _PAIR_BASE)
+        pairs.append(_SYMBOL_PAIRS[idx])
+    return "".join(pairs)
 
 
 def msch(d: str) -> str:
@@ -168,6 +183,11 @@ class Block:
     signature: bytes  # generator's signature over the header
     endorsements: tuple[Endorsement, ...] = ()
 
+    @cached_property
+    def digest(self) -> str:
+        """Content digest (`block_digest`), computed on first read and kept."""
+        return block_digest(self)
+
 
 def transaction_signing_bytes(
     sender: PublicKey, payload: bytes, previous_id: Optional[str]
@@ -225,25 +245,44 @@ def block_header_bytes(block: Block) -> bytes:
     )
 
 
-def serialize_block(block: Block, with_endorsements: bool = True) -> bytes:
-    body = b"".join(serialize_transaction(tx) for tx in block.transactions)
+def serialize_body(transactions: Sequence[Transaction]) -> bytes:
+    """A block body: its transactions serialized in order."""
+    return b"".join(serialize_transaction(tx) for tx in transactions)
+
+
+def block_bytes(
+    block: Block, body: bytes, endorsements: Sequence[Endorsement] = ()
+) -> bytes:
+    """The block layout around `body`, which is `serialize_body(block.transactions)`.
+
+    Taking the body ready-made lets a nonce grind serialize it once per
+    block instead of once per try.
+    """
     parts = [
         FORMAT_TAG,
         _field(b"blk"),
         _field(block_header_bytes(block)),
         _field(pack_credential(block.generator, block.signature)),
-        _field(body),
+        len(body).to_bytes(4, "big"),
+        body,
+        len(endorsements).to_bytes(4, "big"),
     ]
-    endorsements = block.endorsements if with_endorsements else ()
-    parts.append(len(endorsements).to_bytes(4, "big"))
     for end in endorsements:
         parts.append(pack_credential(end.verifier, end.signature))
     return b"".join(parts)
 
 
+def serialize_block(block: Block, with_endorsements: bool = True) -> bytes:
+    endorsements = block.endorsements if with_endorsements else ()
+    return block_bytes(block, serialize_body(block.transactions), endorsements)
+
+
 def block_digest(block: Block) -> str:
-    """Content digest of a block; endorsements never change it."""
-    return digest(serialize_block(block, with_endorsements=False))
+    """Content digest of a block; endorsements never change it.
+
+    Computes it afresh on every call; `Block.digest` caches it.
+    """
+    return digest(block_bytes(block, serialize_body(block.transactions)))
 
 
 def make_block(
@@ -265,5 +304,5 @@ def make_block(
 
 
 def endorsement_for(block: Block, keypair: KeyPair, backend) -> Endorsement:
-    signature = backend.sign(keypair.secret, block_digest(block).encode("ascii"))
+    signature = backend.sign(keypair.secret, block.digest.encode("ascii"))
     return Endorsement(verifier=keypair.public, signature=signature)

@@ -12,7 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Block, KeyPair, PublicKey, Transaction, block_digest, make_block, msch
+from .core import (
+    Block,
+    KeyPair,
+    PublicKey,
+    Transaction,
+    block_bytes,
+    block_digest,  # noqa: F401 (re-exported as ledger.block_digest)
+    digest,
+    make_block,
+    msch,
+    serialize_body,
+)
 from .verification import (
     SetParams,
     VerificationOutcome,
@@ -101,7 +112,7 @@ class Ledger:
 
     @property
     def head_digest(self) -> str:
-        return block_digest(self.blocks[-1]) if self.blocks else ""
+        return self.blocks[-1].digest if self.blocks else ""
 
     @property
     def ledger_length(self) -> int:
@@ -118,7 +129,7 @@ class Ledger:
         A fully endorsed block is accepted without re-verifying its
         transactions; the endorsement checks are the gate.
         """
-        d = block_digest(block)
+        d = block.digest
         if d in self._digests:
             return VerificationOutcome.invalid("duplicate-block")
         if block.previous_digest != self.head_digest:
@@ -132,7 +143,7 @@ class Ledger:
 
     def append_unendorsed(self, block: Block) -> VerificationOutcome:
         """Append without endorsement checks (broadcast-mode chains)."""
-        d = block_digest(block)
+        d = block.digest
         if d in self._digests:
             return VerificationOutcome.invalid("duplicate-block")
         if block.previous_digest != self.head_digest:
@@ -170,11 +181,16 @@ def grind_block(
     alloc: RangeAllocation,
     backend,
 ) -> Block:
-    """Try nonces until the block digest starts inside the signer's own range."""
+    """Try nonces until the block digest starts inside the signer's own range.
+
+    The transactions are serialized once; each try signs a new header and
+    digests the block around the same body.
+    """
     own_range = alloc.range_for(keypair.public)
+    body = serialize_body(txs)
     for nonce in range(MAX_COMMIT_TRIES):
         block = make_block(keypair, previous_digest, txs, nonce, backend)
-        if own_range.covers(msch(block_digest(block))):
+        if own_range.covers(msch(digest(block_bytes(block, body)))):
             return block
     raise RuntimeError(f"no nonce below {MAX_COMMIT_TRIES} lands the digest in the signer's range")
 
@@ -186,7 +202,7 @@ def export_ledger_lines(ledgers: Sequence[Ledger]) -> list[str]:
         for block in ledger.blocks:
             endorsers = ",".join(end.verifier.display[:8] for end in block.endorsements)
             lines.append(
-                f"{block_digest(block)} {ledger.owner.display[:8]} "
+                f"{block.digest} {ledger.owner.display[:8]} "
                 f"{len(block.transactions)} [{endorsers}]"
             )
     return lines
@@ -197,7 +213,7 @@ def scan_range_discipline(ledgers: Sequence[Ledger], alloc: RangeAllocation) -> 
     for ledger in ledgers:
         rng = alloc.range_for(ledger.owner)
         for block in ledger.blocks:
-            if not rng.covers(msch(block_digest(block))):
+            if not rng.covers(msch(block.digest)):
                 return False
     return True
 
@@ -208,5 +224,5 @@ def scan_chain_integrity(ledger: Ledger) -> bool:
     for block in ledger.blocks:
         if block.previous_digest != prev:
             return False
-        prev = block_digest(block)
+        prev = block.digest
     return True

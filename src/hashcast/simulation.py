@@ -27,7 +27,6 @@ from .core import (
     PublicKey,
     SimulatedSigner,
     Transaction,
-    block_digest,
     create_transaction,
     serialize_block,
     serialize_transaction,
@@ -190,14 +189,12 @@ class _RunBase:
             self.identities.append(Identity(node_id=total, keypair=kp, role="auditor"))
         for ident in self.identities:
             self.by_display[ident.display] = ident
+        self.sender_ids = [i.node_id for i in self.identities if i.role != "auditor"]
+        self.auditors = [i.display for i in self.identities if i.role == "auditor"]
 
     @property
     def validators(self) -> list[Identity]:
         return [i for i in self.identities if i.role == "validator"]
-
-    @property
-    def sender_ids(self) -> list[int]:
-        return [i.node_id for i in self.identities if i.role != "auditor"]
 
     def make_payload(self) -> bytes:
         return self.rng_payload.randbytes(self.config.payload_size)
@@ -264,9 +261,8 @@ class _RunBase:
         if block is None:
             return
         self.metrics.blocks_committed += 1
-        d = block_digest(block)
-        self.log(f"node.{ident.node_id}", "commit-block", d)
-        self._send_block(ident, block, d)
+        self.log(f"node.{ident.node_id}", "commit-block", block.digest)
+        self._send_block(ident, block)
 
     def _flush_pools(self) -> None:
         if self.alloc is None:
@@ -486,9 +482,12 @@ class VericomRun(_RunBase):
     def _chain_head(self, display: str) -> str:
         return self.chain_tip[display]
 
-    def _send_block(self, ident: Identity, block: Block, d: str) -> None:
+    def _send_block(self, ident: Identity, block: Block) -> None:
         if self._uplink(ident, self._block_at_backbone, block):
-            self.chain_tip[ident.display] = d
+            self.chain_tip[ident.display] = block.digest
+        else:
+            # the block never leaves its generator, so its transactions are lost
+            self.metrics.lost_items += len(block.transactions)
 
     def _block_at_backbone(self, block, bn_id: int, send_time: float) -> None:
         if bn_id not in self.graph.nodes:
@@ -496,7 +495,7 @@ class VericomRun(_RunBase):
             return
         size = len(serialize_block(block))
         self.metrics.packet_bytes_backbone += size
-        d = block_digest(block)
+        d = block.digest
         vset = validator_set_for_block(block, self.alloc, self.params)
         verifier_set = select_verifier_set(d, self.alloc, self.params, vset)
         self.block_states[d] = {
@@ -517,7 +516,7 @@ class VericomRun(_RunBase):
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         self.metrics.verify_ops += 1
-        d = block_digest(block)
+        d = block.digest
         state = self.block_states.get(d)
         if state is None or display in state["verdicts"]:
             return
@@ -564,12 +563,11 @@ class VericomRun(_RunBase):
             return
         size = len(serialize_block(endorsed))
         self.metrics.packet_bytes_backbone += size
-        self.log(f"bn.{bn_id}", "broadcast-endorsed", block_digest(endorsed))
+        self.log(f"bn.{bn_id}", "broadcast-endorsed", endorsed.digest)
         targets = [pk.display for pk in self.alloc.validators]
-        auditors = [i.display for i in self.identities if i.role == "auditor"]
         self._multicast(
             bn_id,
-            targets + auditors,
+            targets + self.auditors,
             size,
             send_time,
             self._endorsed_delivered,
@@ -585,7 +583,7 @@ class VericomRun(_RunBase):
             if ledger is not None:
                 outcome = ledger.append_block(endorsed, self.alloc, self.params, self.backend)
                 kind = "append" if outcome.ok else f"append-rejected:{outcome.reason}"
-                self.log(f"node.{ident.node_id}", kind, block_digest(endorsed))
+                self.log(f"node.{ident.node_id}", kind, endorsed.digest)
         if ident.role == "auditor":
             self.metrics.audit_ops += 1
             outcome, report = audit_endorsed_block(
@@ -671,9 +669,8 @@ class VericomRun(_RunBase):
             self.alloc,
             self.backend,
         )
-        d = block_digest(block)
-        self.log(f"node.{generator.node_id}", "commit-forged-block", d)
-        self._send_block(generator, block, d)
+        self.log(f"node.{generator.node_id}", "commit-forged-block", block.digest)
+        self._send_block(generator, block)
 
 
 class BaselineRun(_RunBase):
@@ -775,12 +772,12 @@ class BaselineRun(_RunBase):
     def _chain_head(self, display: str) -> str:
         return self.ledgers[self.epoch_index][display].head_digest
 
-    def _send_block(self, ident: Identity, block: Block, d: str) -> None:
+    def _send_block(self, ident: Identity, block: Block) -> None:
         self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
         size = len(serialize_block(block))
         self.metrics.verify_ops += 1  # committer's own verification of the block
-        self.seen.setdefault(d, set()).add(ident.node_id)
-        self._flood_from(ident.node_id, "block", block, d, size, self.queue.now)
+        self.seen.setdefault(block.digest, set()).add(ident.node_id)
+        self._flood_from(ident.node_id, "block", block, block.digest, size, self.queue.now)
 
 
 def execute(config: ScenarioConfig):

@@ -18,7 +18,6 @@ from .core import (
     KeyPair,
     PublicKey,
     Transaction,
-    block_digest,
     block_header_bytes,
     endorsement_for,
     msch,
@@ -168,7 +167,7 @@ def expected_verifier_set(
     block: Block, alloc: RangeAllocation, params: SetParams
 ) -> VerifierSet:
     vset = validator_set_for_block(block, alloc, params)
-    return select_verifier_set(block_digest(block), alloc, params, vset)
+    return select_verifier_set(block.digest, alloc, params, vset)
 
 
 def verify_transaction(
@@ -192,7 +191,7 @@ def verify_block(
     """Header signature, generator range ownership, then every transaction."""
     if not backend.verify(block.generator, block_header_bytes(block), block.signature):
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
-    if alloc.range_of(msch(block_digest(block))).raw != block.generator.raw:
+    if alloc.range_of(msch(block.digest)).raw != block.generator.raw:
         return VerificationOutcome.invalid(REASON_RANGE_MISMATCH)
     seen_here = set()
     for tx in block.transactions:
@@ -225,7 +224,7 @@ def verify_endorsements(
     endorser_keys = {end.verifier.raw for end in block.endorsements}
     if endorser_keys != set(expected.member_keys):
         return VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
-    message = block_digest(block).encode("ascii")
+    message = block.digest.encode("ascii")
     for end in block.endorsements:
         if not backend.verify(end.verifier, message, end.signature):
             return VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
@@ -269,7 +268,7 @@ def tally_endorsement(
     ]
     report = MisbehaviorReport(
         kind="block-rejected",
-        item_digest=block_digest(block),
+        item_digest=block.digest,
         reason=reasons[0],
         accused=tuple([block.generator] + false_claimers),
         reporters=tuple(rejectors),
@@ -294,7 +293,7 @@ def audit_endorsed_block(
     accused = tuple([block.generator] + [end.verifier for end in block.endorsements])
     report = MisbehaviorReport(
         kind="audit",
-        item_digest=block_digest(block),
+        item_digest=block.digest,
         reason=outcome.reason,
         accused=accused,
         reporters=(auditor,),

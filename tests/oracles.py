@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's own code paths: weights come from
 character arithmetic instead of the table, repeat counts from prefix scans,
-and shortest paths from Floyd-Warshall instead of per-source Dijkstra.
+shortest paths from Floyd-Warshall instead of per-source Dijkstra, and
+base-62 digests from one `divmod` per symbol instead of the pair table.
 """
 
+import hashlib
+import string
 from fractions import Fraction
 
 
@@ -37,3 +40,16 @@ def linear_fit_r_squared(xs, ys):
     ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     return 1.0 - ss_res / ss_tot
+
+
+BASE62 = "0123456789" + string.ascii_lowercase + string.ascii_uppercase
+
+
+def base62_digest(content):
+    """SHA-256 value as 32 base-62 symbols, least significant first, one per divmod."""
+    value = int.from_bytes(hashlib.sha256(content).digest(), "big")
+    symbols = []
+    for _ in range(32):
+        value, idx = divmod(value, 62)
+        symbols.append(BASE62[idx])
+    return "".join(symbols)

@@ -180,6 +180,12 @@ GOLDEN_OUTPUTS = {
         "runs.csv": "c29d94aef36f69bcedf5213f74185b422bc150e2086008901e79817a26b18ec5",
         "summary.txt": "aa1eb68ba568eee603357cb7b38fbb3d76d0208d57e002fc8f67258c488a2199",
     },
+    "untrusted-small": {
+        "events.log": "45870fc8b2b26aaf0ed5f84518f34749badf5189e3cae95d53fd25e5b255116a",
+        "ledgers.txt": "80d8a9d7b2db5cab6fad219936d726cf626c1e286e921555d2baaf08cca4fc2b",
+        "runs.csv": "5736cf1bf4148aff1f5ea753b586c9b76b821e96e1a1d02168cbdee3bdfa4c9a",
+        "summary.txt": "38226d41e01c7e33ef2c303cafd02a21e0c6d1a55fb47ae01a966db60821418b",
+    },
 }
 
 BASELINE_SMALL = {
@@ -192,12 +198,31 @@ BASELINE_SMALL = {
     "seed": 7,
 }
 
+# Multi-transaction blocks, a dropping backbone node and one rebuild.
+UNTRUSTED_SMALL = {
+    "num_iot_nodes": 24,
+    "num_validators": 12,
+    "num_backbone": 5,
+    "backbone_topology": "random-connected",
+    "backbone_capacity": 10,
+    "block_size": 3,
+    "tx_count": 60,
+    "epochs": 2,
+    "trust_mode": "untrusted",
+    "monitor_window_ms": 30.0,
+    "attack": "dropping",
+    "adversary_ids": [1],
+    "seed": 11,
+}
+
+SMALL_CONFIGS = {"baseline-small": BASELINE_SMALL, "untrusted-small": UNTRUSTED_SMALL}
+
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
     def test_outputs_match_recorded_hashes(self, tmp_path, name):
-        if name == "baseline-small":
-            config = write_json(tmp_path / "c.json", BASELINE_SMALL)
+        if name in SMALL_CONFIGS:
+            config = write_json(tmp_path / "c.json", SMALL_CONFIGS[name])
         else:
             config = str(PRESETS / f"{name}.json")
         out = tmp_path / "out"

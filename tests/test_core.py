@@ -9,6 +9,7 @@ from hashcast.core import (
     ALPHABET,
     CREDENTIAL_BYTES,
     DIGEST_LENGTH,
+    Block,
     SimulatedSigner,
     block_digest,
     create_transaction,
@@ -19,7 +20,9 @@ from hashcast.core import (
     serialize_transaction,
     transaction_id,
 )
+from hashcast.verification import endorse_block
 from conftest import make_keypairs
+from oracles import base62_digest
 
 
 class TestDigest:
@@ -41,6 +44,11 @@ class TestDigest:
     @settings(max_examples=200, deadline=None)
     def test_length_property(self, payload):
         assert len(digest(payload)) == 32
+
+    @given(st.binary(max_size=256))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_symbol_divmod_oracle(self, payload):
+        assert digest(payload) == base62_digest(payload)
 
 
 class TestMsch:
@@ -168,6 +176,30 @@ class TestBlockSerialization:
                 ),
             )
             assert len(serialize_block(endorsed)) - base == 459 * count
+
+    def test_cached_digest_matches_content(self, backend):
+        block, kps = self._block(backend)
+        assert block.digest == block_digest(block)
+        endorsed = endorse_block(block, kps[1:], backend)
+        assert endorsed.digest == block_digest(endorsed) == block.digest
+        replaced = dataclasses.replace(block, endorsements=endorsed.endorsements)
+        assert replaced.digest == block_digest(replaced) == block.digest
+        renonced = dataclasses.replace(block, nonce=block.nonce + 1)
+        assert renonced.digest == block_digest(renonced) != block.digest
+
+    def test_digest_cannot_be_passed_in(self, backend):
+        block, kps = self._block(backend)
+        with pytest.raises(TypeError):
+            Block(
+                generator=block.generator,
+                previous_digest="",
+                transactions=block.transactions,
+                nonce=0,
+                signature=block.signature,
+                digest="0" * 32,
+            )
+        with pytest.raises(TypeError):
+            dataclasses.replace(block, digest="0" * 32)
 
     def test_header_signature_round_trip(self, backend):
         block, kps = self._block(backend)

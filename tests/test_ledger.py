@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from hashcast.core import block_digest, create_transaction, msch
+from hashcast.core import block_digest, create_transaction, make_block, msch
 from hashcast.ledger import (
     Ledger,
     PendingPool,
@@ -170,6 +170,29 @@ class TestCommit:
             owner_kp, pool, 5, alloc, backend, "", allow_partial=True
         )
         assert block is not None and len(block.transactions) == 3
+
+    @pytest.mark.parametrize("tx_count", [1, 50])
+    def test_grind_matches_naive_loop(self, backend, tx_count):
+        kps, alloc, by_display = setup_ring(backend)
+        sender = backend.keypair(b"grind-sender")
+        txs = [
+            create_transaction(sender, bytes([i]) * 510, backend) for i in range(tx_count)
+        ]
+        nonces = []
+        for owner in alloc.validators:
+            owner_kp = by_display[owner.display]
+            own_range = alloc.range_for(owner)
+            nonce = 0
+            while True:
+                naive = make_block(owner_kp, "prev", txs, nonce, backend)
+                if own_range.covers(msch(block_digest(naive))):
+                    break
+                nonce += 1
+            block = grind_block(owner_kp, "prev", txs, alloc, backend)
+            assert block == naive  # same nonce and signature
+            assert block.digest == block_digest(naive)
+            nonces.append(nonce)
+        assert max(nonces) > 0  # some owner needed more than one try
 
     def test_grinding_failure_raises(self, backend, monkeypatch):
         kps, alloc, by_display = setup_ring(backend)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hashcast.config import ConfigError, ScenarioConfig
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
-from hashcast.simulation import execute, run_scenario
+from hashcast.simulation import VericomRun, execute, run_scenario
 
 
 def small_config(**overrides):
@@ -257,7 +257,8 @@ class TestUnattachedSender:
 
     def test_flush_after_rebuild_isolates_validators(self):
         # the rebuild shrinks capacity, so some validators holding pooled
-        # transactions are left unattached when the epoch flush cuts blocks
+        # transactions are left unattached when the epoch flush cuts blocks;
+        # those blocks never go out, and their transactions count as lost
         cfg = ScenarioConfig(
             num_iot_nodes=30,
             num_validators=30,
@@ -271,11 +272,24 @@ class TestUnattachedSender:
             adversary_ids=(1,),
             seed=101,
         )
-        run = execute(cfg)
+        unsent = []
+
+        class Recording(VericomRun):
+            def _send_block(self, ident, block):
+                attached = ident.display in self.home
+                lost_before = self.metrics.lost_items
+                super()._send_block(ident, block)
+                if not attached:
+                    unsent.append((len(block.transactions), self.metrics.lost_items - lost_before))
+
+        run = Recording(cfg)
+        run.run()
         assert run.metrics.detected
         assert run.metrics.isolated
         assert run.metrics.routing_failures >= 1
         assert run.metrics.committed_tx <= run.metrics.injected_tx
+        assert unsent
+        assert all(lost == tx_count for tx_count, lost in unsent)
 
     def test_endorsement_whose_main_verifier_was_isolated(self):
         # a rebuild isolates the main verifier after it received the block
