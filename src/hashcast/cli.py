@@ -10,6 +10,7 @@ variable (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config, load_sweep
 from .ledger import export_ledger_lines
-from .simulation import MetricsReport, execute
+from .simulation import MetricsReport, RunError, execute
 
 log = logging.getLogger("hashcast")
 
@@ -106,7 +107,7 @@ def cmd_run(args) -> int:
     if args.mode is not None:
         overrides["mode"] = args.mode
     if overrides:
-        config = config.with_overrides(**overrides)
+        config = dataclasses.replace(config, **overrides)
     out = _prepare_out_dir(args.out)
     log.info("running %s scenario with seed %d", config.mode, config.seed)
     run = execute(config)
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

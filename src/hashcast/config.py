@@ -50,7 +50,6 @@ class ScenarioConfig:
     verify_cost_ms: float = 0.1
     auditor: bool = True
     monitor_window_ms: float = 500.0
-    monitor_group_size: int = 2
     access_delay_min_ms: float = 1.0
     access_delay_max_ms: float = 2.0
 
@@ -124,9 +123,13 @@ class ScenarioConfig:
             if len(set(self.adversary_ids)) >= self.num_backbone:
                 raise ConfigError("cannot mark the whole backbone as dropping")
         else:
-            bad = [i for i in self.adversary_ids if not (0 <= i < self.num_validators)]
+            # only the first ring_size validators register for a range
+            bad = [i for i in self.adversary_ids if not (0 <= i < self.ring_size)]
             if bad:
-                raise ConfigError(f"adversary_ids name nonexistent validators: {bad}")
+                raise ConfigError(
+                    f"adversary_ids must name range-owning validators "
+                    f"0..{self.ring_size - 1}, got {bad}"
+                )
 
     @property
     def tf_value(self) -> Fraction:
@@ -172,9 +175,6 @@ class ScenarioConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def with_overrides(self, **overrides) -> "ScenarioConfig":
-        return dataclasses.replace(self, **overrides)
-
 
 SWEEP_PARAMETERS = ("num_iot_nodes", "num_backbone", "num_validators")
 
@@ -211,8 +211,8 @@ class SweepSpec:
             for value in self.values:
                 for rep in range(self.repetitions):
                     seed = self.seed_base + rep
-                    config = self.base.with_overrides(
-                        mode=mode, seed=seed, **{self.parameter: value}
+                    config = dataclasses.replace(
+                        self.base, mode=mode, seed=seed, **{self.parameter: value}
                     )
                     runs.append((f"{mode}:{self.parameter}={value}:rep={rep}", config))
         return runs

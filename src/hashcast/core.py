@@ -272,9 +272,8 @@ def block_bytes(
     return b"".join(parts)
 
 
-def serialize_block(block: Block, with_endorsements: bool = True) -> bytes:
-    endorsements = block.endorsements if with_endorsements else ()
-    return block_bytes(block, serialize_body(block.transactions), endorsements)
+def serialize_block(block: Block) -> bytes:
+    return block_bytes(block, serialize_body(block.transactions), block.endorsements)
 
 
 def block_digest(block: Block) -> str:

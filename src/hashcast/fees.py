@@ -85,7 +85,6 @@ class TrafficAccounting:
         self.arrears: dict[str, Fraction] = {}
         self.total_collected = Fraction(0)
         self.total_distributed = Fraction(0)
-        self.settlements: list[Settlement] = []
 
     @property
     def penalized(self) -> frozenset[str]:
@@ -134,7 +133,7 @@ class TrafficAccounting:
         self.total_collected += accepted_total
         self.total_distributed += sum(payouts.values(), Fraction(0))
 
-        settlement = Settlement(
+        return Settlement(
             epoch=epoch,
             expected=expected,
             paid=paid,
@@ -143,5 +142,3 @@ class TrafficAccounting:
             rejected=tuple(rejected),
             arrears=dict(new_arrears),
         )
-        self.settlements.append(settlement)
-        return settlement

@@ -29,7 +29,7 @@ from .verification import (
     VerificationOutcome,
     verify_endorsements,
 )
-from .weights import WEIGHT_DICTIONARY, RangeAllocation, build_allocation
+from .weights import RangeAllocation, build_allocation
 
 # Safety valve for digest grinding; at most 62 range slots exist, so the
 # expected tries are tiny and this bound is never hit in practice.
@@ -45,15 +45,9 @@ class RegistrationResult:
 class RangeDistributor:
     """Genesis-block actor that collects registrations and publishes ranges."""
 
-    def __init__(
-        self,
-        window_end_ms: float,
-        excluded: frozenset[str] = frozenset(),
-        wd: dict[str, int] | None = None,
-    ):
+    def __init__(self, window_end_ms: float, excluded: frozenset[str] = frozenset()):
         self.window_end_ms = window_end_ms
         self.excluded = excluded
-        self.wd = WEIGHT_DICTIONARY if wd is None else wd
         self.registrations: dict[str, PublicKey] = {}
         self.allocation: Optional[RangeAllocation] = None
 
@@ -73,7 +67,7 @@ class RangeDistributor:
         if not self.registrations:
             raise ValueError("no registrations: cannot allocate ranges")
         if self.allocation is None:
-            self.allocation = build_allocation(self.registrations.values(), self.wd)
+            self.allocation = build_allocation(self.registrations.values())
         return self.allocation
 
 
@@ -118,9 +112,6 @@ class Ledger:
     def ledger_length(self) -> int:
         return len(self.blocks)
 
-    def transaction_ids(self) -> set[str]:
-        return {tx.id for block in self.blocks for tx in block.transactions}
-
     def append_block(
         self, block: Block, alloc: RangeAllocation, params: SetParams, backend
     ) -> VerificationOutcome:
@@ -129,28 +120,23 @@ class Ledger:
         A fully endorsed block is accepted without re-verifying its
         transactions; the endorsement checks are the gate.
         """
-        d = block.digest
-        if d in self._digests:
-            return VerificationOutcome.invalid("duplicate-block")
-        if block.previous_digest != self.head_digest:
-            return VerificationOutcome.invalid("broken-chain")
-        outcome = verify_endorsements(block, alloc, params, backend)
-        if not outcome.ok:
-            return outcome
-        self.blocks.append(block)
-        self._digests.add(d)
-        return VerificationOutcome.valid()
+        return self._append(block, lambda: verify_endorsements(block, alloc, params, backend))
 
     def append_unendorsed(self, block: Block) -> VerificationOutcome:
         """Append without endorsement checks (broadcast-mode chains)."""
-        d = block.digest
-        if d in self._digests:
+        return self._append(block, VerificationOutcome.valid)
+
+    def _append(self, block: Block, endorsement_check) -> VerificationOutcome:
+        """Duplicate check, chain-link check, then `endorsement_check()`."""
+        if block.digest in self._digests:
             return VerificationOutcome.invalid("duplicate-block")
         if block.previous_digest != self.head_digest:
             return VerificationOutcome.invalid("broken-chain")
-        self.blocks.append(block)
-        self._digests.add(d)
-        return VerificationOutcome.valid()
+        outcome = endorsement_check()
+        if outcome.ok:
+            self.blocks.append(block)
+            self._digests.add(block.digest)
+        return outcome
 
 
 def commit_transactions(

@@ -42,7 +42,6 @@ from .ledger import (
 )
 from .transmission import (
     BackboneGraph,
-    assign_monitors,
     build_backbone,
     compute_routes,
     evaluate_window,
@@ -66,6 +65,10 @@ from .verification import (
     verify_transaction,
 )
 from .weights import RangeAllocation
+
+
+class RunError(RuntimeError):
+    """A valid config reached a state the protocol cannot continue from."""
 
 
 @dataclass
@@ -162,7 +165,6 @@ class _RunBase:
         self.rng_payload = random.Random(f"{config.seed}:payload")
         self.rng_access = random.Random(f"{config.seed}:access")
         self.rng_schedule = random.Random(f"{config.seed}:schedule")
-        self.rng_monitor = random.Random(f"{config.seed}:monitor")
         self.identities: list[Identity] = []
         self.by_display: dict[str, Identity] = {}
         self.allocation_tables: list[str] = []
@@ -306,7 +308,7 @@ class VericomRun(_RunBase):
             for i in range(1, count):
                 parent = self.rng_topology.randrange(i)
                 links.append((parent, i, config.link_delay_ms))
-        graph = build_backbone(specs, links, trusted=config.trust_mode == "trusted")
+        graph = build_backbone(specs, links)
         if config.attack == "dropping":
             for bn_id in config.adversary_ids:
                 graph.nodes[bn_id].drop_all = True
@@ -346,8 +348,6 @@ class VericomRun(_RunBase):
                 self.home[ident.display] = attached
         self.metrics.isolated.extend(isolated)
         compute_routes(self.graph)
-        if not self.graph.trusted:
-            assign_monitors(self.graph, self.rng_monitor, self.config.monitor_group_size)
         table_size = max(routing_table_bytes(bn) for bn in self.graph.nodes.values())
         self.metrics.routing_table_bytes = max(
             self.metrics.routing_table_bytes, table_size
@@ -379,7 +379,7 @@ class VericomRun(_RunBase):
         self._schedule_traffic(epoch)
         epoch_end = start + config.epoch_length_ms()
         self.queue.push(epoch_end - config.epoch_margin_ms / 10, self._settle, epoch)
-        if not self.graph.trusted:
+        if config.trust_mode == "untrusted":
             window = config.monitor_window_ms
             ticks = max(1, int(config.epoch_length_ms() // window))
             for w in range(1, ticks + 1):
@@ -400,10 +400,16 @@ class VericomRun(_RunBase):
         self.log(f"node.{ident.node_id}", "register", f"{ident.display[:8]} {status}")
 
     def _finalize_allocation(self, epoch: int) -> None:
-        alloc = self.vrd.finalize_allocation(self.queue.now)
-        self.params = SetParams(
-            n=self.config.n, m=self.config.m, num_validators=len(alloc.validators)
-        )
+        try:
+            alloc = self.vrd.finalize_allocation(self.queue.now)
+            self.params = SetParams(
+                n=self.config.n, m=self.config.m, num_validators=len(alloc.validators)
+            )
+        except ValueError as exc:
+            registered = len(self.vrd.registrations)
+            raise RunError(
+                f"epoch {epoch}: {registered} validators registered after exclusions: {exc}"
+            ) from exc
         self._open_epoch(epoch, alloc, "vrd")
         self.chain_tip = {pk.display: "" for pk in alloc.validators}
         self._arm_attack(epoch)
@@ -613,7 +619,7 @@ class VericomRun(_RunBase):
         self.log("ta", "settlement", f"epoch={epoch} penalties={len(settlement.penalties)}")
 
     def _monitor_window(self, window: int) -> None:
-        flagged, _records = evaluate_window(self.graph, window)
+        flagged = evaluate_window(self.graph)
         if not flagged:
             return
         for bn_id in flagged:

@@ -6,10 +6,10 @@ and gives every node a next-hop table computed from link delays with a
 deterministic shortest-path pass.  Multicast forwards one copy per link and
 fans out only where destination paths diverge.
 
-In untrusted mode every backbone node is watched by a randomly drawn subset
-of its neighbors; a node that forwards fewer transit copies than it receives
-over a monitoring window gets flagged, and the backbone is rebuilt without
-the flagged nodes.
+In untrusted mode every backbone node counts the multicast copies that reach
+it with onward destinations and the copies it forwards.  A node that
+forwarded fewer than it received over a monitoring window is flagged, and
+the backbone is rebuilt without the flagged nodes.
 """
 
 from __future__ import annotations
@@ -36,24 +36,6 @@ class TopologyError(ValueError):
     pass
 
 
-@dataclass
-class JoinResponse:
-    accepted: bool
-    reason: Optional[str] = None
-
-
-@dataclass
-class MonitorRecord:
-    monitored: int
-    window: int
-    inbound: int
-    forwarded: int
-
-    @property
-    def suspicious(self) -> bool:
-        return self.forwarded < self.inbound
-
-
 class BackboneNode:
     def __init__(self, node_id: int, capacity: int):
         self.id = node_id
@@ -66,15 +48,13 @@ class BackboneNode:
         # Monitoring counters for the current window.
         self.window_inbound = 0
         self.window_forwarded = 0
-        self.monitors: tuple[int, ...] = ()
         # Adversarial behavior toggle.
         self.drop_all = False
 
 
 class BackboneGraph:
-    def __init__(self, nodes: dict[int, BackboneNode], trusted: bool = True):
+    def __init__(self, nodes: dict[int, BackboneNode]):
         self.nodes = nodes
-        self.trusted = trusted
 
     @property
     def ids(self) -> list[int]:
@@ -92,7 +72,6 @@ class BackboneGraph:
 def build_backbone(
     node_specs: Sequence[tuple[int, int]],
     links: Sequence[tuple[int, int, float]],
-    trusted: bool = True,
 ) -> BackboneGraph:
     """Build and validate a backbone graph (symmetric links, connected)."""
     nodes = {node_id: BackboneNode(node_id, capacity) for node_id, capacity in node_specs}
@@ -103,7 +82,7 @@ def build_backbone(
             raise TopologyError(f"link ({a}, {b}) must have positive delay")
         nodes[a].neighbors[b] = delay
         nodes[b].neighbors[a] = delay
-    graph = BackboneGraph(nodes, trusted=trusted)
+    graph = BackboneGraph(nodes)
     if len(nodes) > 1:
         reached = _reachable(graph, graph.ids[0])
         if reached != set(graph.ids):
@@ -179,13 +158,6 @@ def compute_routes(graph: BackboneGraph) -> None:
         node.routes = {display: node.bn_next[home] for display, home in homes}
 
 
-def process_join(bn: BackboneNode, display: str, role: str) -> JoinResponse:
-    if len(bn.attached) >= bn.capacity:
-        return JoinResponse(accepted=False, reason="at-capacity")
-    bn.attached[display] = role
-    return JoinResponse(accepted=True)
-
-
 def join_network(
     display: str,
     role: str,
@@ -201,7 +173,9 @@ def join_network(
         ((delay, node_id) for node_id, delay in delays.items() if node_id in graph.nodes)
     )
     for _, node_id in order:
-        if process_join(graph.nodes[node_id], display, role).accepted:
+        bn = graph.nodes[node_id]
+        if len(bn.attached) < bn.capacity:
+            bn.attached[display] = role
             return node_id
     return None
 
@@ -224,15 +198,18 @@ def route_multicast(
     graph: BackboneGraph,
     origin: int,
     destinations: dict[str, float],
-    base_delay: float = 0.0,
 ) -> MulticastResult:
     """Forward one item from `origin` to every destination key.
 
     `destinations` maps each key display to the delay of its final access
-    link.  One copy travels per backbone link even when several destinations
-    share a hop; per-destination delay is base_delay plus the link delays on
-    its path plus its access leg.  Nodes with `drop_all` set swallow every
-    copy they receive; the affected destinations are reported as lost.
+    link.  A destination that neither `origin`'s routing table nor its
+    attachments know is reported as a missing route.  The rest travel as
+    one copy per backbone link, split only where their next hops differ; a
+    destination's delay is the link delays on its path plus its access leg.
+    A node that holds a copy with onward destinations counts it as inbound
+    and counts every copy it sends on as forwarded.  A node with `drop_all`
+    set forwards and delivers nothing; every destination of its copy is
+    reported as lost.
     """
     result = MulticastResult()
     routable = []
@@ -243,7 +220,7 @@ def route_multicast(
             result.missing_route.append(display)
 
     # (node, arrived_delay, dest subset); traversal order fixed by sorting.
-    pending = [(origin, base_delay, routable)]
+    pending = [(origin, 0.0, routable)]
     while pending:
         node_id, delay_so_far, dests = pending.pop(0)
         node = graph.nodes[node_id]
@@ -280,33 +257,20 @@ def route_multicast(
     return result
 
 
-def assign_monitors(graph: BackboneGraph, rng, group_size: int) -> None:
-    """Randomly draw up to `group_size` neighbor monitors for every node."""
-    for node_id in graph.ids:
-        node = graph.nodes[node_id]
-        neighbors = sorted(node.neighbors)
-        picked = rng.sample(neighbors, min(group_size, len(neighbors)))
-        node.monitors = tuple(sorted(picked))
+def evaluate_window(graph: BackboneGraph) -> list[int]:
+    """Close a monitoring window and flag the nodes that under-forwarded.
 
-
-def evaluate_window(graph: BackboneGraph, window: int) -> tuple[list[int], list[MonitorRecord]]:
-    """Close a monitoring window; flag nodes that under-forwarded transit."""
+    Returns, in id order, the nodes that forwarded fewer copies than they
+    received during the window, and resets every node's counters.
+    """
     flagged = []
-    records = []
     for node_id in graph.ids:
         node = graph.nodes[node_id]
-        record = MonitorRecord(
-            monitored=node_id,
-            window=window,
-            inbound=node.window_inbound,
-            forwarded=node.window_forwarded,
-        )
-        records.append(record)
-        if node.monitors and record.suspicious:
+        if node.window_forwarded < node.window_inbound:
             flagged.append(node_id)
         node.window_inbound = 0
         node.window_forwarded = 0
-    return flagged, records
+    return flagged
 
 
 def reconstruct_backbone(
@@ -332,7 +296,7 @@ def reconstruct_backbone(
     for a, b, delay in links:
         nodes[a].neighbors[b] = delay
         nodes[b].neighbors[a] = delay
-    rebuilt = BackboneGraph(nodes, trusted=graph.trusted)
+    rebuilt = BackboneGraph(nodes)
     components = _components(rebuilt)
     reps = sorted(min(comp) for comp in components)
     for first, second in zip(reps, reps[1:]):

@@ -182,12 +182,7 @@ def verify_transaction(
     return VerificationOutcome.valid()
 
 
-def verify_block(
-    block: Block,
-    alloc: RangeAllocation,
-    backend,
-    known_transactions: Container[str] = frozenset(),
-) -> VerificationOutcome:
+def verify_block(block: Block, alloc: RangeAllocation, backend) -> VerificationOutcome:
     """Header signature, generator range ownership, then every transaction."""
     if not backend.verify(block.generator, block_header_bytes(block), block.signature):
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
@@ -195,23 +190,11 @@ def verify_block(
         return VerificationOutcome.invalid(REASON_RANGE_MISMATCH)
     seen_here = set()
     for tx in block.transactions:
-        known = _UnionContainer(seen_here, known_transactions)
-        outcome = verify_transaction(tx, backend, known)
+        outcome = verify_transaction(tx, backend, seen_here)
         if not outcome.ok:
             return outcome
         seen_here.add(tx.id)
     return VerificationOutcome.valid()
-
-
-class _UnionContainer:
-    """Membership over two containers without copying either."""
-
-    def __init__(self, first: Container[str], second: Container[str]):
-        self._first = first
-        self._second = second
-
-    def __contains__(self, item) -> bool:
-        return item in self._first or item in self._second
 
 
 def verify_endorsements(
@@ -282,10 +265,9 @@ def audit_endorsed_block(
     params: SetParams,
     backend,
     auditor: PublicKey,
-    known_transactions: Container[str] = frozenset(),
 ) -> tuple[VerificationOutcome, Optional[MisbehaviorReport]]:
     """Re-verify an endorsed block; on failure accuse generator + endorsers."""
-    outcome = verify_block(block, alloc, backend, known_transactions)
+    outcome = verify_block(block, alloc, backend)
     if outcome.ok:
         outcome = verify_endorsements(block, alloc, params, backend)
     if outcome.ok:

@@ -31,45 +31,35 @@ for _i, _ch in enumerate("0123456789"):
 REPEAT_ATTENUATION = Fraction(1, 5)
 
 
-def char_weight(wd: dict[str, int], symbol: str) -> int:
-    if symbol not in wd:
+def char_weight(symbol: str) -> int:
+    if symbol not in WEIGHT_DICTIONARY:
         raise ValueError(f"symbol {symbol!r} is not in the alphabet")
-    return wd[symbol]
+    return WEIGHT_DICTIONARY[symbol]
 
 
-def final_weight(wd: dict[str, int], symbol: str, repeats: int) -> Fraction:
+def final_weight(symbol: str, repeats: int) -> Fraction:
     """Weight of one occurrence given how many occurrences came before it."""
     if repeats < 0:
         raise ValueError("repeat count must be non-negative")
-    w = Fraction(char_weight(wd, symbol))
+    w = Fraction(char_weight(symbol))
     if repeats == 0:
         return w
     return w * REPEAT_ATTENUATION**repeats
 
 
-def kwm(wd: dict[str, int], d: str) -> Fraction:
+@lru_cache(maxsize=65536)
+def kwm(d: str) -> Fraction:
     """Key weight metric: attenuated weight sum over a digest.
 
     The attenuation exponent for each position is the number of occurrences
     of that symbol strictly before the position, so the first occurrence
     always carries full weight and the metric can be accumulated in one pass.
     """
-    if wd is WEIGHT_DICTIONARY:
-        return _default_kwm(d)
-    return _kwm(wd, d)
-
-
-@lru_cache(maxsize=65536)
-def _default_kwm(d: str) -> Fraction:
-    return _kwm(WEIGHT_DICTIONARY, d)
-
-
-def _kwm(wd: dict[str, int], d: str) -> Fraction:
     seen: dict[str, int] = {}
     total = Fraction(0)
     for symbol in d:
         repeats = seen.get(symbol, 0)
-        total += final_weight(wd, symbol, repeats)
+        total += final_weight(symbol, repeats)
         seen[symbol] = repeats + 1
     return total
 
@@ -78,18 +68,15 @@ def _digest_sort_key(display: str) -> tuple[int, ...]:
     return tuple(ALPHABET_INDEX[ch] for ch in display)
 
 
-def order_validators(
-    pks: Sequence[PublicKey], wd: dict[str, int] | None = None
-) -> list[PublicKey]:
+def order_validators(pks: Sequence[PublicKey]) -> list[PublicKey]:
     """Descending key-weight ordering of validators.
 
     Ties are broken by comparing the key digests in alphabet order, so the
     result is a pure function of the key set.
     """
-    wd = WEIGHT_DICTIONARY if wd is None else wd
     if len({pk.raw for pk in pks}) != len(pks):
         raise ValueError("duplicate public keys in validator list")
-    return sorted(pks, key=lambda pk: (-kwm(wd, pk.display), _digest_sort_key(pk.display)))
+    return sorted(pks, key=lambda pk: (-kwm(pk.display), _digest_sort_key(pk.display)))
 
 
 @dataclass(frozen=True)
@@ -159,15 +146,12 @@ class RangeAllocation:
         return "\n".join(lines)
 
 
-def allocate_ranges(
-    ordered: Sequence[PublicKey], wd: dict[str, int] | None = None
-) -> RangeAllocation:
+def allocate_ranges(ordered: Sequence[PublicKey]) -> RangeAllocation:
     """Partition the alphabet over validators already in descending order.
 
     The base range size is 62 // count; the top-ranked validator absorbs the
     remainder so the ranges exactly cover all 62 symbols.
     """
-    wd = WEIGHT_DICTIONARY if wd is None else wd
     count = len(ordered)
     if count == 0:
         raise ValueError("cannot allocate ranges to zero validators")
@@ -183,13 +167,11 @@ def allocate_ranges(
         cursor += size
     return RangeAllocation(
         validators=tuple(ordered),
-        kwms=tuple(kwm(wd, pk.display) for pk in ordered),
+        kwms=tuple(kwm(pk.display) for pk in ordered),
         ranges=tuple(ranges),
     )
 
 
-def build_allocation(
-    pks: Iterable[PublicKey], wd: dict[str, int] | None = None
-) -> RangeAllocation:
+def build_allocation(pks: Iterable[PublicKey]) -> RangeAllocation:
     """Order validators by key weight and allocate their ranges."""
-    return allocate_ranges(order_validators(list(pks), wd), wd)
+    return allocate_ranges(order_validators(list(pks)))

@@ -34,7 +34,7 @@ from hashcast.verification import (
     select_verifier_set,
     verifier_offset,
 )
-from hashcast.weights import WEIGHT_DICTIONARY, build_allocation, kwm
+from hashcast.weights import build_allocation, kwm
 from oracles import brute_force_kwm, linear_fit_r_squared
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -231,7 +231,7 @@ def test_criterion_09_kwm_oracle_equivalence():
     rng = random.Random(99)
     for _ in range(10_000):
         d = digest(rng.randbytes(16))
-        assert kwm(WEIGHT_DICTIONARY, d) == brute_force_kwm(d)
+        assert kwm(d) == brute_force_kwm(d)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     ok(9, f"10,000 digests agree exactly ({elapsed:.1f}s)")

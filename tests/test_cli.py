@@ -29,7 +29,7 @@ class TestLoadConfig:
         assert config.tx_count > 0
 
     def test_unknown_key_named(self, tmp_path):
-        for key in ("num_iot_nodez", "rui_period_ms", "drop_rate"):
+        for key in ("num_iot_nodez", "rui_period_ms", "drop_rate", "monitor_group_size"):
             path = write_json(tmp_path / "c.json", {key: 5})
             with pytest.raises(ConfigError, match=key):
                 load_config(path)
@@ -150,6 +150,41 @@ class TestRunCommand:
         config = write_json(tmp_path / "c.json", {"tx_count": -1})
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "tx_count" in capsys.readouterr().err
+
+    def test_ring_shrunk_by_exclusions_is_one_error_line(self, tmp_path, capsys):
+        # epoch 0's colluders are excluded, so epoch 1 registers 3 of 7 validators
+        data = {
+            "num_iot_nodes": 20,
+            "num_validators": 7,
+            "num_backbone": 3,
+            "n": 1,
+            "m": 1,
+            "block_size": 2,
+            "tx_count": 30,
+            "epochs": 2,
+            "attack": "fake-transaction",
+            "adversary_ids": [0],
+            "seed": 5,
+        }
+        config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: epoch 1: 3 validators")
+        assert "3n+2m = 5" in err
+
+    def test_adversary_beyond_ring_cap_rejected(self, tmp_path, capsys):
+        # validators 62..79 never register for a range, so 70 cannot forge
+        data = {
+            "num_iot_nodes": 80,
+            "num_validators": 80,
+            "attack": "fake-transaction",
+            "adversary_ids": [70],
+        }
+        with pytest.raises(ConfigError, match="adversary_ids"):
+            ScenarioConfig.from_dict(data)
+        config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert "adversary_ids" in capsys.readouterr().err
 
 
 # Expected sha256 of each output file.  Any change to a run's outputs is a

@@ -301,7 +301,7 @@ class TestScans:
             prev = block_digest(block)
         assert scan_chain_integrity(ledger)
         assert scan_range_discipline([ledger], alloc)
-        assert len(ledger.transaction_ids()) == 6
+        assert len({tx.id for block in ledger.blocks for tx in block.transactions}) == 6
 
     def test_export_lines(self, backend):
         kps, alloc, by_display = setup_ring(backend)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,28 +336,60 @@ def honest_configs(draw):
     )
 
 
+@st.composite
+def dropping_configs(draw):
+    cfg = draw(honest_configs())
+    num_backbone = max(cfg.num_backbone, 2)
+    droppers = draw(
+        st.sets(st.integers(0, num_backbone - 1), min_size=1, max_size=num_backbone - 1)
+    )
+    return replace(
+        cfg,
+        num_backbone=num_backbone,
+        trust_mode="untrusted",
+        monitor_window_ms=draw(st.sampled_from([5.0, 30.0, 100.0])),
+        attack="dropping",
+        adversary_ids=tuple(sorted(droppers)),
+    )
+
+
+def assert_ledgers_sound(run):
+    """No tx committed twice or beyond what was injected; every chain links up."""
+    assert run.metrics.committed_tx <= run.metrics.injected_tx
+    committed = [
+        tx.id
+        for ledgers in run.ledgers.values()
+        for ledger in ledgers.values()
+        for block in ledger.blocks
+        for tx in block.transactions
+    ]
+    assert len(committed) == len(set(committed))
+    for ledgers in run.ledgers.values():
+        for ledger in ledgers.values():
+            assert scan_chain_integrity(ledger)
+
+
 class TestWholeRunProperties:
     @given(honest_configs())
     @settings(max_examples=40, deadline=None)
     def test_honest_trusted_run_invariants(self, cfg):
         run = execute(cfg)
         metrics = run.metrics
-        assert metrics.committed_tx <= metrics.injected_tx
-        committed = [
-            tx.id
-            for ledgers in run.ledgers.values()
-            for ledger in ledgers.values()
-            for block in ledger.blocks
-            for tx in block.transactions
-        ]
-        assert len(committed) == len(set(committed))
-        for ledgers in run.ledgers.values():
-            for ledger in ledgers.values():
-                assert scan_chain_integrity(ledger)
+        assert_ledgers_sound(run)
         assert metrics.verify_ops == (
             (2 * cfg.n + 1) * metrics.injected_tx
             + (2 * cfg.m + 1) * metrics.blocks_committed
         )
+
+    @given(dropping_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_untrusted_dropping_run_invariants(self, cfg):
+        run = execute(cfg)
+        # an honest node forwards every copy it receives, so only droppers are flagged
+        assert run.excluded_bns <= set(cfg.adversary_ids)
+        assert_ledgers_sound(run)
+        last = max(run.ledgers)
+        assert scan_range_discipline(list(run.ledgers[last].values()), run.alloc)
 
 
 class TestUntrustedHonest:

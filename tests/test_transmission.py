@@ -6,12 +6,10 @@ from hashcast.transmission import (
     ROUTING_ENTRY_BYTES,
     ROUTING_TABLE_BASE_BYTES,
     TopologyError,
-    assign_monitors,
     build_backbone,
     compute_routes,
     evaluate_window,
     join_network,
-    process_join,
     reconstruct_backbone,
     route_multicast,
     routing_table_bytes,
@@ -21,7 +19,7 @@ from hashcast.transmission import (
 
 
 def attach(graph, bn_id, display, role="validator"):
-    assert process_join(graph.nodes[bn_id], display, role).accepted
+    assert join_network(display, role, {bn_id: 1.0}, graph) == bn_id
 
 
 def floyd_warshall(graph):
@@ -255,12 +253,10 @@ class TestMonitoring:
         graph = build_backbone(
             [(0, 10), (1, 10), (2, 10)],
             [(0, 1, 1.0), (1, 2, 1.0)],
-            trusted=False,
         )
         attach(graph, 0, "src")
         attach(graph, 2, "dst")
         compute_routes(graph)
-        assign_monitors(graph, random.Random(0), 2)
         if dropper is not None:
             graph.nodes[dropper].drop_all = True
         return graph
@@ -270,27 +266,23 @@ class TestMonitoring:
         for _ in range(50):
             result = route_multicast(graph, 0, {"dst": 0.5})
             assert len(result.deliveries) == 1
-        flagged, records = evaluate_window(graph, window=1)
-        assert flagged == []
-        for record in records:
-            assert not record.suspicious
+        assert [graph.nodes[i].window_inbound for i in graph.ids] == [50, 50, 0]
+        assert evaluate_window(graph) == []
 
     def test_dropper_flagged_within_one_window(self):
         graph = self._loaded_graph(dropper=1)
         result = route_multicast(graph, 0, {"dst": 0.5})
         assert result.lost == ["dst"]
-        flagged, _ = evaluate_window(graph, window=1)
-        assert flagged == [1]
+        assert evaluate_window(graph) == [1]
 
     def test_quiet_window_flags_nobody(self):
         graph = self._loaded_graph(dropper=1)
-        flagged, _ = evaluate_window(graph, window=1)
-        assert flagged == []
+        assert evaluate_window(graph) == []
 
     def test_reconstruction_restores_delivery(self):
         graph = self._loaded_graph(dropper=1)
         route_multicast(graph, 0, {"dst": 0.5})
-        flagged, _ = evaluate_window(graph, window=1)
+        flagged = evaluate_window(graph)
         rebuilt = reconstruct_backbone(graph, set(flagged), default_delay=1.0)
         assert set(rebuilt.nodes) == {0, 2}
         # components reconnected deterministically

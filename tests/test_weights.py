@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashcast.core import ALPHABET, ALPHABET_INDEX
+from hashcast.core import ALPHABET, ALPHABET_INDEX, PublicKey
 from hashcast.verification import ring_members
 from hashcast.weights import (
     WEIGHT_DICTIONARY,
@@ -29,7 +29,7 @@ class TestCharWeight:
         [("a", 0), ("z", 25), ("A", 26), ("Z", 51), ("0", 52), ("9", 61)],
     )
     def test_table_anchors(self, symbol, weight):
-        assert char_weight(WEIGHT_DICTIONARY, symbol) == weight
+        assert char_weight(symbol) == weight
 
     def test_weights_are_permutation(self):
         assert sorted(WEIGHT_DICTIONARY.values()) == list(range(62))
@@ -37,56 +37,56 @@ class TestCharWeight:
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
-            char_weight(WEIGHT_DICTIONARY, "!")
+            char_weight("!")
 
 
 class TestFinalWeight:
     def test_no_repeat(self):
-        assert final_weight(WEIGHT_DICTIONARY, "b", 0) == 1
+        assert final_weight("b", 0) == 1
 
     def test_single_repeat(self):
-        assert final_weight(WEIGHT_DICTIONARY, "b", 1) == Fraction(1, 5)
+        assert final_weight("b", 1) == Fraction(1, 5)
 
     def test_zero_weight_annihilates(self):
-        assert final_weight(WEIGHT_DICTIONARY, "a", 5) == 0
+        assert final_weight("a", 5) == 0
 
     def test_negative_repeats_rejected(self):
         with pytest.raises(ValueError):
-            final_weight(WEIGHT_DICTIONARY, "b", -1)
+            final_weight("b", -1)
 
 
 class TestKwm:
     def test_repeated_symbol(self):
-        assert kwm(WEIGHT_DICTIONARY, "bb") == Fraction(6, 5)
+        assert kwm("bb") == Fraction(6, 5)
 
     def test_all_zero_weights(self):
-        assert kwm(WEIGHT_DICTIONARY, "aaa") == 0
+        assert kwm("aaa") == 0
 
     def test_distinct_symbols_sum(self):
-        assert kwm(WEIGHT_DICTIONARY, "9Z") == 112
+        assert kwm("9Z") == 112
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(9)
         for _ in range(2000):
             d = "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(1, 40)))
-            assert kwm(WEIGHT_DICTIONARY, d) == brute_force_kwm(d)
+            assert kwm(d) == brute_force_kwm(d)
 
     @given(digests, st.sampled_from(ALPHABET))
     @settings(max_examples=300, deadline=None)
     def test_repeat_attenuation(self, d, symbol):
-        before = kwm(WEIGHT_DICTIONARY, d)
-        after = kwm(WEIGHT_DICTIONARY, d + symbol)
+        before = kwm(d)
+        after = kwm(d + symbol)
         repeats = d.count(symbol)
         expected_gain = Fraction(WEIGHT_DICTIONARY[symbol]) * Fraction(1, 5) ** repeats
         assert after - before == expected_gain
 
     def test_upper_bound_with_equality_iff_unique(self):
         unique = "abc19Z"
-        assert kwm(WEIGHT_DICTIONARY, unique) == sum(
+        assert kwm(unique) == sum(
             WEIGHT_DICTIONARY[c] for c in unique
         )
         repeated = "bbc"
-        assert kwm(WEIGHT_DICTIONARY, repeated) < sum(
+        assert kwm(repeated) < sum(
             WEIGHT_DICTIONARY[c] for c in repeated
         )
 
@@ -95,7 +95,7 @@ class TestOrderValidators:
     def test_strictly_descending(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 8, "ord")]
         ordered = order_validators(pks)
-        values = [kwm(WEIGHT_DICTIONARY, pk.display) for pk in ordered]
+        values = [kwm(pk.display) for pk in ordered]
         assert values == sorted(values, reverse=True)
 
     def test_permutation_invariance(self, backend):
@@ -125,11 +125,18 @@ class TestOrderValidators:
             order_validators([pk, pk])
 
     def test_tie_break_is_digest_order(self, backend):
-        # an all-zero dictionary collapses every key weight to 0, so the
-        # ordering must fall back to the digest tie-break alone.
-        flat = {ch: 0 for ch in ALPHABET}
-        pks = [kp.public for kp in make_keypairs(backend, 12, "tie")]
-        ordered = order_validators(pks, flat)
+        # key weight depends only on which symbols occur how often, so
+        # permutations of one digest all tie and the ordering must fall
+        # back to the digest tie-break alone.
+        base = make_keypairs(backend, 1, "tie")[0].public.display
+        rng = random.Random(7)
+        displays = {base}
+        while len(displays) < 12:
+            displays.add("".join(rng.sample(base, len(base))))
+        pks = [PublicKey(raw=d.encode(), display=d) for d in sorted(displays)]
+        rng.shuffle(pks)
+        assert len({kwm(pk.display) for pk in pks}) == 1
+        ordered = order_validators(pks)
         keys = [tuple(ALPHABET_INDEX[c] for c in pk.display) for pk in ordered]
         assert keys == sorted(keys)
 
