@@ -123,6 +123,9 @@ class ScenarioConfig:
             if len(set(self.adversary_ids)) >= self.num_backbone:
                 raise ConfigError("cannot mark the whole backbone as dropping")
         else:
+            if len(self.adversary_ids) > 1:
+                ids = list(self.adversary_ids)
+                raise ConfigError(f"attack {self.attack!r} takes one id in adversary_ids: {ids}")
             # only the first ring_size validators register for a range
             bad = [i for i in self.adversary_ids if not (0 <= i < self.ring_size)]
             if bad:

@@ -55,16 +55,15 @@ from .verification import (
     SetParams,
     VerificationOutcome,
     audit_endorsed_block,
+    expected_verifier_set,
     ring_members,
     select_validator_set,
-    select_verifier_set,
     tally_endorsement,
-    validator_set_for_block,
     verifier_offset,
     verify_block,
     verify_transaction,
 )
-from .weights import RangeAllocation
+from .weights import RangeAllocation, build_allocation
 
 
 class RunError(RuntimeError):
@@ -266,6 +265,12 @@ class _RunBase:
         self.log(f"node.{ident.node_id}", "commit-block", block.digest)
         self._send_block(ident, block)
 
+    def _pool_tx(self, display: str, tx: Transaction) -> None:
+        """Pool a verified tx at `display`; a full pool cuts a block."""
+        pool = self.pools.get(display)
+        if pool is not None and pool.add(tx) and len(pool) >= self.config.block_size:
+            self._commit_block(display, allow_partial=False)
+
     def _flush_pools(self) -> None:
         if self.alloc is None:
             return
@@ -335,27 +340,21 @@ class VericomRun(_RunBase):
 
     def _join_all(self) -> None:
         self.home = {}
-        isolated = []
         for ident in self.identities:
             delays = {
                 bn_id: self.access[(ident.node_id, bn_id)] for bn_id in self.graph.nodes
             }
             attached = join_network(ident.display, ident.role, delays, self.graph)
             if attached is None:
-                isolated.append(ident.display)
+                self.metrics.isolated.append(ident.display)
                 self.log(f"node.{ident.node_id}", "isolated", ident.display[:8])
             else:
                 self.home[ident.display] = attached
-        self.metrics.isolated.extend(isolated)
         compute_routes(self.graph)
         table_size = max(routing_table_bytes(bn) for bn in self.graph.nodes.values())
         self.metrics.routing_table_bytes = max(
             self.metrics.routing_table_bytes, table_size
         )
-
-    def _dest_access(self, display: str) -> float:
-        ident = self.by_display[display]
-        return self.access[(ident.node_id, self.home[display])]
 
     # -- run -----------------------------------------------------------
 
@@ -438,25 +437,26 @@ class VericomRun(_RunBase):
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        size = len(serialize_transaction(tx))
-        self.metrics.packet_bytes_backbone += size
         vset = select_validator_set(tx.id, self.alloc, self.params)
         self._multicast(
             bn_id,
             [pk.display for pk in vset.members],
-            size,
+            len(serialize_transaction(tx)),
             send_time,
             self._tx_delivered,
             tx,
         )
 
     def _multicast(self, bn_id, displays, size, send_time, handler, item) -> None:
+        """Route an item from backbone node `bn_id` to every attached one of `displays`."""
         destinations = {}
         for display in displays:
-            if display in self.home:
-                destinations[display] = self._dest_access(display)
+            home = self.home.get(display)
+            if home is not None:
+                destinations[display] = self.access[(self.by_display[display].node_id, home)]
         result = route_multicast(self.graph, bn_id, destinations)
-        self.metrics.packet_bytes_backbone += size * result.link_transmissions
+        # the access-link copy into the backbone, then one copy per backbone link
+        self.metrics.packet_bytes_backbone += size * (1 + result.link_transmissions)
         self.metrics.routing_failures += len(result.missing_route)
         if result.lost:
             self.metrics.lost_items += len(result.lost)
@@ -480,10 +480,7 @@ class VericomRun(_RunBase):
         if not outcome.ok:
             self.log(f"node.{ident.node_id}", "tx-rejected", f"{tx.id} {outcome.reason}")
             return
-        pool = self.pools.get(display)
-        if pool is not None and pool.add(tx):
-            if len(pool) >= self.config.block_size:
-                self._commit_block(display, allow_partial=False)
+        self._pool_tx(display, tx)
 
     def _chain_head(self, display: str) -> str:
         return self.chain_tip[display]
@@ -499,20 +496,17 @@ class VericomRun(_RunBase):
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        size = len(serialize_block(block))
-        self.metrics.packet_bytes_backbone += size
-        d = block.digest
-        vset = validator_set_for_block(block, self.alloc, self.params)
-        verifier_set = select_verifier_set(d, self.alloc, self.params, vset)
-        self.block_states[d] = {
-            "expected": [pk.display for pk in verifier_set.members],
+        verifier_set = expected_verifier_set(block, self.alloc, self.params)
+        expected = [pk.display for pk in verifier_set.members]
+        self.block_states[block.digest] = {
+            "expected": expected,
             "verdicts": {},
             "main": verifier_set.main.display,
         }
         self._multicast(
             bn_id,
-            [pk.display for pk in verifier_set.members],
-            size,
+            expected,
+            len(serialize_block(block)),
             send_time,
             self._block_delivered,
             block,
@@ -551,11 +545,14 @@ class VericomRun(_RunBase):
         self.log("sim", "block-endorsed", d)
         self._uplink(self.by_display[state["main"]], self._broadcast_endorsed, endorsed)
 
-    def _record_report(self, report: MisbehaviorReport) -> None:
-        self.metrics.reports.append(report)
+    def _detected(self) -> None:
         if not self.metrics.detected:
             self.metrics.detected = True
             self.metrics.detection_time_ms = self.queue.now
+
+    def _record_report(self, report: MisbehaviorReport) -> None:
+        self.metrics.reports.append(report)
+        self._detected()
         for pk in report.accused:
             if pk.display not in self.metrics.excluded:
                 self.metrics.excluded.append(pk.display)
@@ -567,14 +564,11 @@ class VericomRun(_RunBase):
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        size = len(serialize_block(endorsed))
-        self.metrics.packet_bytes_backbone += size
         self.log(f"bn.{bn_id}", "broadcast-endorsed", endorsed.digest)
-        targets = [pk.display for pk in self.alloc.validators]
         self._multicast(
             bn_id,
-            targets + self.auditors,
-            size,
+            [pk.display for pk in self.alloc.validators] + self.auditors,
+            len(serialize_block(endorsed)),
             send_time,
             self._endorsed_delivered,
             endorsed,
@@ -624,9 +618,7 @@ class VericomRun(_RunBase):
             return
         for bn_id in flagged:
             self.log("monitor", "flagged", f"bn.{bn_id} window={window}")
-        if not self.metrics.detected:
-            self.metrics.detected = True
-            self.metrics.detection_time_ms = self.queue.now
+        self._detected()
         self.excluded_bns.update(flagged)
         self.graph = reconstruct_backbone(
             self.graph, self.excluded_bns, self.config.link_delay_ms
@@ -640,8 +632,6 @@ class VericomRun(_RunBase):
         config = self.config
         if config.attack in ("false-verification", "fake-transaction") and epoch == 0:
             generator = self.identities[config.adversary_ids[0]]
-            if generator.display not in self.pools:
-                raise RuntimeError("malicious generator did not register")
             self.malicious_generator = generator
             gen_pos = self.alloc.position_of(generator.public)
             center = gen_pos + verifier_offset(self.params)
@@ -656,22 +646,17 @@ class VericomRun(_RunBase):
             at = window_end + 5 * config.tx_interval_ms + config.tx_interval_ms / 2
             self.queue.push(at, self._inject_forged_block)
 
-    def _forged_transaction(self) -> Transaction:
-        victim = self.identities[-1]
-        tx = Transaction(
-            sender=victim.public,
+    def _inject_forged_block(self) -> None:
+        generator = self.malicious_generator
+        fake_tx = Transaction(
+            sender=self.identities[-1].public,
             payload=b"forged:" + self.rng_payload.randbytes(self.config.payload_size),
             signature=b"\x00" * 32,
         )
-        return replace(tx, id=transaction_id(tx))
-
-    def _inject_forged_block(self) -> None:
-        generator = self.malicious_generator
-        fake_tx = self._forged_transaction()
         block = grind_block(
             generator.keypair,
             self.chain_tip[generator.display],
-            [fake_tx],
+            [replace(fake_tx, id=transaction_id(fake_tx))],
             self.alloc,
             self.backend,
         )
@@ -682,27 +667,25 @@ class VericomRun(_RunBase):
 class BaselineRun(_RunBase):
     """Conventional broadcast mode: flood everything, everyone verifies.
 
-    Items travel over a ring laid on a seeded shuffle of the nodes.
+    The nodes form a ring laid on a seeded shuffle, and each ring link gets
+    one seeded delay.  An item's originator verifies it and sends it to its
+    ring neighbours.  A node that gets an item for the first time verifies it
+    and passes it on to every neighbour except the one it came from; a
+    repeated copy is counted in the IoT bytes and dropped.
     """
 
     def __init__(self, config: ScenarioConfig):
         super().__init__(config)
-        self.ring: list[int] = list(range(config.num_iot_nodes))
-        self.rng_topology.shuffle(self.ring)
-        self.neighbors: dict[int, list[int]] = {}
-        self.edge_delay: dict[tuple[int, int], float] = {}
-        n = len(self.ring)
-        for idx, node in enumerate(self.ring):
-            left = self.ring[(idx - 1) % n]
-            right = self.ring[(idx + 1) % n]
-            self.neighbors[node] = sorted({left, right} - {node})
-        for node, nbs in sorted(self.neighbors.items()):
-            for nb in nbs:
-                key = (min(node, nb), max(node, nb))
-                if key not in self.edge_delay:
-                    self.edge_delay[key] = self.rng_access.uniform(
-                        config.access_delay_min_ms, config.access_delay_max_ms
-                    )
+        ring = list(range(config.num_iot_nodes))
+        self.rng_topology.shuffle(ring)
+        # links[node] = [(neighbour, delay), ...] in neighbour order; each
+        # ring link gets one delay, drawn in (lower id, higher id) order
+        self.links: list[list[tuple[int, float]]] = [[] for _ in ring]
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]) if a != b}
+        for a, b in sorted(pairs):
+            delay = self.rng_access.uniform(config.access_delay_min_ms, config.access_delay_max_ms)
+            self.links[a].append((b, delay))
+            self.links[b].append((a, delay))
         self.seen: dict[str, set[int]] = {}
 
     def _schedule_epoch(self, epoch: int) -> None:
@@ -711,36 +694,33 @@ class BaselineRun(_RunBase):
         self._schedule_traffic(epoch)
 
     def _allocate(self, epoch: int) -> None:
-        vrd = RangeDistributor(window_end_ms=self.queue.now)
-        for ident in self.validators[: self.config.ring_size]:
-            vrd.register_interest(ident.public, self.queue.now)
         self.epoch_index = epoch
-        self._open_epoch(epoch, vrd.finalize_allocation(self.queue.now), "sim")
+        alloc = build_allocation(i.public for i in self.validators[: self.config.ring_size])
+        self._open_epoch(epoch, alloc, "sim")
 
     def _send_tx(self, ident: Identity, tx: Transaction) -> None:
-        size = len(serialize_transaction(tx))
+        self._originate(ident.node_id, tx, tx.id, len(serialize_transaction(tx)))
+
+    def _send_block(self, ident: Identity, block: Block) -> None:
+        self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
+        self._originate(ident.node_id, block, block.digest, len(serialize_block(block)))
+
+    def _originate(self, node_id: int, item, item_id: str, size: int) -> None:
         # the originator verifies its own item once, like every other node.
         self.metrics.verify_ops += 1
-        self._consume(ident.node_id, "tx", tx)
-        self.seen.setdefault(tx.id, set()).add(ident.node_id)
-        self._flood_from(ident.node_id, "tx", tx, tx.id, size, self.queue.now)
+        self._consume(node_id, item)
+        self.seen.setdefault(item_id, set()).add(node_id)
+        self._flood(-1, node_id, item, item_id, size, self.queue.now)
 
-    def _flood_from(self, origin: int, kind: str, item, item_id: str, size: int, send_time: float) -> None:
-        for nb in self.neighbors[origin]:
-            delay = self.edge_delay[(min(origin, nb), max(origin, nb))]
-            self.queue.push(
-                self.queue.now + delay,
-                self._receive,
-                origin,
-                nb,
-                kind,
-                item,
-                item_id,
-                size,
-                send_time,
-            )
+    def _flood(self, sender, node_id, item, item_id, size, send_time) -> None:
+        now = self.queue.now
+        for nb, delay in self.links[node_id]:
+            if nb != sender:
+                self.queue.push(
+                    now + delay, self._receive, node_id, nb, item, item_id, size, send_time
+                )
 
-    def _receive(self, sender, node_id, kind, item, item_id, size, send_time) -> None:
+    def _receive(self, sender, node_id, item, item_id, size, send_time) -> None:
         self.metrics.packet_bytes_iot += size
         seen = self.seen.setdefault(item_id, set())
         if node_id in seen:
@@ -748,42 +728,15 @@ class BaselineRun(_RunBase):
         seen.add(node_id)
         self.metrics.delay_samples.append(self.queue.now - send_time)
         self.metrics.verify_ops += 1
-        self._consume(node_id, kind, item)
-        for nb in self.neighbors[node_id]:
-            if nb == sender:
-                continue
-            delay = self.edge_delay[(min(node_id, nb), max(node_id, nb))]
-            self.queue.push(
-                self.queue.now + delay,
-                self._receive,
-                node_id,
-                nb,
-                kind,
-                item,
-                item_id,
-                size,
-                send_time,
-            )
+        self._consume(node_id, item)
+        self._flood(sender, node_id, item, item_id, size, send_time)
 
-    def _consume(self, node_id: int, kind: str, item) -> None:
-        if kind != "tx" or self.alloc is None:
-            return
-        ident = self.identities[node_id]
-        pool = self.pools.get(ident.display)
-        if pool is None:
-            return
-        if pool.add(item) and len(pool) >= self.config.block_size:
-            self._commit_block(ident.display, allow_partial=False)
+    def _consume(self, node_id: int, item) -> None:
+        if isinstance(item, Transaction) and self.alloc is not None:
+            self._pool_tx(self.identities[node_id].display, item)
 
     def _chain_head(self, display: str) -> str:
         return self.ledgers[self.epoch_index][display].head_digest
-
-    def _send_block(self, ident: Identity, block: Block) -> None:
-        self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
-        size = len(serialize_block(block))
-        self.metrics.verify_ops += 1  # committer's own verification of the block
-        self.seen.setdefault(block.digest, set()).add(ident.node_id)
-        self._flood_from(ident.node_id, "block", block, block.digest, size, self.queue.now)
 
 
 def execute(config: ScenarioConfig):

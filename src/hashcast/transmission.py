@@ -274,14 +274,14 @@ def evaluate_window(graph: BackboneGraph) -> list[int]:
 
 
 def reconstruct_backbone(
-    graph: BackboneGraph, excluded: set[int], default_delay: float = 1.0
+    graph: BackboneGraph, excluded: set[int], link_delay: float
 ) -> BackboneGraph:
     """Rebuild the backbone without the excluded nodes.
 
     The induced subgraph keeps every surviving link; if exclusion split it,
     the components are re-joined deterministically (lowest-id representatives
-    chained with `default_delay` links).  Attachments are dropped; callers
-    re-run joins over the new graph.
+    chained with new links of delay `link_delay`).  Attachments are dropped;
+    callers re-run joins over the new graph.
     """
     remaining = [i for i in graph.ids if i not in excluded]
     if not remaining:
@@ -300,8 +300,8 @@ def reconstruct_backbone(
     components = _components(rebuilt)
     reps = sorted(min(comp) for comp in components)
     for first, second in zip(reps, reps[1:]):
-        rebuilt.nodes[first].neighbors[second] = default_delay
-        rebuilt.nodes[second].neighbors[first] = default_delay
+        rebuilt.nodes[first].neighbors[second] = link_delay
+        rebuilt.nodes[second].neighbors[first] = link_delay
     return rebuilt
 
 

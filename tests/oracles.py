@@ -12,8 +12,13 @@ from fractions import Fraction
 
 
 def brute_force_kwm(d):
-    """Per-position prefix scan with its own weight derivation."""
-    total = Fraction(0)
+    """Per-position prefix scan with its own weight derivation.
+
+    A symbol with r earlier repeats contributes weight / 5**r, so the sum is
+    accumulated as one integer numerator over the common denominator
+    5**len(d) (r never reaches len(d)).
+    """
+    numerator = 0
     for i, ch in enumerate(d):
         if "a" <= ch <= "z":
             weight = ord(ch) - ord("a")
@@ -24,8 +29,8 @@ def brute_force_kwm(d):
         else:
             raise ValueError(ch)
         repeats = d[:i].count(ch)
-        total += Fraction(weight) * Fraction(1, 5) ** repeats
-    return total
+        numerator += weight * 5 ** (len(d) - repeats)
+    return Fraction(numerator, 5 ** len(d))
 
 
 def linear_fit_r_squared(xs, ys):

@@ -186,6 +186,17 @@ class TestRunCommand:
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "adversary_ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("attack", ["false-verification", "fake-transaction"])
+    def test_second_forging_generator_rejected(self, tmp_path, capsys, attack):
+        # one generator forges the block; a second id would be validated, then ignored
+        data = {"num_iot_nodes": 20, "attack": attack, "adversary_ids": [0, 5]}
+        with pytest.raises(ConfigError, match="adversary_ids"):
+            ScenarioConfig.from_dict(data)
+        config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert "adversary_ids" in capsys.readouterr().err
+        assert ScenarioConfig.from_dict(dict(data, adversary_ids=[5])).adversary_ids == (5,)
+
 
 # Expected sha256 of each output file.  Any change to a run's outputs is a
 # change of behaviour; the attack presets' values equal those recorded in

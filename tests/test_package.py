@@ -6,10 +6,20 @@ from pathlib import Path
 
 import hashcast
 from hashcast.config import ScenarioConfig
+from hashcast.simulation import EventQueue, execute
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load_perfbench(path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses resolve through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_export_resolves():
@@ -26,10 +36,7 @@ def test_readme_lists_every_config_key():
 
 def test_every_traced_name_resolves(monkeypatch):
     # the benchmark tracer looks each of these up by name at install time
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses resolve through it
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench(TRACER, monkeypatch)
     missing = []
     for module, name, _span in tracer.FUNCTIONS:
         if not callable(getattr(importlib.import_module(f"hashcast.{module}"), name, None)):
@@ -39,3 +46,22 @@ def test_every_traced_name_resolves(monkeypatch):
         if method not in getattr(owner, "__dict__", {}):
             missing.append(f"{module}.{cls}.{method}")
     assert missing == []
+
+
+def test_every_scheduled_handler_is_traced(monkeypatch):
+    # the tracer reports handler time only under the names in HANDLERS
+    tracer = load_perfbench(TRACER, monkeypatch)
+    workloads = load_perfbench(WORKLOADS, monkeypatch)
+    scheduled = set()
+    push = EventQueue.push
+
+    def recording_push(queue, time, fn, *args):
+        scheduled.add(fn.__name__.lstrip("_"))
+        push(queue, time, fn, *args)
+
+    monkeypatch.setattr(EventQueue, "push", recording_push)
+    for workload in workloads.WORKLOADS:
+        data = dict(workloads.scenario_dict(workload, 1), tx_count=200)
+        execute(ScenarioConfig.from_dict(data))
+    assert {"receive", "tx_delivered", "monitor_window"} <= scheduled
+    assert scheduled <= set(tracer.HANDLERS)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashcast.config import ConfigError, ScenarioConfig
+from hashcast.core import serialize_block, serialize_transaction
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
 from hashcast.simulation import VericomRun, execute, run_scenario
 
@@ -380,6 +381,25 @@ class TestWholeRunProperties:
             (2 * cfg.n + 1) * metrics.injected_tx
             + (2 * cfg.m + 1) * metrics.blocks_committed
         )
+
+    @given(honest_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_run_invariants(self, cfg):
+        run = execute(replace(cfg, mode="baseline"))
+        metrics = run.metrics
+        nodes = cfg.num_iot_nodes
+        ledgers = [ledger for epoch in run.ledgers.values() for ledger in epoch.values()]
+        blocks = [block for ledger in ledgers for block in ledger.blocks]
+        tx_bytes = sum(len(serialize_transaction(tx)) for b in blocks for tx in b.transactions)
+        assert metrics.committed_tx == metrics.injected_tx
+        assert len(blocks) == metrics.blocks_committed
+        # a ring flood: two copies leave the originator and the last node gets one twice
+        items = metrics.injected_tx + metrics.blocks_committed
+        block_bytes = sum(len(serialize_block(b)) for b in blocks)
+        assert metrics.packet_bytes_iot == (nodes + 1) * (tx_bytes + block_bytes)
+        assert len(metrics.delay_samples) == (nodes - 1) * items
+        assert metrics.verify_ops == nodes * items
+        assert_ledgers_sound(run)
 
     @given(dropping_configs())
     @settings(max_examples=40, deadline=None)

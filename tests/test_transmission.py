@@ -283,10 +283,10 @@ class TestMonitoring:
         graph = self._loaded_graph(dropper=1)
         route_multicast(graph, 0, {"dst": 0.5})
         flagged = evaluate_window(graph)
-        rebuilt = reconstruct_backbone(graph, set(flagged), default_delay=1.0)
+        rebuilt = reconstruct_backbone(graph, set(flagged), link_delay=2.5)
         assert set(rebuilt.nodes) == {0, 2}
-        # components reconnected deterministically
-        assert 2 in rebuilt.nodes[0].neighbors
+        # components reconnected deterministically, with the given link delay
+        assert rebuilt.nodes[0].neighbors[2] == rebuilt.nodes[2].neighbors[0] == 2.5
         attach(rebuilt, 0, "src")
         attach(rebuilt, 2, "dst")
         compute_routes(rebuilt)
@@ -296,7 +296,7 @@ class TestMonitoring:
     def test_reconstruct_all_excluded_rejected(self):
         graph = self._loaded_graph()
         with pytest.raises(TopologyError):
-            reconstruct_backbone(graph, {0, 1, 2})
+            reconstruct_backbone(graph, {0, 1, 2}, link_delay=1.0)
 
 
 class TestRoutingTableAccounting:
