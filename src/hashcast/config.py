@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .verification import SetParams
 
@@ -37,17 +36,12 @@ class ScenarioConfig:
     m: int = 1
     block_size: int = 10
     tx_count: int = 100
-    tf: str = "0.5"
     epochs: int = 1
-    gamma_ms: float = 100.0
-    tx_interval_ms: float = 1.0
-    epoch_margin_ms: float = 200.0
     trust_mode: str = "trusted"
     attack: str = "none"
     adversary_ids: tuple[int, ...] = ()
     seed: int = 1
     payload_size: int = 510
-    verify_cost_ms: float = 0.1
     auditor: bool = True
     monitor_window_ms: float = 500.0
     access_delay_min_ms: float = 1.0
@@ -82,9 +76,6 @@ class ScenarioConfig:
             raise ConfigError("payload_size must be non-negative")
         for key in (
             "link_delay_ms",
-            "gamma_ms",
-            "tx_interval_ms",
-            "epoch_margin_ms",
             "monitor_window_ms",
             "access_delay_min_ms",
             "access_delay_max_ms",
@@ -93,14 +84,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be positive")
         if self.access_delay_max_ms < self.access_delay_min_ms:
             raise ConfigError("access_delay_max_ms must be >= access_delay_min_ms")
-        if self.verify_cost_ms < 0:
-            raise ConfigError("verify_cost_ms must be non-negative")
-        try:
-            Fraction(self.tf)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"tf is not a valid number: {self.tf!r}") from exc
-        if Fraction(self.tf) < 0:
-            raise ConfigError("tf must be non-negative")
         try:
             SetParams(n=self.n, m=self.m, num_validators=self.ring_size)
         except ValueError as exc:
@@ -135,10 +118,6 @@ class ScenarioConfig:
                 )
 
     @property
-    def tf_value(self) -> Fraction:
-        return Fraction(self.tf)
-
-    @property
     def ring_size(self) -> int:
         """Range owners per epoch: the alphabet caps the ring at 62.
 
@@ -158,25 +137,25 @@ class ScenarioConfig:
         base, rem = divmod(self.tx_count, self.epochs)
         return base + (1 if epoch < rem else 0)
 
-    def epoch_length_ms(self) -> float:
-        per_epoch = max(self.txs_in_epoch(e) for e in range(self.epochs))
-        return self.gamma_ms + per_epoch * self.tx_interval_ms + self.epoch_margin_ms
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config key: {unknown[0]}")
-        values = dict(data)
-        if "adversary_ids" in values:
-            values["adversary_ids"] = tuple(values["adversary_ids"])
-        if "tf" in values:
-            values["tf"] = str(values["tf"])
+        values = dict(data, adversary_ids=_as_tuple(data, "adversary_ids", ()))
         try:
             return cls(**values)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _as_tuple(data: dict, key: str, default: tuple) -> tuple:
+    """The JSON list under `key` as a tuple; any other value is a ConfigError naming `key`."""
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
 
 
 SWEEP_PARAMETERS = ("num_iot_nodes", "num_backbone", "num_validators")
@@ -232,8 +211,8 @@ class SweepSpec:
         return cls(
             base=base,
             parameter=data["parameter"],
-            values=tuple(data["values"]),
-            modes=tuple(data.get("modes", ("vericom",))),
+            values=_as_tuple(data, "values", ()),
+            modes=_as_tuple(data, "modes", ("vericom",)),
             repetitions=data.get("repetitions", 1),
             seed_base=data.get("seed_base", 1),
         )

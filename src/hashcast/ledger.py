@@ -49,7 +49,6 @@ class RangeDistributor:
         self.window_end_ms = window_end_ms
         self.excluded = excluded
         self.registrations: dict[str, PublicKey] = {}
-        self.allocation: Optional[RangeAllocation] = None
 
     def register_interest(self, pk: PublicKey, now: float) -> RegistrationResult:
         if now > self.window_end_ms:
@@ -66,9 +65,7 @@ class RangeDistributor:
             raise ValueError("registration window is still open")
         if not self.registrations:
             raise ValueError("no registrations: cannot allocate ranges")
-        if self.allocation is None:
-            self.allocation = build_allocation(self.registrations.values())
-        return self.allocation
+        return build_allocation(self.registrations.values())
 
 
 class PendingPool:

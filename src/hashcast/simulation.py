@@ -17,6 +17,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 from . import transmission
@@ -56,14 +57,19 @@ from .verification import (
     VerificationOutcome,
     audit_endorsed_block,
     expected_verifier_set,
-    ring_members,
     select_validator_set,
     tally_endorsement,
-    verifier_offset,
     verify_block,
     verify_transaction,
 )
 from .weights import RangeAllocation, build_allocation
+
+# Fixed model constants: the paper's evaluation never varies any of them.
+REGISTRATION_WINDOW_MS = 100.0  # each epoch opens with this registration window
+TX_INTERVAL_MS = 1.0  # one transaction is injected per interval after the window
+EPOCH_MARGIN_MS = 200.0  # slack after the last injection for the flush and settlement
+VERIFY_COST_MS = 0.1  # modelled processing time of one verification
+TRAFFIC_FEE = Fraction(1, 2)  # the fee a range owner pays per block in its ledger
 
 
 class RunError(RuntimeError):
@@ -92,11 +98,10 @@ class MetricsReport:
     detection_time_ms: Optional[float] = None
     excluded: list[str] = field(default_factory=list)
     penalties: list[str] = field(default_factory=list)
-    verify_cost_ms: float = 0.1
 
     @property
     def verify_time_ms(self) -> float:
-        return self.verify_ops * self.verify_cost_ms
+        return self.verify_ops * VERIFY_COST_MS
 
     @property
     def mean_delay_ms(self) -> float:
@@ -148,17 +153,23 @@ class Identity:
 class _RunBase:
     """The run path both modes share: epochs, traffic, pools, ledgers, blocks.
 
-    A subclass provides `_schedule_epoch` (which calls `_schedule_traffic`
-    and schedules the event that calls `_open_epoch`), `_send_tx` for a
-    fresh transaction, `_chain_head` for the digest a validator's next block
-    links to, and `_send_block` for a freshly cut block.
+    Every epoch lasts `epoch_ms`: the registration window, one interval per
+    transaction of the busiest epoch, and the margin.  `run` works out each
+    epoch's start and window end once and passes them to the subclass's
+    `_schedule_epoch`, which calls `_schedule_traffic` and schedules the
+    event that calls `_open_epoch`.  A subclass also provides `_send_tx` for
+    a fresh transaction, `_chain_head` for the digest a validator's next
+    block links to, and `_send_block` for a freshly cut block.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        # epoch 0 takes the remainder of tx_count, so it is the busiest
+        busiest = config.txs_in_epoch(0)
+        self.epoch_ms = REGISTRATION_WINDOW_MS + busiest * TX_INTERVAL_MS + EPOCH_MARGIN_MS
         self.backend = SimulatedSigner()
         self.queue = EventQueue()
-        self.metrics = MetricsReport(verify_cost_ms=config.verify_cost_ms)
+        self.metrics = MetricsReport()
         self.log_lines: list[str] = []
         self.rng_topology = random.Random(f"{config.seed}:topology")
         self.rng_payload = random.Random(f"{config.seed}:payload")
@@ -200,14 +211,12 @@ class _RunBase:
     def make_payload(self) -> bytes:
         return self.rng_payload.randbytes(self.config.payload_size)
 
-    def epoch_start(self, epoch: int) -> float:
-        return epoch * self.config.epoch_length_ms()
-
     # -- run -----------------------------------------------------------
 
     def run(self) -> MetricsReport:
         for epoch in range(self.config.epochs):
-            self._schedule_epoch(epoch)
+            start = epoch * self.epoch_ms
+            self._schedule_epoch(epoch, start, start + REGISTRATION_WINDOW_MS)
         self.queue.run()
         committed = 0
         for epoch_ledgers in self.ledgers.values():
@@ -216,16 +225,12 @@ class _RunBase:
         self.metrics.committed_tx = committed
         return self.metrics
 
-    def _schedule_traffic(self, epoch: int) -> None:
+    def _schedule_traffic(self, epoch: int, start: float, window_end: float) -> None:
         """The epoch's tx injections after its registration window, then the flush."""
-        config = self.config
-        start = self.epoch_start(epoch)
-        window_end = start + config.gamma_ms
-        for k in range(config.txs_in_epoch(epoch)):
-            at = window_end + (k + 1) * config.tx_interval_ms
-            self.queue.push(at, self._inject_tx)
-        epoch_end = start + config.epoch_length_ms()
-        self.queue.push(epoch_end - config.epoch_margin_ms / 2, self._flush_pools)
+        for k in range(self.config.txs_in_epoch(epoch)):
+            self.queue.push(window_end + (k + 1) * TX_INTERVAL_MS, self._inject_tx)
+        epoch_end = start + self.epoch_ms
+        self.queue.push(epoch_end - EPOCH_MARGIN_MS / 2, self._flush_pools)
 
     def _open_epoch(self, epoch: int, alloc: RangeAllocation, actor: str) -> None:
         """Publish the epoch's allocation and give every range owner a fresh pool and ledger."""
@@ -268,16 +273,13 @@ class _RunBase:
     def _pool_tx(self, display: str, tx: Transaction) -> None:
         """Pool a verified tx at `display`; a full pool cuts a block."""
         pool = self.pools.get(display)
-        if pool is not None and pool.add(tx) and len(pool) >= self.config.block_size:
+        if pool is not None and pool.add(tx):
             self._commit_block(display, allow_partial=False)
 
     def _flush_pools(self) -> None:
-        if self.alloc is None:
-            return
+        """Cut a last block from every range owner's non-empty pool."""
         for pk in self.alloc.validators:
-            pool = self.pools.get(pk.display)
-            if pool is not None and len(pool) > 0:
-                self._commit_block(pk.display, allow_partial=True)
+            self._commit_block(pk.display, allow_partial=True)
 
 
 class VericomRun(_RunBase):
@@ -293,9 +295,9 @@ class VericomRun(_RunBase):
         self.params: Optional[SetParams] = None
         self.chain_tip: dict[str, str] = {}
         self.block_states: dict[str, dict] = {}
-        self.dishonest: set[bytes] = set()  # raw keys of colluding verifiers
+        self.dishonest: frozenset[bytes] = frozenset()  # raw keys of colluding verifiers
         self.malicious_generator: Optional[Identity] = None
-        self.accounting = TrafficAccounting(config.tf_value)
+        self.accounting = TrafficAccounting(TRAFFIC_FEE)
         self.vrd: Optional[RangeDistributor] = None  # set by _begin_epoch
 
     # -- setup ---------------------------------------------------------
@@ -365,29 +367,26 @@ class VericomRun(_RunBase):
         self.routing_dump = transmission.routing_table_text(lowest)
         return self.metrics
 
-    def _schedule_epoch(self, epoch: int) -> None:
+    def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         config = self.config
-        start = self.epoch_start(epoch)
-        self.queue.push(start, self._begin_epoch, epoch)
-        window_end = start + config.gamma_ms
+        self.queue.push(start, self._begin_epoch, epoch, window_end)
         active = self.validators[: config.ring_size]
         for i, ident in enumerate(active):
-            at = start + config.gamma_ms * (i + 1) / (len(active) + 2)
+            at = start + REGISTRATION_WINDOW_MS * (i + 1) / (len(active) + 2)
             self.queue.push(at, self._register, ident)
         self.queue.push(window_end, self._finalize_allocation, epoch)
-        self._schedule_traffic(epoch)
-        epoch_end = start + config.epoch_length_ms()
-        self.queue.push(epoch_end - config.epoch_margin_ms / 10, self._settle, epoch)
+        self._schedule_traffic(epoch, start, window_end)
+        epoch_end = start + self.epoch_ms
+        self.queue.push(epoch_end - EPOCH_MARGIN_MS / 10, self._settle, epoch)
         if config.trust_mode == "untrusted":
             window = config.monitor_window_ms
-            ticks = max(1, int(config.epoch_length_ms() // window))
+            ticks = max(1, int(self.epoch_ms // window))
             for w in range(1, ticks + 1):
-                at = min(start + w * window, epoch_end - config.epoch_margin_ms / 4)
+                at = min(start + w * window, epoch_end - EPOCH_MARGIN_MS / 4)
                 self.queue.push(at, self._monitor_window, w)
 
-    def _begin_epoch(self, epoch: int) -> None:
+    def _begin_epoch(self, epoch: int, window_end: float) -> None:
         self.epoch_index = epoch
-        window_end = self.epoch_start(epoch) + self.config.gamma_ms
         self.vrd = RangeDistributor(
             window_end_ms=window_end, excluded=frozenset(self.excluded)
         )
@@ -629,24 +628,19 @@ class VericomRun(_RunBase):
     # -- attacks ---------------------------------------------------------
 
     def _arm_attack(self, epoch: int) -> None:
+        """At epoch 0's window end, schedule a forging generator's block."""
         config = self.config
         if config.attack in ("false-verification", "fake-transaction") and epoch == 0:
-            generator = self.identities[config.adversary_ids[0]]
-            self.malicious_generator = generator
-            gen_pos = self.alloc.position_of(generator.public)
-            center = gen_pos + verifier_offset(self.params)
-            verifiers = ring_members(self.alloc, center, config.m)
-            if config.attack == "false-verification":
-                # only the relocated main verifier colludes; its wing mates
-                # stay honest and will reject the forged block.
-                self.dishonest = {verifiers[config.m].raw}
-            else:
-                self.dishonest = {pk.raw for pk in verifiers}
-            window_end = self.epoch_start(epoch) + config.gamma_ms
-            at = window_end + 5 * config.tx_interval_ms + config.tx_interval_ms / 2
+            self.malicious_generator = self.identities[config.adversary_ids[0]]
+            at = self.queue.now + 5 * TX_INTERVAL_MS + TX_INTERVAL_MS / 2
             self.queue.push(at, self._inject_forged_block)
 
     def _inject_forged_block(self) -> None:
+        """Grind a block holding a badly signed tx and let its verifiers collude.
+
+        Under false-verification only the main verifier colludes, so its wing
+        mates reject the block; under fake-transaction every verifier does.
+        """
         generator = self.malicious_generator
         fake_tx = Transaction(
             sender=self.identities[-1].public,
@@ -660,6 +654,11 @@ class VericomRun(_RunBase):
             self.alloc,
             self.backend,
         )
+        verifiers = expected_verifier_set(block, self.alloc, self.params)
+        if self.config.attack == "false-verification":
+            self.dishonest = frozenset({verifiers.main.raw})
+        else:
+            self.dishonest = verifiers.member_keys
         self.log(f"node.{generator.node_id}", "commit-forged-block", block.digest)
         self._send_block(generator, block)
 
@@ -688,10 +687,9 @@ class BaselineRun(_RunBase):
             self.links[b].append((a, delay))
         self.seen: dict[str, set[int]] = {}
 
-    def _schedule_epoch(self, epoch: int) -> None:
-        window_end = self.epoch_start(epoch) + self.config.gamma_ms
+    def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         self.queue.push(window_end, self._allocate, epoch)
-        self._schedule_traffic(epoch)
+        self._schedule_traffic(epoch, start, window_end)
 
     def _allocate(self, epoch: int) -> None:
         self.epoch_index = epoch
@@ -732,7 +730,7 @@ class BaselineRun(_RunBase):
         self._flood(sender, node_id, item, item_id, size, send_time)
 
     def _consume(self, node_id: int, item) -> None:
-        if isinstance(item, Transaction) and self.alloc is not None:
+        if isinstance(item, Transaction):
             self._pool_tx(self.identities[node_id].display, item)
 
     def _chain_head(self, display: str) -> str:

@@ -202,8 +202,8 @@ def route_multicast(
     """Forward one item from `origin` to every destination key.
 
     `destinations` maps each key display to the delay of its final access
-    link.  A destination that neither `origin`'s routing table nor its
-    attachments know is reported as a missing route.  The rest travel as
+    link.  A destination that a node on its path has neither attached nor
+    a next hop for is reported as a missing route.  The rest travel as
     one copy per backbone link, split only where their next hops differ; a
     destination's delay is the link delays on its path plus its access leg.
     A node that holds a copy with onward destinations counts it as inbound
@@ -212,15 +212,8 @@ def route_multicast(
     reported as lost.
     """
     result = MulticastResult()
-    routable = []
-    for display in sorted(destinations):
-        if display in graph.nodes[origin].routes or display in graph.nodes[origin].attached:
-            routable.append(display)
-        else:
-            result.missing_route.append(display)
-
     # (node, arrived_delay, dest subset); traversal order fixed by sorting.
-    pending = [(origin, 0.0, routable)]
+    pending = [(origin, 0.0, sorted(destinations))]
     while pending:
         node_id, delay_so_far, dests = pending.pop(0)
         node = graph.nodes[node_id]

@@ -64,20 +64,12 @@ class SetParams:
 
 
 @dataclass(frozen=True)
-class ValidatorSet:
+class NodeSet:
+    """A validator or verifier set; `relocated` marks a moved verifier set."""
+
     main: PublicKey
     members: tuple[PublicKey, ...]  # predecessors + main + successors
-
-    @property
-    def member_keys(self) -> frozenset[bytes]:
-        return frozenset(pk.raw for pk in self.members)
-
-
-@dataclass(frozen=True)
-class VerifierSet:
-    main: PublicKey
-    members: tuple[PublicKey, ...]
-    relocated: bool
+    relocated: bool = False
 
     @property
     def member_keys(self) -> frozenset[bytes]:
@@ -119,11 +111,11 @@ def ring_members(alloc: RangeAllocation, center: int, wing: int) -> list[PublicK
 
 def select_validator_set(
     d: str, alloc: RangeAllocation, params: SetParams
-) -> ValidatorSet:
+) -> NodeSet:
     """Main validator = range owner of the digest's first symbol, plus wings."""
     center = alloc.owner_index(msch(d))
     members = ring_members(alloc, center, params.n)
-    return ValidatorSet(main=alloc.validators[center], members=tuple(members))
+    return NodeSet(main=alloc.validators[center], members=tuple(members))
 
 
 def verifier_offset(params: SetParams) -> int:
@@ -134,8 +126,8 @@ def verifier_offset(params: SetParams) -> int:
 
 
 def select_verifier_set(
-    d: str, alloc: RangeAllocation, params: SetParams, vset: ValidatorSet
-) -> VerifierSet:
+    d: str, alloc: RangeAllocation, params: SetParams, vset: NodeSet
+) -> NodeSet:
     """Verifier set for a block digest, never overlapping the validator set."""
     candidate = alloc.owner_index(msch(d))
     members = ring_members(alloc, candidate, params.m)
@@ -147,25 +139,23 @@ def select_verifier_set(
         members = ring_members(alloc, center, params.m)
         candidate = center
         relocated = True
-    vs = VerifierSet(
-        main=alloc.validators[candidate], members=tuple(members), relocated=relocated
-    )
+    vs = NodeSet(main=alloc.validators[candidate], members=tuple(members), relocated=relocated)
     assert not (vs.member_keys & vset.member_keys), "sets must never overlap"
     return vs
 
 
 def validator_set_for_block(
     block: Block, alloc: RangeAllocation, params: SetParams
-) -> ValidatorSet:
+) -> NodeSet:
     """The validator set a block came from: wings around its generator."""
     center = alloc.position_of(block.generator)
     members = ring_members(alloc, center, params.n)
-    return ValidatorSet(main=block.generator, members=tuple(members))
+    return NodeSet(main=block.generator, members=tuple(members))
 
 
 def expected_verifier_set(
     block: Block, alloc: RangeAllocation, params: SetParams
-) -> VerifierSet:
+) -> NodeSet:
     vset = validator_set_for_block(block, alloc, params)
     return select_verifier_set(block.digest, alloc, params, vset)
 

@@ -97,9 +97,6 @@ class ValidationRange:
     def size(self) -> int:
         return self.end - self.start + 1
 
-    def symbols(self) -> str:
-        return ALPHABET[self.start : self.end + 1]
-
 
 @dataclass(frozen=True)
 class RangeAllocation:

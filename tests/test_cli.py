@@ -29,7 +29,9 @@ class TestLoadConfig:
         assert config.tx_count > 0
 
     def test_unknown_key_named(self, tmp_path):
-        for key in ("num_iot_nodez", "rui_period_ms", "drop_rate", "monitor_group_size"):
+        removed = ("rui_period_ms", "drop_rate", "monitor_group_size")
+        constants = ("gamma_ms", "tx_interval_ms", "epoch_margin_ms", "tf", "verify_cost_ms")
+        for key in ("num_iot_nodez",) + removed + constants:
             path = write_json(tmp_path / "c.json", {key: 5})
             with pytest.raises(ConfigError, match=key):
                 load_config(path)
@@ -197,6 +199,14 @@ class TestRunCommand:
         assert "adversary_ids" in capsys.readouterr().err
         assert ScenarioConfig.from_dict(dict(data, adversary_ids=[5])).adversary_ids == (5,)
 
+    def test_adversary_ids_not_a_list_rejected(self, tmp_path, capsys):
+        data = {"attack": "fake-transaction", "adversary_ids": 3}
+        with pytest.raises(ConfigError, match="adversary_ids"):
+            ScenarioConfig.from_dict(data)
+        config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert "adversary_ids" in capsys.readouterr().err
+
 
 # Expected sha256 of each output file.  Any change to a run's outputs is a
 # change of behaviour; the attack presets' values equal those recorded in
@@ -297,6 +307,14 @@ class TestSweepCommand:
         rows = (out / "runs.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4
+
+    def test_values_not_a_list_rejected(self, tmp_path, capsys):
+        data = {"base": {}, "parameter": "num_iot_nodes", "values": 12}
+        with pytest.raises(ConfigError, match="values"):
+            SweepSpec.from_dict(data)
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["sweep", "-s", spec, "-o", str(tmp_path / "out")]) == 2
+        assert "values" in capsys.readouterr().err
 
     def test_header_is_stable(self):
         assert CSV_HEADER.count(",") == 16

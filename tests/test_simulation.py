@@ -1,13 +1,13 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hashcast.config import ConfigError, ScenarioConfig
 from hashcast.core import serialize_block, serialize_transaction
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
-from hashcast.simulation import VericomRun, execute, run_scenario
+from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
 
 
 def small_config(**overrides):
@@ -108,7 +108,7 @@ class TestHonestRuns:
         run = execute(cfg)
         assert run.metrics.verify_ops == 10 * 3 + run.metrics.blocks_committed * 3
         assert run.metrics.verify_time_ms == pytest.approx(
-            run.metrics.verify_ops * cfg.verify_cost_ms
+            run.metrics.verify_ops * VERIFY_COST_MS
         )
 
 
@@ -354,6 +354,16 @@ def dropping_configs(draw):
     )
 
 
+@st.composite
+def forging_configs(draw):
+    cfg = draw(honest_configs())
+    return replace(
+        cfg,
+        attack=draw(st.sampled_from(["false-verification", "fake-transaction"])),
+        adversary_ids=(draw(st.integers(0, cfg.ring_size - 1)),),
+    )
+
+
 def assert_ledgers_sound(run):
     """No tx committed twice or beyond what was injected; every chain links up."""
     assert run.metrics.committed_tx <= run.metrics.injected_tx
@@ -400,6 +410,29 @@ class TestWholeRunProperties:
         assert len(metrics.delay_samples) == (nodes - 1) * items
         assert metrics.verify_ops == nodes * items
         assert_ledgers_sound(run)
+
+    @given(forging_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_forging_run_reports(self, cfg):
+        run = VericomRun(cfg)
+        try:
+            run.run()
+        except RunError:  # exclusions shrank a later epoch's ring below 3n+2m+1
+            assume(False)
+        generator = run.malicious_generator.display
+        (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
+        expected = run.block_states[forged]["expected"]
+        reports = [(r.kind, [pk.display for pk in r.accused]) for r in run.metrics.reports]
+        if cfg.attack == "false-verification" and cfg.m >= 1:
+            # the honest wing mates reject and accuse the colluding main verifier
+            assert reports == [("block-rejected", [generator, expected[cfg.m]])]
+        elif not cfg.auditor:
+            assert reports == []
+        elif cfg.attack == "false-verification":
+            # a lone colluding verifier endorses; the auditor catches the block
+            assert reports == [("audit", [generator, expected[0]])]
+        else:
+            assert reports == [("audit", [generator, *expected])]
 
     @given(dropping_configs())
     @settings(max_examples=40, deadline=None)
