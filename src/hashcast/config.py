@@ -143,7 +143,7 @@ class ScenarioConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config key: {unknown[0]}")
-        values = dict(data, adversary_ids=_as_tuple(data, "adversary_ids", ()))
+        values = dict(data, adversary_ids=_int_tuple(data, "adversary_ids"))
         try:
             return cls(**values)
         except TypeError as exc:
@@ -156,6 +156,23 @@ def _as_tuple(data: dict, key: str, default: tuple) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {value!r}")
     return tuple(value)
+
+
+def _int_tuple(data: dict, key: str) -> tuple[int, ...]:
+    """The JSON list of integers under `key` as a tuple; else a ConfigError naming `key`."""
+    value = _as_tuple(data, key, ())
+    bad = [v for v in value if type(v) is not int]
+    if bad:
+        raise ConfigError(f"{key} must hold integers, got {bad}")
+    return value
+
+
+def _int(data: dict, key: str, default: int) -> int:
+    """The JSON integer under `key`; else a ConfigError naming `key`."""
+    value = data.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 SWEEP_PARAMETERS = ("num_iot_nodes", "num_backbone", "num_validators")
@@ -207,14 +224,16 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep key: {unknown[0]}")
         if "base" not in data or "parameter" not in data or "values" not in data:
             raise ConfigError("sweep spec requires base, parameter, and values")
+        if not isinstance(data["base"], dict):
+            raise ConfigError(f"base must be a JSON object, got {data['base']!r}")
         base = ScenarioConfig.from_dict(data["base"])
         return cls(
             base=base,
             parameter=data["parameter"],
-            values=_as_tuple(data, "values", ()),
+            values=_int_tuple(data, "values"),
             modes=_as_tuple(data, "modes", ("vericom",)),
-            repetitions=data.get("repetitions", 1),
-            seed_base=data.get("seed_base", 1),
+            repetitions=_int(data, "repetitions", 1),
+            seed_base=_int(data, "seed_base", 1),
         )
 
 

@@ -671,6 +671,12 @@ class BaselineRun(_RunBase):
     ring neighbours.  A node that gets an item for the first time verifies it
     and passes it on to every neighbour except the one it came from; a
     repeated copy is counted in the IoT bytes and dropped.
+
+    Each flood is one record, `(item, is_tx, size, send_time, seen)`, shared
+    by all of its hop events; `seen` is a bytearray with one slot per node,
+    freed with the record once the flood's last hop has fired.  `pool_at`
+    holds each node's pending pool for the epoch, or None, so a hop pools a
+    transaction only at the range owners.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -685,7 +691,7 @@ class BaselineRun(_RunBase):
             delay = self.rng_access.uniform(config.access_delay_min_ms, config.access_delay_max_ms)
             self.links[a].append((b, delay))
             self.links[b].append((a, delay))
-        self.seen: dict[str, set[int]] = {}
+        self.pool_at: list[Optional[PendingPool]] = []
 
     def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         self.queue.push(window_end, self._allocate, epoch)
@@ -695,43 +701,45 @@ class BaselineRun(_RunBase):
         self.epoch_index = epoch
         alloc = build_allocation(i.public for i in self.validators[: self.config.ring_size])
         self._open_epoch(epoch, alloc, "sim")
+        self.pool_at = [self.pools.get(i.display) for i in self.identities]
 
     def _send_tx(self, ident: Identity, tx: Transaction) -> None:
-        self._originate(ident.node_id, tx, tx.id, len(serialize_transaction(tx)))
+        self._originate(ident.node_id, tx, True, len(serialize_transaction(tx)))
 
     def _send_block(self, ident: Identity, block: Block) -> None:
         self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
-        self._originate(ident.node_id, block, block.digest, len(serialize_block(block)))
+        self._originate(ident.node_id, block, False, len(serialize_block(block)))
 
-    def _originate(self, node_id: int, item, item_id: str, size: int) -> None:
-        # the originator verifies its own item once, like every other node.
+    def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:
+        seen = bytearray(self.config.num_iot_nodes)
+        seen[node_id] = 1
+        self._deliver(-1, node_id, (item, is_tx, size, self.queue.now, seen))
+
+    def _receive(self, sender: int, node_id: int, flood: tuple) -> None:
+        metrics = self.metrics
+        metrics.packet_bytes_iot += flood[2]
+        seen = flood[4]
+        if seen[node_id]:
+            return
+        seen[node_id] = 1
+        metrics.delay_samples.append(self.queue.now - flood[3])
+        self._deliver(sender, node_id, flood)
+
+    def _deliver(self, sender: int, node_id: int, flood: tuple) -> None:
+        """`node_id` verifies the item and pools it if it owns a pool, then sends it on.
+
+        The pool comes first: a full pool cuts a block, whose flood is
+        scheduled before this item's next hops.  Every neighbour but
+        `sender` gets a copy.
+        """
         self.metrics.verify_ops += 1
-        self._consume(node_id, item)
-        self.seen.setdefault(item_id, set()).add(node_id)
-        self._flood(-1, node_id, item, item_id, size, self.queue.now)
-
-    def _flood(self, sender, node_id, item, item_id, size, send_time) -> None:
-        now = self.queue.now
+        if flood[1] and self.pool_at[node_id] is not None:
+            self._pool_tx(self.identities[node_id].display, flood[0])
+        queue = self.queue
+        now = queue.now
         for nb, delay in self.links[node_id]:
             if nb != sender:
-                self.queue.push(
-                    now + delay, self._receive, node_id, nb, item, item_id, size, send_time
-                )
-
-    def _receive(self, sender, node_id, item, item_id, size, send_time) -> None:
-        self.metrics.packet_bytes_iot += size
-        seen = self.seen.setdefault(item_id, set())
-        if node_id in seen:
-            return
-        seen.add(node_id)
-        self.metrics.delay_samples.append(self.queue.now - send_time)
-        self.metrics.verify_ops += 1
-        self._consume(node_id, item)
-        self._flood(sender, node_id, item, item_id, size, send_time)
-
-    def _consume(self, node_id: int, item) -> None:
-        if isinstance(item, Transaction):
-            self._pool_tx(self.identities[node_id].display, item)
+                queue.push(now + delay, self._receive, node_id, nb, flood)
 
     def _chain_head(self, display: str) -> str:
         return self.ledgers[self.epoch_index][display].head_digest

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own code paths: weights come from
 character arithmetic instead of the table, repeat counts from prefix scans,
-shortest paths from Floyd-Warshall instead of per-source Dijkstra, and
+shortest paths from Floyd-Warshall instead of per-source Dijkstra, a flood's
+first arrivals from Dijkstra instead of replaying its hop events, and
 base-62 digests from one `divmod` per symbol instead of the pair table.
 """
 
 import hashlib
+import heapq
 import string
 from fractions import Fraction
 
@@ -45,6 +47,26 @@ def linear_fit_r_squared(xs, ys):
     ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     return 1.0 - ss_res / ss_tot
+
+
+def ring_first_arrivals(links, origin):
+    """Shortest delay from `origin` to every node over `links[node] = [(neighbour, delay), ...]`.
+
+    A flood that forwards only first copies reaches each node first along a
+    shortest path, so these are the delays a flood from `origin` records.
+    """
+    dist = [float("inf")] * len(links)
+    dist[origin] = 0.0
+    heap = [(0.0, origin)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for nb, delay in links[node]:
+            if d + delay < dist[nb]:
+                dist[nb] = d + delay
+                heapq.heappush(heap, (dist[nb], nb))
+    return dist
 
 
 BASE62 = "0123456789" + string.ascii_lowercase + string.ascii_uppercase

@@ -207,6 +207,12 @@ class TestRunCommand:
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "adversary_ids" in capsys.readouterr().err
 
+    def test_adversary_ids_not_integers_rejected(self, tmp_path, capsys):
+        data = {"attack": "fake-transaction", "adversary_ids": ["a"]}
+        config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert "adversary_ids" in capsys.readouterr().err
+
 
 # Expected sha256 of each output file.  Any change to a run's outputs is a
 # change of behaviour; the attack presets' values equal those recorded in
@@ -315,6 +321,24 @@ class TestSweepCommand:
         spec = write_json(tmp_path / "s.json", data)
         assert main(["sweep", "-s", spec, "-o", str(tmp_path / "out")]) == 2
         assert "values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("values", ["a"]),
+            ("values", [True]),
+            ("repetitions", "2"),
+            ("seed_base", 1.5),
+            ("base", 12),
+        ],
+    )
+    def test_mistyped_key_is_one_error_line(self, tmp_path, capsys, key, value):
+        data = {"base": {}, "parameter": "num_iot_nodes", "values": [12], key: value}
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["sweep", "-s", spec, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
     def test_header_is_stable(self):
         assert CSV_HEADER.count(",") == 16

@@ -8,6 +8,7 @@ from hashcast.config import ConfigError, ScenarioConfig
 from hashcast.core import serialize_block, serialize_transaction
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
 from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
+from oracles import ring_first_arrivals
 
 
 def small_config(**overrides):
@@ -409,7 +410,28 @@ class TestWholeRunProperties:
         assert metrics.packet_bytes_iot == (nodes + 1) * (tx_bytes + block_bytes)
         assert len(metrics.delay_samples) == (nodes - 1) * items
         assert metrics.verify_ops == nodes * items
+        # nodes + 1 hop events per flood, one injection per tx, and each
+        # epoch's allocation and flush: a hop lost here would inflate events/s
+        assert run.queue._seq == (nodes + 1) * items + metrics.injected_tx + 2 * cfg.epochs
         assert_ledgers_sound(run)
+
+    @given(honest_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_baseline_delays_are_ring_shortest_paths(self, cfg):
+        run = execute(replace(cfg, mode="baseline"))
+        origins = []
+        for line in run.log_lines:
+            actor, kind = line.split()[1:3]
+            if kind in ("inject-tx", "commit-block"):
+                origins.append(int(actor.removeprefix("node.")))
+        expected = [
+            delay
+            for origin in origins
+            for node, delay in enumerate(ring_first_arrivals(run.links, origin))
+            if node != origin
+        ]
+        samples = sorted(run.metrics.delay_samples)
+        assert samples == pytest.approx(sorted(expected), rel=0, abs=1e-6)
 
     @given(forging_configs())
     @settings(max_examples=40, deadline=None)
