@@ -23,6 +23,17 @@ class ConfigError(ValueError):
     pass
 
 
+# The JSON types a field of each declared type accepts, and their name in
+# errors.  `type(...) in` rejects booleans where a number is required, and a
+# float field also takes a JSON integer.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     mode: str = "vericom"
@@ -143,11 +154,12 @@ class ScenarioConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config key: {unknown[0]}")
-        values = dict(data, adversary_ids=_int_tuple(data, "adversary_ids"))
-        try:
-            return cls(**values)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        for f in dataclasses.fields(cls):
+            if f.name in data and f.type in _JSON_TYPES:
+                types, noun = _JSON_TYPES[f.type]
+                if type(data[f.name]) not in types:
+                    raise ConfigError(f"{f.name} must be {noun}, got {data[f.name]!r}")
+        return cls(**dict(data, adversary_ids=_int_tuple(data, "adversary_ids")))
 
 
 def _as_tuple(data: dict, key: str, default: tuple) -> tuple:

@@ -7,6 +7,12 @@ signature of a transaction, block header, or endorsement are packed together
 into one fixed-size 459-byte credential blob, so byte accounting is identical
 for every signature backend.
 
+`block_layout` splits a block's bytes around its nonce and signature, so a
+nonce grind builds no `Block` per try: it signs the header with the new
+nonce, hashes the block once, and reads only the first digest symbol
+(`msch_index`).  `transaction_size` and `block_size` give wire sizes without
+serializing the transactions.
+
 All types in this module are immutable values; they can be shared freely
 between concurrent readers.  A `Block` computes its digest from its own
 content the first time `Block.digest` is read and keeps it; no caller can
@@ -54,6 +60,19 @@ def digest(content: bytes) -> str:
         value, idx = divmod(value, _PAIR_BASE)
         pairs.append(_SYMBOL_PAIRS[idx])
     return "".join(pairs)
+
+
+def msch_index(*parts: bytes) -> int:
+    """Alphabet index of `msch(digest(b"".join(parts)))`, without the other symbols.
+
+    `digest` emits the least significant base-62 digit first, so its first
+    symbol is the SHA-256 value mod 62.  The parts are hashed in turn, so a
+    caller need not join them.
+    """
+    hasher = hashlib.sha256()
+    for part in parts:
+        hasher.update(part)
+    return int.from_bytes(hasher.digest(), "big") % len(ALPHABET)
 
 
 def msch(d: str) -> str:
@@ -146,17 +165,32 @@ def _field(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
+# The length prefix of every credential field: a credential is a field of
+# fixed size, so its prefix never changes.
+_CREDENTIAL_PREFIX = CREDENTIAL_BYTES.to_bytes(4, "big")
+
+
+def _credential_head(public: PublicKey) -> bytes:
+    """A credential field up to its signature: the prefix and the length-prefixed key."""
+    return _CREDENTIAL_PREFIX + len(public.raw).to_bytes(2, "big") + public.raw
+
+
+def _credential_rest(head: bytes, signature: bytes) -> bytes:
+    """The credential field after `head`: the length-prefixed signature, zero-padded.
+
+    `head + _credential_rest(head, signature)` is `_field` of the fixed
+    459-byte blob.
+    """
+    padding = len(_CREDENTIAL_PREFIX) + CREDENTIAL_BYTES - len(head) - 2 - len(signature)
+    if padding < 0:
+        raise ValueError("credential exceeds fixed blob size")
+    return len(signature).to_bytes(2, "big") + signature + bytes(padding)
+
+
 def pack_credential(public: PublicKey, signature: bytes) -> bytes:
     """Pack a PK+signature pair into the fixed 459-byte credential blob."""
-    body = (
-        len(public.raw).to_bytes(2, "big")
-        + public.raw
-        + len(signature).to_bytes(2, "big")
-        + signature
-    )
-    if len(body) > CREDENTIAL_BYTES:
-        raise ValueError("credential exceeds fixed blob size")
-    return body + b"\x00" * (CREDENTIAL_BYTES - len(body))
+    head = _credential_head(public)
+    return head[len(_CREDENTIAL_PREFIX):] + _credential_rest(head, signature)
 
 
 @dataclass(frozen=True)
@@ -212,6 +246,16 @@ def serialize_transaction(tx: Transaction, include_id: bool = True) -> bytes:
     return b"".join(parts)
 
 
+# Serialized size of a transaction with an empty id, payload and previous
+# id: every other field has a fixed size.
+_TX_FIXED_BYTES = len(serialize_transaction(Transaction(PublicKey(b"", ""), b"", b"")))
+
+
+def transaction_size(tx: Transaction) -> int:
+    """`len(serialize_transaction(tx))`, without serializing."""
+    return _TX_FIXED_BYTES + len(tx.id) + len(tx.payload) + len(tx.previous_id or "")
+
+
 def transaction_id(tx: Transaction) -> str:
     return digest(serialize_transaction(tx, include_id=False))
 
@@ -231,18 +275,33 @@ def create_transaction(
     return replace(tx, id=transaction_id(tx))
 
 
-def block_header_bytes(block: Block) -> bytes:
-    tx_ids = "".join(tx.id for tx in block.transactions).encode("ascii")
+_NONCE_BYTES = 8
+
+
+def _unsigned_header(
+    generator: PublicKey, previous_digest: str, transactions: Sequence[Transaction]
+) -> bytes:
+    """A block header without its trailing nonce."""
+    tx_ids = "".join(tx.id for tx in transactions).encode("ascii")
     return b"".join(
         [
             FORMAT_TAG,
             _field(b"blkhdr"),
-            _field(block.generator.raw),
-            _field(block.previous_digest.encode("ascii")),
+            _field(generator.raw),
+            _field(previous_digest.encode("ascii")),
             _field(tx_ids),
-            block.nonce.to_bytes(8, "big"),
         ]
     )
+
+
+def signed_header(header: bytes, nonce: int) -> bytes:
+    """Bytes a generator signs: a header without its nonce, then the nonce."""
+    return header + nonce.to_bytes(_NONCE_BYTES, "big")
+
+
+def block_header_bytes(block: Block) -> bytes:
+    header = _unsigned_header(block.generator, block.previous_digest, block.transactions)
+    return signed_header(header, block.nonce)
 
 
 def serialize_body(transactions: Sequence[Transaction]) -> bytes:
@@ -250,30 +309,55 @@ def serialize_body(transactions: Sequence[Transaction]) -> bytes:
     return b"".join(serialize_transaction(tx) for tx in transactions)
 
 
+def block_layout(
+    generator: PublicKey,
+    previous_digest: str,
+    transactions: Sequence[Transaction],
+    body: bytes,
+    endorsements: Sequence[Endorsement] = (),
+) -> tuple[bytes, bytes, bytes, bytes]:
+    """The parts of a block's bytes that its nonce and signature leave as they are.
+
+    Returns `(lead, header, cred_head, tail)`: the block is `block_head(lead,
+    signed_header(header, nonce), cred_head, signature) + tail`.  `body` is
+    `serialize_body(transactions)`; taking it ready-made lets a nonce grind
+    serialize it once per block instead of once per try.
+    """
+    header = _unsigned_header(generator, previous_digest, transactions)
+    lead = FORMAT_TAG + _field(b"blk") + (len(header) + _NONCE_BYTES).to_bytes(4, "big")
+    tail = [len(body).to_bytes(4, "big"), body, len(endorsements).to_bytes(4, "big")]
+    tail.extend(pack_credential(end.verifier, end.signature) for end in endorsements)
+    return lead, header, _credential_head(generator), b"".join(tail)
+
+
+def block_head(lead: bytes, signed: bytes, cred_head: bytes, signature: bytes) -> bytes:
+    """A block's bytes up to its body, from the parts of `block_layout`.
+
+    `signed` is `signed_header(header, nonce)` and `signature` the
+    generator's signature over it.
+    """
+    return lead + signed + cred_head + _credential_rest(cred_head, signature)
+
+
 def block_bytes(
     block: Block, body: bytes, endorsements: Sequence[Endorsement] = ()
 ) -> bytes:
-    """The block layout around `body`, which is `serialize_body(block.transactions)`.
-
-    Taking the body ready-made lets a nonce grind serialize it once per
-    block instead of once per try.
-    """
-    parts = [
-        FORMAT_TAG,
-        _field(b"blk"),
-        _field(block_header_bytes(block)),
-        _field(pack_credential(block.generator, block.signature)),
-        len(body).to_bytes(4, "big"),
-        body,
-        len(endorsements).to_bytes(4, "big"),
-    ]
-    for end in endorsements:
-        parts.append(pack_credential(end.verifier, end.signature))
-    return b"".join(parts)
+    """The block laid out by `block_layout` around `body`."""
+    lead, header, cred_head, tail = block_layout(
+        block.generator, block.previous_digest, block.transactions, body, endorsements
+    )
+    signed = signed_header(header, block.nonce)
+    return block_head(lead, signed, cred_head, block.signature) + tail
 
 
 def serialize_block(block: Block) -> bytes:
     return block_bytes(block, serialize_body(block.transactions), block.endorsements)
+
+
+def block_size(block: Block) -> int:
+    """`len(serialize_block(block))`, without serializing the transactions."""
+    empty = block_bytes(block, b"", block.endorsements)
+    return len(empty) + sum(transaction_size(tx) for tx in block.transactions)
 
 
 def block_digest(block: Block) -> str:

@@ -17,12 +17,14 @@ from .core import (
     KeyPair,
     PublicKey,
     Transaction,
-    block_bytes,
     block_digest,  # noqa: F401 (re-exported as ledger.block_digest)
-    digest,
+    block_head,
+    block_layout,
     make_block,
     msch,
+    msch_index,
     serialize_body,
+    signed_header,
 )
 from .verification import (
     SetParams,
@@ -166,15 +168,21 @@ def grind_block(
 ) -> Block:
     """Try nonces until the block digest starts inside the signer's own range.
 
-    The transactions are serialized once; each try signs a new header and
-    digests the block around the same body.
+    `block_layout` gives the bytes that stay the same across tries, with the
+    transactions serialized once.  A try appends the nonce to the header,
+    signs that through `backend.sign`, and hashes the block once for the
+    first digest symbol alone (`msch_index`).  Only the winning nonce is
+    built into a `Block`, through `make_block`.
     """
     own_range = alloc.range_for(keypair.public)
-    body = serialize_body(txs)
+    lead, header, cred_head, tail = block_layout(
+        keypair.public, previous_digest, txs, serialize_body(txs)
+    )
     for nonce in range(MAX_COMMIT_TRIES):
-        block = make_block(keypair, previous_digest, txs, nonce, backend)
-        if own_range.covers(msch(digest(block_bytes(block, body)))):
-            return block
+        signed = signed_header(header, nonce)
+        head = block_head(lead, signed, cred_head, backend.sign(keypair.secret, signed))
+        if own_range.start <= msch_index(head, tail) <= own_range.end:
+            return make_block(keypair, previous_digest, txs, nonce, backend)
     raise RuntimeError(f"no nonce below {MAX_COMMIT_TRIES} lands the digest in the signer's range")
 
 

@@ -28,10 +28,10 @@ from .core import (
     PublicKey,
     SimulatedSigner,
     Transaction,
+    block_size,
     create_transaction,
-    serialize_block,
-    serialize_transaction,
     transaction_id,
+    transaction_size,
 )
 from .fees import Payment, TrafficAccounting, compute_tmf
 from .ledger import (
@@ -440,7 +440,7 @@ class VericomRun(_RunBase):
         self._multicast(
             bn_id,
             [pk.display for pk in vset.members],
-            len(serialize_transaction(tx)),
+            transaction_size(tx),
             send_time,
             self._tx_delivered,
             tx,
@@ -505,7 +505,7 @@ class VericomRun(_RunBase):
         self._multicast(
             bn_id,
             expected,
-            len(serialize_block(block)),
+            block_size(block),
             send_time,
             self._block_delivered,
             block,
@@ -567,7 +567,7 @@ class VericomRun(_RunBase):
         self._multicast(
             bn_id,
             [pk.display for pk in self.alloc.validators] + self.auditors,
-            len(serialize_block(endorsed)),
+            block_size(endorsed),
             send_time,
             self._endorsed_delivered,
             endorsed,
@@ -704,11 +704,11 @@ class BaselineRun(_RunBase):
         self.pool_at = [self.pools.get(i.display) for i in self.identities]
 
     def _send_tx(self, ident: Identity, tx: Transaction) -> None:
-        self._originate(ident.node_id, tx, True, len(serialize_transaction(tx)))
+        self._originate(ident.node_id, tx, True, transaction_size(tx))
 
     def _send_block(self, ident: Identity, block: Block) -> None:
         self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
-        self._originate(ident.node_id, block, False, len(serialize_block(block)))
+        self._originate(ident.node_id, block, False, block_size(block))
 
     def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:
         seen = bytearray(self.config.num_iot_nodes)

@@ -129,19 +129,17 @@ def select_verifier_set(
     d: str, alloc: RangeAllocation, params: SetParams, vset: NodeSet
 ) -> NodeSet:
     """Verifier set for a block digest, never overlapping the validator set."""
+    validator_keys = vset.member_keys
     candidate = alloc.owner_index(msch(d))
     members = ring_members(alloc, candidate, params.m)
-    relocated = False
-    if any(pk.raw in vset.member_keys for pk in members):
-        center = (alloc.position_of(vset.main) + verifier_offset(params)) % len(
+    relocated = not validator_keys.isdisjoint(pk.raw for pk in members)
+    if relocated:
+        candidate = (alloc.position_of(vset.main) + verifier_offset(params)) % len(
             alloc.validators
         )
-        members = ring_members(alloc, center, params.m)
-        candidate = center
-        relocated = True
-    vs = NodeSet(main=alloc.validators[candidate], members=tuple(members), relocated=relocated)
-    assert not (vs.member_keys & vset.member_keys), "sets must never overlap"
-    return vs
+        members = ring_members(alloc, candidate, params.m)
+    assert validator_keys.isdisjoint(pk.raw for pk in members), "sets must never overlap"
+    return NodeSet(main=alloc.validators[candidate], members=tuple(members), relocated=relocated)
 
 
 def validator_set_for_block(

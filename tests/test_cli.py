@@ -213,6 +213,29 @@ class TestRunCommand:
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "adversary_ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "x"),
+            ("auditor", "no"),
+            ("link_delay_ms", True),
+            ("num_iot_nodes", "5"),
+            ("tx_count", True),
+            ("payload_size", 1.0),
+        ],
+    )
+    def test_mistyped_key_is_one_error_line(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig.from_dict({key: value})
+        config = write_json(tmp_path / "c.json", {key: value})
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_float_key_takes_json_integer(self):
+        assert ScenarioConfig.from_dict({"link_delay_ms": 2}).link_delay_ms == 2
+
 
 # Expected sha256 of each output file.  Any change to a run's outputs is a
 # change of behaviour; the attack presets' values equal those recorded in

@@ -10,15 +10,20 @@ from hashcast.core import (
     CREDENTIAL_BYTES,
     DIGEST_LENGTH,
     Block,
+    Ed25519Signer,
     SimulatedSigner,
     block_digest,
+    block_size,
     create_transaction,
     digest,
+    endorsement_for,
     make_block,
     msch,
+    msch_index,
     serialize_block,
     serialize_transaction,
     transaction_id,
+    transaction_size,
 )
 from hashcast.verification import endorse_block
 from conftest import make_keypairs
@@ -64,6 +69,11 @@ class TestMsch:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             msch("")
+
+    @given(st.lists(st.binary(max_size=256), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_index_is_first_digest_symbol(self, parts):
+        assert ALPHABET[msch_index(*parts)] == msch(digest(b"".join(parts)))
 
 
 class TestSignatures:
@@ -136,6 +146,30 @@ class TestTransactionSerialization:
         tx = create_transaction(kp, b"data", backend)
         with pytest.raises(dataclasses.FrozenInstanceError):
             tx.payload = b"other"
+
+
+class TestWireSizes:
+    @given(
+        backend=st.sampled_from([SimulatedSigner(), Ed25519Signer()]),
+        txs=st.lists(st.tuples(st.binary(max_size=600), st.booleans()), max_size=50),
+        chained=st.booleans(),
+        endorsers=st.integers(0, 5),
+        nonce=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sizes_match_serialized_lengths(self, backend, txs, chained, endorsers, nonce):
+        kps = make_keypairs(backend, 6, "size")
+        parent = digest(b"parent")
+        transactions = [
+            create_transaction(kps[i % 6], payload, backend, parent if linked else None)
+            for i, (payload, linked) in enumerate(txs)
+        ]
+        for tx in transactions:
+            assert transaction_size(tx) == len(serialize_transaction(tx))
+        block = make_block(kps[0], parent if chained else "", transactions, nonce, backend)
+        endorsements = tuple(endorsement_for(block, kp, backend) for kp in kps[1 : 1 + endorsers])
+        block = dataclasses.replace(block, endorsements=endorsements)
+        assert block_size(block) == len(serialize_block(block))
 
 
 class TestBlockSerialization:

@@ -392,6 +392,19 @@ class TestWholeRunProperties:
             (2 * cfg.n + 1) * metrics.injected_tx
             + (2 * cfg.m + 1) * metrics.blocks_committed
         )
+        # per epoch: its start, one registration per range owner, the window
+        # end, the flush and the settlement; per tx: its injection, the
+        # uplink and one delivery per validator-set member; per block: the
+        # uplink, one delivery per verifier, the endorsed uplink and one
+        # delivery per range owner and auditor.  A lost event fails here.
+        per_epoch = 4 + cfg.ring_size
+        per_tx = 2 + (2 * cfg.n + 1)
+        per_block = 2 + (2 * cfg.m + 1) + cfg.ring_size + int(cfg.auditor)
+        assert run.queue._seq == (
+            per_epoch * cfg.epochs
+            + per_tx * metrics.injected_tx
+            + per_block * metrics.blocks_committed
+        )
 
     @given(honest_configs())
     @settings(max_examples=40, deadline=None)
