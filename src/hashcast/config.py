@@ -204,8 +204,9 @@ class SweepSpec:
             raise ConfigError(
                 f"swept parameter must be one of {SWEEP_PARAMETERS}, got {self.parameter!r}"
             )
-        if not self.values:
-            raise ConfigError("sweep values must not be empty")
+        for key in ("values", "modes"):
+            if not getattr(self, key):
+                raise ConfigError(f"sweep {key} must not be empty")
         for mode in self.modes:
             if mode not in MODES:
                 raise ConfigError(f"sweep mode {mode!r} is not valid")

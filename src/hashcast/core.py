@@ -7,11 +7,12 @@ signature of a transaction, block header, or endorsement are packed together
 into one fixed-size 459-byte credential blob, so byte accounting is identical
 for every signature backend.
 
-`block_layout` splits a block's bytes around its nonce and signature, so a
-nonce grind builds no `Block` per try: it signs the header with the new
-nonce, hashes the block once, and reads only the first digest symbol
-(`msch_index`).  `transaction_size` and `block_size` give wire sizes without
-serializing the transactions.
+A block is a head (`block_head`: tag, kind, signed header, generator's
+credential) followed by a tail (`block_tail`: length-prefixed body,
+endorsement count, endorsements).  Only the head depends on the nonce, so a
+nonce grind builds the tail once and, per try, signs, builds the head and
+reads the first digest symbol alone (`msch_index`).  `transaction_size` and
+`block_size` give wire sizes without serializing the transactions.
 
 All types in this module are immutable values; they can be shared freely
 between concurrent readers.  A `Block` computes its digest from its own
@@ -165,32 +166,17 @@ def _field(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
-# The length prefix of every credential field: a credential is a field of
-# fixed size, so its prefix never changes.
-_CREDENTIAL_PREFIX = CREDENTIAL_BYTES.to_bytes(4, "big")
-
-
-def _credential_head(public: PublicKey) -> bytes:
-    """A credential field up to its signature: the prefix and the length-prefixed key."""
-    return _CREDENTIAL_PREFIX + len(public.raw).to_bytes(2, "big") + public.raw
-
-
-def _credential_rest(head: bytes, signature: bytes) -> bytes:
-    """The credential field after `head`: the length-prefixed signature, zero-padded.
-
-    `head + _credential_rest(head, signature)` is `_field` of the fixed
-    459-byte blob.
-    """
-    padding = len(_CREDENTIAL_PREFIX) + CREDENTIAL_BYTES - len(head) - 2 - len(signature)
-    if padding < 0:
-        raise ValueError("credential exceeds fixed blob size")
-    return len(signature).to_bytes(2, "big") + signature + bytes(padding)
-
-
 def pack_credential(public: PublicKey, signature: bytes) -> bytes:
     """Pack a PK+signature pair into the fixed 459-byte credential blob."""
-    head = _credential_head(public)
-    return head[len(_CREDENTIAL_PREFIX):] + _credential_rest(head, signature)
+    blob = (
+        len(public.raw).to_bytes(2, "big")
+        + public.raw
+        + len(signature).to_bytes(2, "big")
+        + signature
+    )
+    if len(blob) > CREDENTIAL_BYTES:
+        raise ValueError("credential exceeds fixed blob size")
+    return blob + bytes(CREDENTIAL_BYTES - len(blob))
 
 
 @dataclass(frozen=True)
@@ -277,21 +263,17 @@ def create_transaction(
 
 _NONCE_BYTES = 8
 
+# Format tag and kind field that open every block; built once, not per grind try.
+_BLOCK_KIND = FORMAT_TAG + _field(b"blk")
 
-def _unsigned_header(
+
+def unsigned_header(
     generator: PublicKey, previous_digest: str, transactions: Sequence[Transaction]
 ) -> bytes:
     """A block header without its trailing nonce."""
     tx_ids = "".join(tx.id for tx in transactions).encode("ascii")
-    return b"".join(
-        [
-            FORMAT_TAG,
-            _field(b"blkhdr"),
-            _field(generator.raw),
-            _field(previous_digest.encode("ascii")),
-            _field(tx_ids),
-        ]
-    )
+    fields = (b"blkhdr", generator.raw, previous_digest.encode("ascii"), tx_ids)
+    return FORMAT_TAG + b"".join(_field(data) for data in fields)
 
 
 def signed_header(header: bytes, nonce: int) -> bytes:
@@ -300,7 +282,7 @@ def signed_header(header: bytes, nonce: int) -> bytes:
 
 
 def block_header_bytes(block: Block) -> bytes:
-    header = _unsigned_header(block.generator, block.previous_digest, block.transactions)
+    header = unsigned_header(block.generator, block.previous_digest, block.transactions)
     return signed_header(header, block.nonce)
 
 
@@ -309,55 +291,30 @@ def serialize_body(transactions: Sequence[Transaction]) -> bytes:
     return b"".join(serialize_transaction(tx) for tx in transactions)
 
 
-def block_layout(
-    generator: PublicKey,
-    previous_digest: str,
-    transactions: Sequence[Transaction],
-    body: bytes,
-    endorsements: Sequence[Endorsement] = (),
-) -> tuple[bytes, bytes, bytes, bytes]:
-    """The parts of a block's bytes that its nonce and signature leave as they are.
-
-    Returns `(lead, header, cred_head, tail)`: the block is `block_head(lead,
-    signed_header(header, nonce), cred_head, signature) + tail`.  `body` is
-    `serialize_body(transactions)`; taking it ready-made lets a nonce grind
-    serialize it once per block instead of once per try.
-    """
-    header = _unsigned_header(generator, previous_digest, transactions)
-    lead = FORMAT_TAG + _field(b"blk") + (len(header) + _NONCE_BYTES).to_bytes(4, "big")
-    tail = [len(body).to_bytes(4, "big"), body, len(endorsements).to_bytes(4, "big")]
-    tail.extend(pack_credential(end.verifier, end.signature) for end in endorsements)
-    return lead, header, _credential_head(generator), b"".join(tail)
+def block_head(generator: PublicKey, signed: bytes, signature: bytes) -> bytes:
+    """A block's bytes before its body; `signature` is the generator's over `signed`."""
+    return _BLOCK_KIND + _field(signed) + _field(pack_credential(generator, signature))
 
 
-def block_head(lead: bytes, signed: bytes, cred_head: bytes, signature: bytes) -> bytes:
-    """A block's bytes up to its body, from the parts of `block_layout`.
-
-    `signed` is `signed_header(header, nonce)` and `signature` the
-    generator's signature over it.
-    """
-    return lead + signed + cred_head + _credential_rest(cred_head, signature)
+def block_tail(body: bytes, endorsements: Sequence[Endorsement] = ()) -> bytes:
+    """A block's bytes from its body on; `body` is `serialize_body(transactions)`."""
+    parts = [len(body).to_bytes(4, "big"), body, len(endorsements).to_bytes(4, "big")]
+    parts.extend(pack_credential(end.verifier, end.signature) for end in endorsements)
+    return b"".join(parts)
 
 
-def block_bytes(
-    block: Block, body: bytes, endorsements: Sequence[Endorsement] = ()
-) -> bytes:
-    """The block laid out by `block_layout` around `body`."""
-    lead, header, cred_head, tail = block_layout(
-        block.generator, block.previous_digest, block.transactions, body, endorsements
-    )
-    signed = signed_header(header, block.nonce)
-    return block_head(lead, signed, cred_head, block.signature) + tail
+def _head(block: Block) -> bytes:
+    return block_head(block.generator, block_header_bytes(block), block.signature)
 
 
 def serialize_block(block: Block) -> bytes:
-    return block_bytes(block, serialize_body(block.transactions), block.endorsements)
+    return _head(block) + block_tail(serialize_body(block.transactions), block.endorsements)
 
 
 def block_size(block: Block) -> int:
     """`len(serialize_block(block))`, without serializing the transactions."""
-    empty = block_bytes(block, b"", block.endorsements)
-    return len(empty) + sum(transaction_size(tx) for tx in block.transactions)
+    fixed = len(_head(block)) + len(block_tail(b"", block.endorsements))
+    return fixed + sum(transaction_size(tx) for tx in block.transactions)
 
 
 def block_digest(block: Block) -> str:
@@ -365,7 +322,7 @@ def block_digest(block: Block) -> str:
 
     Computes it afresh on every call; `Block.digest` caches it.
     """
-    return digest(block_bytes(block, serialize_body(block.transactions)))
+    return digest(_head(block) + block_tail(serialize_body(block.transactions)))
 
 
 def make_block(
@@ -375,15 +332,9 @@ def make_block(
     nonce: int,
     backend,
 ) -> Block:
-    block = Block(
-        generator=keypair.public,
-        previous_digest=previous_digest,
-        transactions=tuple(transactions),
-        nonce=nonce,
-        signature=b"",
-    )
-    signature = backend.sign(keypair.secret, block_header_bytes(block))
-    return replace(block, signature=signature)
+    header = unsigned_header(keypair.public, previous_digest, transactions)
+    signature = backend.sign(keypair.secret, signed_header(header, nonce))
+    return Block(keypair.public, previous_digest, tuple(transactions), nonce, signature)
 
 
 def endorsement_for(block: Block, keypair: KeyPair, backend) -> Endorsement:

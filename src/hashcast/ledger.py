@@ -19,12 +19,13 @@ from .core import (
     Transaction,
     block_digest,  # noqa: F401 (re-exported as ledger.block_digest)
     block_head,
-    block_layout,
+    block_tail,
     make_block,
     msch,
     msch_index,
     serialize_body,
     signed_header,
+    unsigned_header,
 )
 from .verification import (
     SetParams,
@@ -168,19 +169,18 @@ def grind_block(
 ) -> Block:
     """Try nonces until the block digest starts inside the signer's own range.
 
-    `block_layout` gives the bytes that stay the same across tries, with the
-    transactions serialized once.  A try appends the nonce to the header,
-    signs that through `backend.sign`, and hashes the block once for the
-    first digest symbol alone (`msch_index`).  Only the winning nonce is
-    built into a `Block`, through `make_block`.
+    The header without its nonce and the block's tail (`block_tail`, which
+    serializes the transactions) are built once.  A try signs the header
+    with its nonce through `backend.sign`, builds the head (`block_head`)
+    and reads the first digest symbol alone (`msch_index`).  Only the
+    winning nonce is built into a `Block`, through `make_block`.
     """
     own_range = alloc.range_for(keypair.public)
-    lead, header, cred_head, tail = block_layout(
-        keypair.public, previous_digest, txs, serialize_body(txs)
-    )
+    header = unsigned_header(keypair.public, previous_digest, txs)
+    tail = block_tail(serialize_body(txs))
     for nonce in range(MAX_COMMIT_TRIES):
         signed = signed_header(header, nonce)
-        head = block_head(lead, signed, cred_head, backend.sign(keypair.secret, signed))
+        head = block_head(keypair.public, signed, backend.sign(keypair.secret, signed))
         if own_range.start <= msch_index(head, tail) <= own_range.end:
             return make_block(keypair, previous_digest, txs, nonce, backend)
     raise RuntimeError(f"no nonce below {MAX_COMMIT_TRIES} lands the digest in the signer's range")

@@ -380,10 +380,13 @@ class VericomRun(_RunBase):
         self.queue.push(epoch_end - EPOCH_MARGIN_MS / 10, self._settle, epoch)
         if config.trust_mode == "untrusted":
             window = config.monitor_window_ms
-            ticks = max(1, int(self.epoch_ms // window))
-            for w in range(1, ticks + 1):
-                at = min(start + w * window, epoch_end - EPOCH_MARGIN_MS / 4)
+            last = epoch_end - EPOCH_MARGIN_MS / 4
+            for w in range(1, max(1, int(self.epoch_ms // window)) + 1):
+                # Ticks past `last` are clamped onto it; only the first one can act.
+                at = min(start + w * window, last)
                 self.queue.push(at, self._monitor_window, w)
+                if at == last:
+                    break
 
     def _begin_epoch(self, epoch: int, window_end: float) -> None:
         self.epoch_index = epoch

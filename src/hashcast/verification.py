@@ -10,7 +10,7 @@ two sets never share a node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Container, Optional, Sequence
 
 from .core import (
@@ -205,14 +205,7 @@ def verify_endorsements(
 def endorse_block(block: Block, signers: Sequence[KeyPair], backend) -> Block:
     """Attach one endorsement per signer; callers check verdicts first."""
     endorsements = tuple(endorsement_for(block, kp, backend) for kp in signers)
-    return Block(
-        generator=block.generator,
-        previous_digest=block.previous_digest,
-        transactions=block.transactions,
-        nonce=block.nonce,
-        signature=block.signature,
-        endorsements=endorsements,
-    )
+    return replace(block, endorsements=endorsements)
 
 
 def tally_endorsement(

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: weights come from
 character arithmetic instead of the table, repeat counts from prefix scans,
 shortest paths from Floyd-Warshall instead of per-source Dijkstra, a flood's
-first arrivals from Dijkstra instead of replaying its hop events, and
-base-62 digests from one `divmod` per symbol instead of the pair table.
+first arrivals from Dijkstra instead of replaying its hop events,
+base-62 digests from one `divmod` per symbol instead of the pair table, and
+block bytes from the README's "Serialization" section instead of the
+library's head and tail builders.
 """
 
 import hashlib
@@ -80,3 +82,32 @@ def base62_digest(content):
         value, idx = divmod(value, 62)
         symbols.append(BASE62[idx])
     return "".join(symbols)
+
+
+def _wire_field(data):
+    return len(data).to_bytes(4, "big") + data
+
+
+def _wire_credential(key, signature):
+    blob = len(key).to_bytes(2, "big") + key + len(signature).to_bytes(2, "big") + signature
+    assert len(blob) <= 459
+    return blob.ljust(459, b"\x00")
+
+
+def block_wire_bytes(block, endorsements):
+    """A block's bytes as the README lays them out, with the given endorsements."""
+    body = b""
+    for tx in block.transactions:
+        body += b"\x01" + _wire_field(b"tx") + _wire_field(tx.id.encode())
+        body += _wire_field(_wire_credential(tx.sender.raw, tx.signature))
+        body += _wire_field(tx.payload) + _wire_field((tx.previous_id or "").encode())
+    header = b"\x01" + _wire_field(b"blkhdr") + _wire_field(block.generator.raw)
+    header += _wire_field(block.previous_digest.encode())
+    header += _wire_field("".join(tx.id for tx in block.transactions).encode())
+    header += block.nonce.to_bytes(8, "big")
+    head = b"\x01" + _wire_field(b"blk") + _wire_field(header)
+    head += _wire_field(_wire_credential(block.generator.raw, block.signature))
+    tail = _wire_field(body) + len(endorsements).to_bytes(4, "big")
+    for end in endorsements:
+        tail += _wire_credential(end.verifier.raw, end.signature)
+    return head + tail

@@ -353,6 +353,7 @@ class TestSweepCommand:
             ("repetitions", "2"),
             ("seed_base", 1.5),
             ("base", 12),
+            ("modes", []),
         ],
     )
     def test_mistyped_key_is_one_error_line(self, tmp_path, capsys, key, value):

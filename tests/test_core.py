@@ -20,6 +20,7 @@ from hashcast.core import (
     make_block,
     msch,
     msch_index,
+    pack_credential,
     serialize_block,
     serialize_transaction,
     transaction_id,
@@ -27,7 +28,7 @@ from hashcast.core import (
 )
 from hashcast.verification import endorse_block
 from conftest import make_keypairs
-from oracles import base62_digest
+from oracles import base62_digest, block_wire_bytes
 
 
 class TestDigest:
@@ -170,6 +171,15 @@ class TestWireSizes:
         endorsements = tuple(endorsement_for(block, kp, backend) for kp in kps[1 : 1 + endorsers])
         block = dataclasses.replace(block, endorsements=endorsements)
         assert block_size(block) == len(serialize_block(block))
+        assert serialize_block(block) == block_wire_bytes(block, endorsements)
+        assert block_digest(block) == base62_digest(block_wire_bytes(block, ()))
+
+    def test_credential_overflow_raises(self, any_backend):
+        public = any_backend.keypair(b"overflow").public
+        room = CREDENTIAL_BYTES - 4 - len(public.raw)
+        assert len(pack_credential(public, bytes(room))) == CREDENTIAL_BYTES
+        with pytest.raises(ValueError, match="credential"):
+            pack_credential(public, bytes(room + 1))
 
 
 class TestBlockSerialization:

@@ -1,14 +1,17 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hashcast.config import ConfigError, ScenarioConfig
+from hashcast.config import ConfigError, ScenarioConfig, load_config
 from hashcast.core import serialize_block, serialize_transaction
 from hashcast.ledger import scan_chain_integrity, scan_range_discipline
 from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
 from oracles import ring_first_arrivals
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def small_config(**overrides):
@@ -488,6 +491,25 @@ class TestUntrustedHonest:
         assert run.metrics.lost_items == 0
         flags = [l for l in run.log_lines if "flagged" in l]
         assert flags == []
+
+
+class TestMonitorSchedule:
+    def test_clamped_tick_time_is_pushed_once(self):
+        # a 30 ms window in a 340 ms epoch: ticks 10 and 11 both clamp to 290 ms
+        run = VericomRun(load_config(str(PRESETS / "attack-c.json")))
+        pushes = []
+        push = run.queue.push
+
+        def record(time, fn, *args):
+            if getattr(fn, "__name__", "") == "_monitor_window":
+                pushes.append((time, *args))
+            push(time, fn, *args)
+
+        run.queue.push = record
+        run.run()
+        assert run.epoch_ms == 340.0
+        assert pushes == [(30.0 * w, w) for w in range(1, 10)] + [(290.0, 10)]
+        assert run.queue._seq == 416
 
 
 class TestRingCap:
