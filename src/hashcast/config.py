@@ -41,7 +41,7 @@ class ScenarioConfig:
     num_backbone: int = 5
     backbone_topology: str = "random-connected"
     link_delay_ms: float = 1.0
-    backbone_capacity: int = 0  # 0 = auto: ceil(num_iot_nodes / num_backbone)
+    backbone_capacity: int = 0  # 0 = auto: ceil((num_iot_nodes + auditor) / live backbone)
     num_validators: int = 10
     n: int = 1
     m: int = 1
@@ -137,12 +137,12 @@ class ScenarioConfig:
         """
         return min(self.num_validators, 62)
 
-    @property
-    def capacity(self) -> int:
+    def capacity(self, live_backbone: int) -> int:
+        """Attachments per backbone node while `live_backbone` nodes are up."""
         if self.backbone_capacity > 0:
             return self.backbone_capacity
         extra = 1 if self.auditor else 0
-        return -(-(self.num_iot_nodes + extra) // self.num_backbone)
+        return -(-(self.num_iot_nodes + extra) // live_backbone)
 
     def txs_in_epoch(self, epoch: int) -> int:
         base, rem = divmod(self.tx_count, self.epochs)

@@ -86,10 +86,6 @@ class TrafficAccounting:
         self.total_collected = Fraction(0)
         self.total_distributed = Fraction(0)
 
-    @property
-    def penalized(self) -> frozenset[str]:
-        return frozenset(p for p, owed in self.arrears.items() if owed > 0)
-
     def settle_epoch(
         self,
         payments: Iterable[Payment],

@@ -197,23 +197,3 @@ def export_ledger_lines(ledgers: Sequence[Ledger]) -> list[str]:
                 f"{len(block.transactions)} [{endorsers}]"
             )
     return lines
-
-
-def scan_range_discipline(ledgers: Sequence[Ledger], alloc: RangeAllocation) -> bool:
-    """Full-chain check: every block digest starts inside its owner's range."""
-    for ledger in ledgers:
-        rng = alloc.range_for(ledger.owner)
-        for block in ledger.blocks:
-            if not rng.covers(msch(block.digest)):
-                return False
-    return True
-
-
-def scan_chain_integrity(ledger: Ledger) -> bool:
-    """Blocks must form one linked chain from the ledger's first block."""
-    prev = ""
-    for block in ledger.blocks:
-        if block.previous_digest != prev:
-            return False
-        prev = block.digest
-    return True

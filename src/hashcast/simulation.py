@@ -305,7 +305,7 @@ class VericomRun(_RunBase):
     def _build_graph(self) -> BackboneGraph:
         config = self.config
         count = config.num_backbone
-        specs = [(i, config.capacity) for i in range(count)]
+        specs = [(i, config.capacity(count)) for i in range(count)]
         links = []
         if config.backbone_topology == "chain":
             links = [(i - 1, i, config.link_delay_ms) for i in range(1, count)]
@@ -622,8 +622,9 @@ class VericomRun(_RunBase):
             self.log("monitor", "flagged", f"bn.{bn_id} window={window}")
         self._detected()
         self.excluded_bns.update(flagged)
+        live = len(self.graph.nodes) - len(flagged)
         self.graph = reconstruct_backbone(
-            self.graph, self.excluded_bns, self.config.link_delay_ms
+            self.graph, self.excluded_bns, self.config.link_delay_ms, self.config.capacity(live)
         )
         self.log("sim", "backbone-reconstructed", f"excluded={sorted(self.excluded_bns)}")
         self._join_all()

@@ -2,9 +2,9 @@
 
 Backbone nodes route all chain traffic.  After every round of joins, one
 routing pass reads which destinations are attached to which backbone node
-and gives every node a next-hop table computed from link delays with a
-deterministic shortest-path pass.  Multicast forwards one copy per link and
-fans out only where destination paths diverge.
+and gives every node a next-hop table from one Dijkstra pass over the link
+delays, with ties broken by the lowest-id first hop.  Multicast forwards one
+copy per link and fans out only where destination paths diverge.
 
 In untrusted mode every backbone node counts the multicast copies that reach
 it with onward destinations and the copies it forwards.  A node that
@@ -42,9 +42,7 @@ class BackboneNode:
         self.capacity = capacity
         self.neighbors: dict[int, float] = {}  # neighbor id -> link delay ms
         self.attached: dict[str, str] = {}  # key display -> role
-        # Next hops: per destination key and per backbone node.
-        self.routes: dict[str, int] = {}
-        self.bn_next: dict[int, int] = {}
+        self.routes: dict[str, int] = {}  # key display -> next hop
         # Monitoring counters for the current window.
         self.window_inbound = 0
         self.window_forwarded = 0
@@ -84,14 +82,14 @@ def build_backbone(
         nodes[b].neighbors[a] = delay
     graph = BackboneGraph(nodes)
     if len(nodes) > 1:
-        reached = _reachable(graph, graph.ids[0])
-        if reached != set(graph.ids):
+        if len(_reachable(graph, graph.ids[0], set())) < len(nodes):
             raise TopologyError("backbone graph is not connected")
     return graph
 
 
-def _reachable(graph: BackboneGraph, start: int) -> set[int]:
-    seen = {start}
+def _reachable(graph: BackboneGraph, start: int, seen: set[int]) -> set[int]:
+    """Add to `seen` every node reachable from `start` without crossing `seen`."""
+    seen.add(start)
     stack = [start]
     while stack:
         cur = stack.pop()
@@ -102,33 +100,15 @@ def _reachable(graph: BackboneGraph, start: int) -> set[int]:
     return seen
 
 
-def shortest_paths(graph: BackboneGraph) -> dict[int, dict[int, float]]:
-    """All-pairs minimum-delay distances (Dijkstra from every node)."""
-    dist: dict[int, dict[int, float]] = {}
-    for src in graph.ids:
-        d = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            cost, cur = heapq.heappop(heap)
-            if cost > d.get(cur, float("inf")):
-                continue
-            for nb, delay in sorted(graph.nodes[cur].neighbors.items()):
-                nxt = cost + delay
-                if nxt < d.get(nb, float("inf")) - 1e-12:
-                    d[nb] = nxt
-                    heapq.heappush(heap, (nxt, nb))
-        dist[src] = d
-    return dist
-
-
 def compute_routes(graph: BackboneGraph) -> None:
-    """Fill every node's next-hop tables toward every attached destination.
+    """Fill every node's next-hop table toward every attached destination.
 
     Destinations are the validator and auditor keys attached anywhere on the
-    backbone, each homed at the node it is attached to.  The next hop toward
-    a destination is the neighbor on a minimum-total-delay path to its home;
-    among equal-cost neighbors the lowest id wins.  Call it again after any
-    change to the graph or its attachments.
+    backbone, each homed at the node it is attached to.  One Dijkstra pass
+    per source settles every backbone node with the first hop of a
+    minimum-total-delay path to it; heap entries are (delay, first hop,
+    node), so among equal-delay paths the lowest-id first hop wins.  Call it
+    again after any change to the graph or its attachments.
     """
     homes = sorted(
         (display, node_id)
@@ -136,26 +116,20 @@ def compute_routes(graph: BackboneGraph) -> None:
         for display, role in graph.nodes[node_id].attached.items()
         if role in ROUTABLE_ROLES
     )
-    dist = shortest_paths(graph)
     for src in graph.ids:
-        node = graph.nodes[src]
-        node.bn_next = {src: src}
-        for dst in graph.ids:
-            if dst == src:
+        first_hop: dict[int, int] = {}
+        heap = [(0.0, src, src)]
+        while heap:
+            cost, hop, cur = heapq.heappop(heap)
+            if cur in first_hop:
                 continue
-            if dst not in dist[src]:
-                raise RoutingError(f"backbone node {dst} unreachable from {src}")
-            best = None
-            for nb, delay in sorted(node.neighbors.items()):
-                if dst not in dist[nb]:
-                    continue
-                total = delay + dist[nb][dst]
-                if abs(total - dist[src][dst]) < 1e-9 and best is None:
-                    best = nb
-            if best is None:
-                raise RoutingError(f"no next hop from {src} to {dst}")
-            node.bn_next[dst] = best
-        node.routes = {display: node.bn_next[home] for display, home in homes}
+            first_hop[cur] = hop
+            for nb, delay in graph.nodes[cur].neighbors.items():
+                if nb not in first_hop:
+                    heapq.heappush(heap, (cost + delay, nb if cur == src else hop, nb))
+        if len(first_hop) < len(graph.nodes):
+            raise RoutingError(f"backbone node {src} reaches only {len(first_hop)} nodes")
+        graph.nodes[src].routes = {display: first_hop[home] for display, home in homes}
 
 
 def join_network(
@@ -267,47 +241,33 @@ def evaluate_window(graph: BackboneGraph) -> list[int]:
 
 
 def reconstruct_backbone(
-    graph: BackboneGraph, excluded: set[int], link_delay: float
+    graph: BackboneGraph, excluded: set[int], link_delay: float, capacity: int
 ) -> BackboneGraph:
     """Rebuild the backbone without the excluded nodes.
 
-    The induced subgraph keeps every surviving link; if exclusion split it,
-    the components are re-joined deterministically (lowest-id representatives
-    chained with new links of delay `link_delay`).  Attachments are dropped;
-    callers re-run joins over the new graph.
+    Every survivor gets `capacity` and keeps its links to other survivors.
+    If exclusion split the backbone, one ascending sweep bridges it: the
+    lowest id not yet reached gets a new link of delay `link_delay` from the
+    previous bridge end, so the components' lowest ids form a chain.
+    Attachments are dropped; callers re-run joins over the new graph.
     """
-    remaining = [i for i in graph.ids if i not in excluded]
-    if not remaining:
+    nodes = {i: BackboneNode(i, capacity) for i in graph.ids if i not in excluded}
+    if not nodes:
         raise TopologyError("cannot reconstruct an empty backbone")
-    specs = [(i, graph.nodes[i].capacity) for i in remaining]
-    links = [
-        (a, b, delay)
-        for a, b, delay in graph.links()
-        if a not in excluded and b not in excluded
-    ]
-    nodes = {node_id: BackboneNode(node_id, cap) for node_id, cap in specs}
-    for a, b, delay in links:
-        nodes[a].neighbors[b] = delay
-        nodes[b].neighbors[a] = delay
+    for a, b, delay in graph.links():
+        if a in nodes and b in nodes:
+            nodes[a].neighbors[b] = nodes[b].neighbors[a] = delay
     rebuilt = BackboneGraph(nodes)
-    components = _components(rebuilt)
-    reps = sorted(min(comp) for comp in components)
-    for first, second in zip(reps, reps[1:]):
-        rebuilt.nodes[first].neighbors[second] = link_delay
-        rebuilt.nodes[second].neighbors[first] = link_delay
-    return rebuilt
-
-
-def _components(graph: BackboneGraph) -> list[set[int]]:
-    seen: set[int] = set()
-    components = []
-    for node_id in graph.ids:
-        if node_id in seen:
+    reached: set[int] = set()
+    end = None  # the previous bridge end
+    for node_id in rebuilt.ids:
+        if node_id in reached:
             continue
-        comp = _reachable(graph, node_id)
-        seen |= comp
-        components.append(comp)
-    return components
+        if end is not None:
+            nodes[end].neighbors[node_id] = nodes[node_id].neighbors[end] = link_delay
+        _reachable(rebuilt, node_id, reached)
+        end = node_id
+    return rebuilt
 
 
 def routing_table_bytes(bn: BackboneNode) -> int:

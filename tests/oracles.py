@@ -6,7 +6,8 @@ shortest paths from Floyd-Warshall instead of per-source Dijkstra, a flood's
 first arrivals from Dijkstra instead of replaying its hop events,
 base-62 digests from one `divmod` per symbol instead of the pair table, and
 block bytes from the README's "Serialization" section instead of the
-library's head and tail builders.
+library's head and tail builders.  The ledger scans walk whole chains, which
+the library itself never does.
 """
 
 import hashlib
@@ -49,6 +50,22 @@ def linear_fit_r_squared(xs, ys):
     ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     return 1.0 - ss_res / ss_tot
+
+
+def floyd_warshall(graph):
+    """All-pairs minimum delays of a backbone graph, by Floyd-Warshall over its links."""
+    ids = graph.ids
+    inf = float("inf")
+    dist = {a: {b: (0.0 if a == b else inf) for b in ids} for a in ids}
+    for a, b, delay in graph.links():
+        dist[a][b] = min(dist[a][b], delay)
+        dist[b][a] = min(dist[b][a], delay)
+    for k in ids:
+        for i in ids:
+            for j in ids:
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
 
 
 def ring_first_arrivals(links, origin):
@@ -111,3 +128,18 @@ def block_wire_bytes(block, endorsements):
     for end in endorsements:
         tail += _wire_credential(end.verifier.raw, end.signature)
     return head + tail
+
+
+def scan_range_discipline(ledgers, alloc):
+    """Every block digest's first symbol lies inside its ledger owner's range."""
+    return all(
+        alloc.range_for(ledger.owner).covers(block.digest[0])
+        for ledger in ledgers
+        for block in ledger.blocks
+    )
+
+
+def scan_chain_integrity(ledger):
+    """The ledger's blocks form one chain, each naming the previous digest."""
+    digests = [""] + [block.digest for block in ledger.blocks]
+    return all(block.previous_digest == d for block, d in zip(ledger.blocks, digests))

@@ -338,7 +338,7 @@ def test_criterion_11_fee_settlement():
     assert s0.penalties == (displays[2],)
 
     # epoch 1: the penalized validator cannot register, then pays arrears.
-    vrd1 = RangeDistributor(window_end_ms=200.0, excluded=ta.penalized)
+    vrd1 = RangeDistributor(window_end_ms=200.0, excluded=frozenset(s0.penalties))
     result = vrd1.register_interest(keypairs[2].public, 150.0)
     assert not result.accepted and result.reason == "excluded"
     s1 = ta.settle_epoch(
@@ -351,7 +351,7 @@ def test_criterion_11_fee_settlement():
     assert sum(s1.payouts.values()) == Fraction(5)
 
     # epoch 2: arrears cleared, registration accepted again.
-    vrd2 = RangeDistributor(window_end_ms=300.0, excluded=ta.penalized)
+    vrd2 = RangeDistributor(window_end_ms=300.0, excluded=frozenset(s1.penalties))
     assert vrd2.register_interest(keypairs[2].public, 250.0).accepted
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

@@ -66,19 +66,16 @@ class TestSettlement:
         payments = [Payment(payer="v1", amount=Fraction(5), epoch=0)]  # v2 pays 0
         settlement = ta.settle_epoch(payments, lengths, [0, 1], epoch=0)
         assert settlement.penalties == ("v2",)
-        assert ta.penalized == frozenset({"v2"})
         assert settlement.arrears["v2"] == Fraction(5)
 
     def test_arrears_cleared_on_later_payment(self):
         ta = TrafficAccounting(tf=Fraction(1))
-        ta.settle_epoch([], {"v1": 3}, [0], epoch=0)
-        assert ta.penalized == frozenset({"v1"})
+        assert ta.settle_epoch([], {"v1": 3}, [0], epoch=0).penalties == ("v1",)
         # penalized validator holds no range in epoch 1 but pays its debt
         settlement = ta.settle_epoch(
             [Payment(payer="v1", amount=Fraction(3), epoch=1)], {}, [0], epoch=1
         )
         assert settlement.penalties == ()
-        assert ta.penalized == frozenset()
 
     def test_partial_arrears_payment_stays_penalized(self):
         ta = TrafficAccounting(tf=Fraction(1))

@@ -10,8 +10,6 @@ from hashcast.ledger import (
     commit_transactions,
     export_ledger_lines,
     grind_block,
-    scan_chain_integrity,
-    scan_range_discipline,
 )
 from hashcast.verification import (
     SetParams,
@@ -21,6 +19,7 @@ from hashcast.verification import (
 )
 from hashcast.weights import build_allocation
 from conftest import make_keypairs
+from oracles import scan_chain_integrity, scan_range_discipline
 
 
 def setup_ring(backend, count=10, tag="lg"):

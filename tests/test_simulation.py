@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from hashcast.config import ConfigError, ScenarioConfig, load_config
 from hashcast.core import serialize_block, serialize_transaction
-from hashcast.ledger import scan_chain_integrity, scan_range_discipline
 from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
-from oracles import ring_first_arrivals
+from oracles import ring_first_arrivals, scan_chain_integrity, scan_range_discipline
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -263,14 +262,16 @@ class TestUnattachedSender:
         assert run.metrics.routing_failures >= 1
 
     def test_flush_after_rebuild_isolates_validators(self):
-        # the rebuild shrinks capacity, so some validators holding pooled
-        # transactions are left unattached when the epoch flush cuts blocks;
-        # those blocks never go out, and their transactions count as lost
+        # a fixed capacity of 8 leaves 24 slots on the 3 survivors of the
+        # rebuild, so some validators holding pooled transactions are left
+        # unattached when the epoch flush cuts blocks; those blocks never go
+        # out, and their transactions count as lost
         cfg = ScenarioConfig(
             num_iot_nodes=30,
             num_validators=30,
             num_backbone=4,
             backbone_topology="chain",
+            backbone_capacity=8,
             block_size=5,
             tx_count=40,
             trust_mode="untrusted",
@@ -299,12 +300,14 @@ class TestUnattachedSender:
         assert all(lost == tx_count for tx_count, lost in unsent)
 
     def test_endorsement_whose_main_verifier_was_isolated(self):
-        # a rebuild isolates the main verifier after it received the block
+        # with a fixed capacity of 3, a rebuild isolates the main verifier
+        # after it received the block
         cfg = ScenarioConfig(
             num_iot_nodes=11,
             num_validators=11,
             num_backbone=4,
             backbone_topology="chain",
+            backbone_capacity=3,
             block_size=1,
             tx_count=49,
             epochs=3,
@@ -318,6 +321,32 @@ class TestUnattachedSender:
         broadcasts = [l for l in run.log_lines if "broadcast-endorsed" in l]
         assert len(broadcasts) < run.metrics.endorsed_blocks
         assert run.metrics.routing_failures >= 1
+
+
+class TestRebuildCapacity:
+    def test_auto_capacity_reattaches_everyone(self):
+        # 31 identities on 4 nodes of auto capacity 8; after the dropper is
+        # excluded the 3 survivors take ceil(31 / 3) = 11 each, so nobody is
+        # stranded (with 8 each, 7 were isolated and 6 of 40 tx committed)
+        cfg = ScenarioConfig(
+            num_iot_nodes=30,
+            num_validators=30,
+            num_backbone=4,
+            backbone_topology="chain",
+            block_size=5,
+            tx_count=40,
+            trust_mode="untrusted",
+            monitor_window_ms=30.0,
+            attack="dropping",
+            adversary_ids=(1,),
+            seed=101,
+        )
+        run = execute(cfg)
+        assert run.excluded_bns == {1}
+        assert all(bn.capacity == 11 for bn in run.graph.nodes.values())
+        assert run.metrics.isolated == []
+        assert run.metrics.routing_failures == 0
+        assert run.metrics.committed_tx == 27
 
 
 @st.composite
@@ -478,6 +507,8 @@ class TestWholeRunProperties:
         run = execute(cfg)
         # an honest node forwards every copy it receives, so only droppers are flagged
         assert run.excluded_bns <= set(cfg.adversary_ids)
+        # auto capacity is re-derived from the survivors, so nobody is stranded
+        assert run.metrics.isolated == []
         assert_ledgers_sound(run)
         last = max(run.ledgers)
         assert scan_range_discipline(list(run.ledgers[last].values()), run.alloc)

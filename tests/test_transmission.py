@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashcast.transmission import (
     ROUTING_ENTRY_BYTES,
@@ -14,27 +16,12 @@ from hashcast.transmission import (
     route_multicast,
     routing_table_bytes,
     routing_table_text,
-    shortest_paths,
 )
+from oracles import floyd_warshall
 
 
 def attach(graph, bn_id, display, role="validator"):
     assert join_network(display, role, {bn_id: 1.0}, graph) == bn_id
-
-
-def floyd_warshall(graph):
-    ids = graph.ids
-    inf = float("inf")
-    dist = {a: {b: (0.0 if a == b else inf) for b in ids} for a in ids}
-    for a, b, delay in graph.links():
-        dist[a][b] = min(dist[a][b], delay)
-        dist[b][a] = min(dist[b][a], delay)
-    for k in ids:
-        for i in ids:
-            for j in ids:
-                if dist[i][k] + dist[k][j] < dist[i][j]:
-                    dist[i][j] = dist[i][k] + dist[k][j]
-    return dist
 
 
 def random_connected_graph(rng, count, capacity=50):
@@ -77,8 +64,10 @@ class TestBuildBackbone:
             [(i, 5) for i in range(count)],
             [(i - 1, i, 1.0) for i in range(1, count)],
         )
-        dist = shortest_paths(graph)
-        assert dist[0][count - 1] == count - 1
+        assert floyd_warshall(graph)[0][count - 1] == count - 1
+        attach(graph, count - 1, "far")
+        compute_routes(graph)
+        assert [graph.nodes[i].routes["far"] for i in range(count - 1)] == list(range(1, count))
 
 
 class TestComputeRoutes:
@@ -106,16 +95,12 @@ class TestComputeRoutes:
         attach(graph, 2, "dest")
         compute_routes(graph)
         assert graph.nodes[0].routes["dest"] == 1
-        assert shortest_paths(graph)[0][2] == 2.0
+        assert floyd_warshall(graph)[0][2] == 2.0
 
     def test_matches_all_pairs_oracle(self):
         rng = random.Random(11)
         graph = random_connected_graph(rng, 20)
         oracle = floyd_warshall(graph)
-        dist = shortest_paths(graph)
-        for a in graph.ids:
-            for b in graph.ids:
-                assert dist[a].get(b, float("inf")) == pytest.approx(oracle[a][b])
         # next hops sit on shortest paths
         for i in range(20):
             attach(graph, rng.randrange(20), f"node-{i}")
@@ -139,6 +124,46 @@ class TestComputeRoutes:
         attach(graph, 3, "dest")
         compute_routes(graph)
         assert graph.nodes[0].routes["dest"] == 1
+
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda count: st.tuples(
+                st.just(count),
+                st.lists(st.integers(0, 10**6), min_size=count - 1, max_size=count - 1),
+                st.lists(
+                    st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)),
+                    max_size=2 * count,
+                ),
+                st.lists(st.sampled_from([1.0, 2.0]), min_size=3 * count, max_size=3 * count),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_next_hop_is_lowest_id_on_a_shortest_path(self, shape):
+        # integer delays in {1, 2} make many equal-delay paths
+        count, parents, extra, delays = shape
+        pairs = [(parent % i, i) for i, parent in zip(range(1, count), parents)]
+        pairs += [(min(a, b), max(a, b)) for a, b in extra if a != b]
+        links = {pair: delay for pair, delay in zip(dict.fromkeys(pairs), delays)}
+        graph = build_backbone(
+            [(i, 5) for i in range(count)], [(a, b, d) for (a, b), d in links.items()]
+        )
+        for i in range(count):
+            attach(graph, i, f"d{i}")
+        compute_routes(graph)
+        oracle = floyd_warshall(graph)
+        for src in graph.ids:
+            node = graph.nodes[src]
+            for home in graph.ids:
+                if home == src:
+                    assert node.routes[f"d{home}"] == src
+                    continue
+                on_path = [
+                    nb
+                    for nb, delay in node.neighbors.items()
+                    if delay + oracle[nb][home] == oracle[src][home]
+                ]
+                assert node.routes[f"d{home}"] == min(on_path)
 
     def test_tables_match_oracle_after_churn(self):
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
@@ -283,7 +308,7 @@ class TestMonitoring:
         graph = self._loaded_graph(dropper=1)
         route_multicast(graph, 0, {"dst": 0.5})
         flagged = evaluate_window(graph)
-        rebuilt = reconstruct_backbone(graph, set(flagged), link_delay=2.5)
+        rebuilt = reconstruct_backbone(graph, set(flagged), link_delay=2.5, capacity=10)
         assert set(rebuilt.nodes) == {0, 2}
         # components reconnected deterministically, with the given link delay
         assert rebuilt.nodes[0].neighbors[2] == rebuilt.nodes[2].neighbors[0] == 2.5
@@ -296,7 +321,17 @@ class TestMonitoring:
     def test_reconstruct_all_excluded_rejected(self):
         graph = self._loaded_graph()
         with pytest.raises(TopologyError):
-            reconstruct_backbone(graph, {0, 1, 2}, link_delay=1.0)
+            reconstruct_backbone(graph, {0, 1, 2}, link_delay=1.0, capacity=10)
+
+    def test_reconstruct_bridges_every_component(self):
+        # a chain 0-6 without 2 and 4 falls into {0, 1}, {3} and {5, 6}
+        graph = build_backbone(
+            [(i, 5) for i in range(7)], [(i - 1, i, 1.0) for i in range(1, 7)]
+        )
+        rebuilt = reconstruct_backbone(graph, {2, 4}, link_delay=2.5, capacity=7)
+        assert rebuilt.links() == [(0, 1, 1.0), (0, 3, 2.5), (3, 5, 2.5), (5, 6, 1.0)]
+        assert [bn.capacity for bn in rebuilt.nodes.values()] == [7] * 5
+        assert all(not bn.attached for bn in rebuilt.nodes.values())
 
 
 class TestRoutingTableAccounting:
