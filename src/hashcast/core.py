@@ -17,9 +17,11 @@ reads the first digest symbol alone (`msch_index`).  `transaction_size` and
 All types in this module are immutable values; they can be shared freely
 between concurrent readers.  A `Block` computes its digest from its own
 content the first time `Block.digest` is read and keeps it; no caller can
-supply one, so the cached value always matches the content, and a copy made
-with `replace` (or `endorse_block`) computes its own.  `block_digest` is the
-uncached computation behind it.
+supply one, so the cached value always matches the content.  A copy made
+with `replace` computes its own, except the endorsed copy made by
+`verification.endorse_block`, which keeps the digest of the block it endorses
+because `block_digest` covers no endorsement.  `block_digest` is the uncached
+computation behind it.
 """
 
 from __future__ import annotations

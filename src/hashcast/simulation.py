@@ -43,7 +43,9 @@ from .ledger import (
 )
 from .transmission import (
     BackboneGraph,
+    MulticastResult,
     build_backbone,
+    charge_monitors,
     compute_routes,
     evaluate_window,
     join_network,
@@ -290,6 +292,8 @@ class VericomRun(_RunBase):
         self.graph: BackboneGraph = self._build_graph()
         self.access: dict[tuple[int, int], float] = self._draw_access_delays()
         self.home: dict[str, int] = {}
+        # (origin, destination displays) -> plan; dropped by _join_all
+        self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
         self.excluded: set[str] = set()
         self.excluded_bns: set[int] = set()
         self.params: Optional[SetParams] = None
@@ -342,6 +346,7 @@ class VericomRun(_RunBase):
 
     def _join_all(self) -> None:
         self.home = {}
+        self.plans.clear()
         for ident in self.identities:
             delays = {
                 bn_id: self.access[(ident.node_id, bn_id)] for bn_id in self.graph.nodes
@@ -450,13 +455,25 @@ class VericomRun(_RunBase):
         )
 
     def _multicast(self, bn_id, displays, size, send_time, handler, item) -> None:
-        """Route an item from backbone node `bn_id` to every attached one of `displays`."""
-        destinations = {}
-        for display in displays:
-            home = self.home.get(display)
-            if home is not None:
-                destinations[display] = self.access[(self.by_display[display].node_id, home)]
-        result = route_multicast(self.graph, bn_id, destinations)
+        """Route an item from backbone node `bn_id` to every attached one of `displays`.
+
+        A plan depends only on `bn_id`, `displays` and what `_join_all` sets
+        up (the graph, its routes, the homes and the access legs), so each
+        plan is kept in `plans` and reused for the same origin and display
+        list until the next `_join_all` drops them all.  A reused plan
+        charges its monitor counts again, as routing afresh would.
+        """
+        key = (bn_id, tuple(displays))
+        result = self.plans.get(key)
+        if result is None:
+            destinations = {}
+            for display in displays:
+                home = self.home.get(display)
+                if home is not None:
+                    destinations[display] = self.access[(self.by_display[display].node_id, home)]
+            result = self.plans[key] = route_multicast(self.graph, bn_id, destinations)
+        else:
+            charge_monitors(self.graph, result.charged)
         # the access-link copy into the backbone, then one copy per backbone link
         self.metrics.packet_bytes_backbone += size * (1 + result.link_transmissions)
         self.metrics.routing_failures += len(result.missing_route)

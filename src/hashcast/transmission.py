@@ -5,6 +5,9 @@ routing pass reads which destinations are attached to which backbone node
 and gives every node a next-hop table from one Dijkstra pass over the link
 delays, with ties broken by the lowest-id first hop.  Multicast forwards one
 copy per link and fans out only where destination paths diverge.
+`route_multicast` returns one multicast's whole plan, including the monitor
+counts it charged, so a caller can reuse the plan until the next round of
+joins by replaying those counts through `charge_monitors`.
 
 In untrusted mode every backbone node counts the multicast copies that reach
 it with onward destinations and the copies it forwards.  A node that
@@ -166,6 +169,8 @@ class MulticastResult:
     link_transmissions: int = 0
     lost: list[str] = field(default_factory=list)
     missing_route: list[str] = field(default_factory=list)
+    # (node id, copies forwarded) per copy a node took in with onward destinations
+    charged: list[tuple[int, int]] = field(default_factory=list)
 
 
 def route_multicast(
@@ -184,12 +189,16 @@ def route_multicast(
     and counts every copy it sends on as forwarded.  A node with `drop_all`
     set forwards and delivers nothing; every destination of its copy is
     reported as lost.
+
+    Returns the deliveries in visiting order, the number of link copies, the
+    lost and missing-route destinations, and in `charged` the monitor counts
+    this call added through `charge_monitors`.
     """
     result = MulticastResult()
-    # (node, arrived_delay, dest subset); traversal order fixed by sorting.
+    # (node, arrived_delay, dest subset), visited breadth-first: the loop
+    # also walks the entries appended to `pending` while it runs.
     pending = [(origin, 0.0, sorted(destinations))]
-    while pending:
-        node_id, delay_so_far, dests = pending.pop(0)
+    for node_id, delay_so_far, dests in pending:
         node = graph.nodes[node_id]
         onward: dict[int, list[str]] = {}
         local: list[str] = []
@@ -203,7 +212,7 @@ def route_multicast(
                 else:
                     onward.setdefault(nxt, []).append(display)
         if onward:
-            node.window_inbound += 1
+            result.charged.append((node_id, 0 if node.drop_all else len(onward)))
         if node.drop_all:
             result.lost.extend(local)
             for subset in onward.values():
@@ -217,11 +226,18 @@ def route_multicast(
                 )
             )
         for nxt in sorted(onward):
-            node.window_forwarded += 1
             result.link_transmissions += 1
             pending.append((nxt, delay_so_far + node.neighbors[nxt], onward[nxt]))
-
+    charge_monitors(graph, result.charged)
     return result
+
+
+def charge_monitors(graph: BackboneGraph, charged: Sequence[tuple[int, int]]) -> None:
+    """Count each (node id, copies forwarded) entry as one inbound copy at that node."""
+    for node_id, forwarded in charged:
+        node = graph.nodes[node_id]
+        node.window_inbound += 1
+        node.window_forwarded += forwarded
 
 
 def evaluate_window(graph: BackboneGraph) -> list[int]:

@@ -205,7 +205,10 @@ def verify_endorsements(
 def endorse_block(block: Block, signers: Sequence[KeyPair], backend) -> Block:
     """Attach one endorsement per signer; callers check verdicts first."""
     endorsements = tuple(endorsement_for(block, kp, backend) for kp in signers)
-    return replace(block, endorsements=endorsements)
+    endorsed = replace(block, endorsements=endorsements)
+    # The digest covers no endorsement, so the copy keeps the block's.
+    endorsed.__dict__["digest"] = block.digest
+    return endorsed
 
 
 def tally_endorsement(

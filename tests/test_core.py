@@ -231,6 +231,19 @@ class TestBlockSerialization:
         renonced = dataclasses.replace(block, nonce=block.nonce + 1)
         assert renonced.digest == block_digest(renonced) != block.digest
 
+    def test_endorsed_copy_keeps_digest(self, backend, monkeypatch):
+        import hashcast.core
+
+        block, kps = self._block(backend)
+        expected = block.digest
+        calls = []
+        monkeypatch.setattr(hashcast.core, "block_digest", lambda b: calls.append(b))
+        endorsed = endorse_block(block, kps[1:], backend)
+        assert endorsed.digest == expected
+        assert calls == []
+        monkeypatch.undo()
+        assert endorsed.digest == block_digest(endorsed)
+
     def test_digest_cannot_be_passed_in(self, backend):
         block, kps = self._block(backend)
         with pytest.raises(TypeError):

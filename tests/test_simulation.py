@@ -1,13 +1,16 @@
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hashcast import simulation
 from hashcast.config import ConfigError, ScenarioConfig, load_config
 from hashcast.core import serialize_block, serialize_transaction
 from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
+from hashcast.transmission import evaluate_window
 from oracles import ring_first_arrivals, scan_chain_integrity, scan_range_discipline
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -512,6 +515,40 @@ class TestWholeRunProperties:
         assert_ledgers_sound(run)
         last = max(run.ledgers)
         assert scan_range_discipline(list(run.ledgers[last].values()), run.alloc)
+
+
+class _StoresNothing(dict):
+    """A plan cache that never keeps a plan, so every multicast is routed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def window_counters(run):
+    """Run `run`; return every node's (inbound, forwarded) at each window close."""
+    closes = []
+
+    def close(graph):
+        closes.append(
+            {i: (bn.window_inbound, bn.window_forwarded) for i, bn in graph.nodes.items()}
+        )
+        return evaluate_window(graph)
+
+    with mock.patch.object(simulation, "evaluate_window", close):
+        run.run()
+    return closes
+
+
+class TestPlanReuse:
+    @given(dropping_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_reused_plans_charge_monitor_counters(self, cfg):
+        cached = VericomRun(cfg)
+        uncached = VericomRun(cfg)
+        uncached.plans = _StoresNothing()
+        assert window_counters(cached) == window_counters(uncached)
+        assert cached.log_lines == uncached.log_lines
+        assert cached.metrics == uncached.metrics
 
 
 class TestUntrustedHonest:
