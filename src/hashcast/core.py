@@ -10,16 +10,19 @@ for every signature backend.
 A block is a head (`block_head`: tag, kind, signed header, generator's
 credential) followed by a tail (`block_tail`: length-prefixed body,
 endorsement count, endorsements).  Only the head depends on the nonce, so a
-nonce grind builds the tail once and, per try, signs, builds the head and
-reads the first digest symbol alone (`msch_index`).  `transaction_size` and
-`block_size` give wire sizes without serializing the transactions.
+nonce grind builds the tail once and, per try, signs, builds the head, hashes
+head and tail and reads the first digest symbol alone (`msch_index`).
+`transaction_size` and `block_size` give wire sizes without serializing the
+transactions.
 
 All types in this module are immutable values; they can be shared freely
 between concurrent readers.  A `Block` computes its digest from its own
 content the first time `Block.digest` is read and keeps it; no caller can
 supply one, so the cached value always matches the content.  A copy made
-with `replace` computes its own, except the endorsed copy made by
-`verification.endorse_block`, which keeps the digest of the block it endorses
+with `replace` computes its own.  Two functions set it instead, each from
+the same content: `ledger.grind_block` encodes the SHA-256 of the winning
+head and tail (`base62_digest`), and the endorsed copy made by
+`verification.endorse_block` keeps the digest of the block it endorses
 because `block_digest` covers no endorsement.  `block_digest` is the uncached
 computation behind it.
 """
@@ -52,12 +55,17 @@ _PAIR_BASE = len(_SYMBOL_PAIRS)
 
 
 def digest(content: bytes) -> str:
-    """Fixed-length base-62 digest of arbitrary bytes (SHA-256 re-encoded).
+    """Fixed-length base-62 digest of arbitrary bytes (SHA-256 re-encoded)."""
+    return base62_digest(hashlib.sha256(content).digest())
 
-    The symbols are the base-62 digits of the SHA-256 value, least
-    significant first; each `divmod` peels off two of them.
+
+def base62_digest(sha256: bytes) -> str:
+    """The digest whose SHA-256 value is `sha256`.
+
+    The symbols are the base-62 digits of the value, least significant
+    first; each `divmod` peels off two of them.
     """
-    value = int.from_bytes(hashlib.sha256(content).digest(), "big")
+    value = int.from_bytes(sha256, "big")
     pairs = []
     for _ in range(DIGEST_LENGTH // 2):
         value, idx = divmod(value, _PAIR_BASE)
@@ -65,17 +73,13 @@ def digest(content: bytes) -> str:
     return "".join(pairs)
 
 
-def msch_index(*parts: bytes) -> int:
-    """Alphabet index of `msch(digest(b"".join(parts)))`, without the other symbols.
+def msch_index(sha256: bytes) -> int:
+    """Alphabet index of `msch(base62_digest(sha256))`, without the other symbols.
 
-    `digest` emits the least significant base-62 digit first, so its first
-    symbol is the SHA-256 value mod 62.  The parts are hashed in turn, so a
-    caller need not join them.
+    The least significant base-62 digit comes first, so the first symbol is
+    the SHA-256 value mod 62.
     """
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part)
-    return int.from_bytes(hasher.digest(), "big") % len(ALPHABET)
+    return int.from_bytes(sha256, "big") % len(ALPHABET)
 
 
 def msch(d: str) -> str:

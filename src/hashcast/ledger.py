@@ -9,6 +9,7 @@ once and becomes the epoch's routing and selection authority.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,6 +18,7 @@ from .core import (
     KeyPair,
     PublicKey,
     Transaction,
+    base62_digest,
     block_digest,  # noqa: F401 (re-exported as ledger.block_digest)
     block_head,
     block_tail,
@@ -171,9 +173,11 @@ def grind_block(
 
     The header without its nonce and the block's tail (`block_tail`, which
     serializes the transactions) are built once.  A try signs the header
-    with its nonce through `backend.sign`, builds the head (`block_head`)
-    and reads the first digest symbol alone (`msch_index`).  Only the
-    winning nonce is built into a `Block`, through `make_block`.
+    with its nonce through `backend.sign`, builds the head (`block_head`),
+    hashes head and tail and reads the first digest symbol alone
+    (`msch_index`).  Only the winning nonce is built into a `Block`, through
+    `make_block`; the block keeps the winning hash as its digest
+    (`base62_digest`), so its content is not hashed again.
     """
     own_range = alloc.range_for(keypair.public)
     header = unsigned_header(keypair.public, previous_digest, txs)
@@ -181,8 +185,14 @@ def grind_block(
     for nonce in range(MAX_COMMIT_TRIES):
         signed = signed_header(header, nonce)
         head = block_head(keypair.public, signed, backend.sign(keypair.secret, signed))
-        if own_range.start <= msch_index(head, tail) <= own_range.end:
-            return make_block(keypair, previous_digest, txs, nonce, backend)
+        hasher = hashlib.sha256(head)
+        hasher.update(tail)
+        sha256 = hasher.digest()
+        if own_range.start <= msch_index(sha256) <= own_range.end:
+            block = make_block(keypair, previous_digest, txs, nonce, backend)
+            # make_block signs the same header: the hashed head and tail are its content
+            block.__dict__["digest"] = base62_digest(sha256)
+            return block
     raise RuntimeError(f"no nonce below {MAX_COMMIT_TRIES} lands the digest in the signer's range")
 
 

@@ -294,6 +294,9 @@ class VericomRun(_RunBase):
         self.home: dict[str, int] = {}
         # (origin, destination displays) -> plan; dropped by _join_all
         self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
+        # verdicts shared by every node that checks the same item; dropped each epoch
+        self.signatures: dict[Transaction, bool] = {}
+        self.block_verdicts: dict[str, VerificationOutcome] = {}
         self.excluded: set[str] = set()
         self.excluded_bns: set[int] = set()
         self.params: Optional[SetParams] = None
@@ -418,6 +421,9 @@ class VericomRun(_RunBase):
             ) from exc
         self._open_epoch(epoch, alloc, "vrd")
         self.chain_tip = {pk.display: "" for pk in alloc.validators}
+        # verdicts last one epoch: a block verdict's range check reads the allocation
+        self.signatures.clear()
+        self.block_verdicts.clear()
         self._arm_attack(epoch)
 
     # -- transaction pipeline -------------------------------------------
@@ -494,7 +500,7 @@ class VericomRun(_RunBase):
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         self.metrics.verify_ops += 1
-        outcome = verify_transaction(tx, self.backend)
+        outcome = verify_transaction(tx, self.backend, signatures=self.signatures)
         ident = self.by_display[display]
         if not outcome.ok:
             self.log(f"node.{ident.node_id}", "tx-rejected", f"{tx.id} {outcome.reason}")
@@ -543,7 +549,7 @@ class VericomRun(_RunBase):
         if ident.public.raw in self.dishonest:
             outcome = VerificationOutcome.valid()
         else:
-            outcome = verify_block(block, self.alloc, self.backend)
+            outcome = self._verify_block(block)
         state["verdicts"][display] = outcome
         self.log(
             f"node.{ident.node_id}",
@@ -563,6 +569,19 @@ class VericomRun(_RunBase):
         self.metrics.endorsed_blocks += 1
         self.log("sim", "block-endorsed", d)
         self._uplink(self.by_display[state["main"]], self._broadcast_endorsed, endorsed)
+
+    def _verify_block(self, block: Block) -> VerificationOutcome:
+        """`verify_block` once per block digest and epoch; later checks reuse the verdict.
+
+        The digest covers everything `verify_block` reads of the block, and
+        an endorsed copy keeps its block's digest, so the auditor shares the
+        verifiers' verdict.
+        """
+        outcome = self.block_verdicts.get(block.digest)
+        if outcome is None:
+            outcome = verify_block(block, self.alloc, self.backend, self.signatures)
+            self.block_verdicts[block.digest] = outcome
+        return outcome
 
     def _detected(self) -> None:
         if not self.metrics.detected:
@@ -606,7 +625,12 @@ class VericomRun(_RunBase):
         if ident.role == "auditor":
             self.metrics.audit_ops += 1
             outcome, report = audit_endorsed_block(
-                endorsed, self.alloc, self.params, self.backend, ident.public
+                endorsed,
+                self.alloc,
+                self.params,
+                self.backend,
+                ident.public,
+                self._verify_block(endorsed),
             )
             if report is not None:
                 self.log("auditor", "audit-failed", f"{report.item_digest} {report.reason}")

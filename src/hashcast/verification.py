@@ -6,12 +6,21 @@ verifier set for a block is picked the same way from the block digest, with
 one twist: if the candidate set would overlap the block's validator set, the
 main verifier is relocated a fixed offset after the validator-set main so the
 two sets never share a node.
+
+Verdicts are shared within a run: every node that checks the same item
+reads one verdict.  `verify_transaction` and `verify_block` take a
+`signatures` map that holds each transaction's signature verdict, keyed on
+the whole transaction, so a copy that differs in any field is checked
+afresh; the parent check against `known_transactions` runs on every call.
+`simulation.VericomRun` also keeps one `verify_block` verdict per block
+digest and hands it to `audit_endorsed_block`.  Both maps are dropped when
+an epoch's allocation is published.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Container, Optional, Sequence
+from typing import Container, MutableMapping, Optional, Sequence
 
 from .core import (
     Block,
@@ -159,18 +168,35 @@ def expected_verifier_set(
 
 
 def verify_transaction(
-    tx: Transaction, backend, known_transactions: Container[str] = frozenset()
+    tx: Transaction,
+    backend,
+    known_transactions: Container[str] = frozenset(),
+    signatures: Optional[MutableMapping[Transaction, bool]] = None,
 ) -> VerificationOutcome:
-    """Check the sender signature and, for chained payloads, the parent."""
-    signing = transaction_signing_bytes(tx.sender, tx.payload, tx.previous_id)
-    if not backend.verify(tx.sender, signing, tx.signature):
+    """Check the sender signature and, for chained payloads, the parent.
+
+    With `signatures`, the signature verdict is read from it, or checked and
+    stored there on a miss.
+    """
+    ok = None if signatures is None else signatures.get(tx)
+    if ok is None:
+        signing = transaction_signing_bytes(tx.sender, tx.payload, tx.previous_id)
+        ok = backend.verify(tx.sender, signing, tx.signature)
+        if signatures is not None:
+            signatures[tx] = ok
+    if not ok:
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
     if tx.previous_id is not None and tx.previous_id not in known_transactions:
         return VerificationOutcome.invalid(REASON_MISSING_PREVIOUS)
     return VerificationOutcome.valid()
 
 
-def verify_block(block: Block, alloc: RangeAllocation, backend) -> VerificationOutcome:
+def verify_block(
+    block: Block,
+    alloc: RangeAllocation,
+    backend,
+    signatures: Optional[MutableMapping[Transaction, bool]] = None,
+) -> VerificationOutcome:
     """Header signature, generator range ownership, then every transaction."""
     if not backend.verify(block.generator, block_header_bytes(block), block.signature):
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
@@ -178,7 +204,7 @@ def verify_block(block: Block, alloc: RangeAllocation, backend) -> VerificationO
         return VerificationOutcome.invalid(REASON_RANGE_MISMATCH)
     seen_here = set()
     for tx in block.transactions:
-        outcome = verify_transaction(tx, backend, seen_here)
+        outcome = verify_transaction(tx, backend, seen_here, signatures)
         if not outcome.ok:
             return outcome
         seen_here.add(tx.id)
@@ -249,9 +275,14 @@ def audit_endorsed_block(
     params: SetParams,
     backend,
     auditor: PublicKey,
+    block_verdict: Optional[VerificationOutcome] = None,
 ) -> tuple[VerificationOutcome, Optional[MisbehaviorReport]]:
-    """Re-verify an endorsed block; on failure accuse generator + endorsers."""
-    outcome = verify_block(block, alloc, backend)
+    """Re-verify an endorsed block; on failure accuse generator + endorsers.
+
+    `block_verdict` is the block's `verify_block` verdict if the caller
+    already has it; the endorsements are checked either way.
+    """
+    outcome = verify_block(block, alloc, backend) if block_verdict is None else block_verdict
     if outcome.ok:
         outcome = verify_endorsements(block, alloc, params, backend)
     if outcome.ok:

@@ -11,7 +11,7 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -104,28 +104,41 @@ class RangeAllocation:
 
     `validators` is the descending key-weight list; ranges are assigned
     contiguously over the alphabet in that order, so position 0 owns the
-    earliest symbols.
+    earliest symbols.  Lookups read two tables built once per allocation:
+    each symbol's owner position, and each raw key's position.
     """
 
     validators: tuple[PublicKey, ...]
     kwms: tuple[Fraction, ...]
     ranges: tuple[ValidationRange, ...]
+    _owners: dict[str, int] = field(init=False, repr=False, compare=False)
+    _positions: dict[bytes, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        owners = {
+            ALPHABET[idx]: pos
+            for pos, rng in enumerate(self.ranges)
+            for idx in range(rng.start, rng.end + 1)
+        }
+        if len(owners) != len(ALPHABET):
+            raise AssertionError("ranges do not cover the alphabet")
+        positions: dict[bytes, int] = {}
+        for pos, pk in enumerate(self.validators):
+            positions.setdefault(pk.raw, pos)
+        object.__setattr__(self, "_owners", owners)
+        object.__setattr__(self, "_positions", positions)
 
     def owner_index(self, symbol: str) -> int:
-        idx = ALPHABET_INDEX[symbol]
-        for pos, rng in enumerate(self.ranges):
-            if rng.start <= idx <= rng.end:
-                return pos
-        raise AssertionError("ranges do not cover the alphabet")
+        return self._owners[symbol]
 
     def range_of(self, symbol: str) -> PublicKey:
         return self.validators[self.owner_index(symbol)]
 
     def position_of(self, pk: PublicKey) -> int:
-        for i, member in enumerate(self.validators):
-            if member.raw == pk.raw:
-                return i
-        raise ValueError("public key is not in the allocation")
+        pos = self._positions.get(pk.raw)
+        if pos is None:
+            raise ValueError("public key is not in the allocation")
+        return pos
 
     def range_for(self, pk: PublicKey) -> ValidationRange:
         return self.ranges[self.position_of(pk)]

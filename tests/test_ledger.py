@@ -193,6 +193,26 @@ class TestCommit:
             nonces.append(nonce)
         assert max(nonces) > 0  # some owner needed more than one try
 
+    @pytest.mark.parametrize("tx_count", [1, 50])
+    def test_grind_hands_over_its_digest(self, any_backend, tx_count, monkeypatch):
+        kps, alloc, by_display = setup_ring(any_backend)
+        sender = any_backend.keypair(b"grind-sender")
+        txs = [
+            create_transaction(sender, bytes([i]) * 510, any_backend) for i in range(tx_count)
+        ]
+        built = []
+
+        def recording_make_block(*args):
+            built.append(make_block(*args))
+            return built[-1]
+
+        monkeypatch.setattr("hashcast.ledger.make_block", recording_make_block)
+        for owner in alloc.validators:
+            block = grind_block(by_display[owner.display], "prev", txs, alloc, any_backend)
+            # stored by the grind before any read, and equal to the content's digest
+            assert vars(block)["digest"] == block_digest(block)
+        assert len(built) == len(alloc.validators)  # one make_block per grind
+
     def test_grinding_failure_raises(self, backend, monkeypatch):
         kps, alloc, by_display = setup_ring(backend)
         owner_kp = by_display[alloc.validators[0].display]

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from hashcast import simulation
 from hashcast.config import ConfigError, ScenarioConfig, load_config
-from hashcast.core import serialize_block, serialize_transaction
+from hashcast.core import msch, serialize_block, serialize_transaction
+from hashcast.ledger import export_ledger_lines
 from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
 from hashcast.transmission import evaluate_window
+from hashcast.verification import REASON_BAD_SIGNATURE
 from oracles import ring_first_arrivals, scan_chain_integrity, scan_range_discipline
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -518,7 +520,7 @@ class TestWholeRunProperties:
 
 
 class _StoresNothing(dict):
-    """A plan cache that never keeps a plan, so every multicast is routed afresh."""
+    """A cache that never keeps an entry, so every lookup misses and is computed afresh."""
 
     def __setitem__(self, key, value):
         pass
@@ -549,6 +551,53 @@ class TestPlanReuse:
         assert window_counters(cached) == window_counters(uncached)
         assert cached.log_lines == uncached.log_lines
         assert cached.metrics == uncached.metrics
+
+
+@st.composite
+def vericom_configs(draw):
+    """Any valid vericom config: either trust mode, with no attack or any of the three."""
+    cfg = draw(st.one_of(honest_configs(), forging_configs(), dropping_configs()))
+    if cfg.attack == "dropping":
+        return cfg
+    return replace(cfg, trust_mode=draw(st.sampled_from(["trusted", "untrusted"])))
+
+
+def run_outputs(run):
+    """Run `run`; return its error, event log, metrics, ledger dump and event count."""
+    try:
+        run.run()
+        error = None
+    except RunError as exc:  # exclusions can shrink a later epoch's ring too far
+        error = str(exc)
+    ledgers = [ledger for epoch in run.ledgers.values() for ledger in epoch.values()]
+    return error, run.log_lines, run.metrics, export_ledger_lines(ledgers), run.queue._seq
+
+
+class TestVerdictSharing:
+    @given(vericom_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_verdicts_change_nothing(self, cfg):
+        cached = VericomRun(cfg)
+        uncached = VericomRun(cfg)
+        uncached.signatures = _StoresNothing()
+        uncached.block_verdicts = _StoresNothing()
+        assert run_outputs(cached) == run_outputs(uncached)
+
+    def test_block_with_swapped_transaction_is_checked_afresh(self):
+        run = execute(small_config())
+        block = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
+        assert run.block_verdicts[block.digest].ok
+        assert all(run.signatures[tx] for tx in block.transactions)
+        own = run.alloc.range_for(block.generator)
+        # same id and signature, another payload; keep the digest in the generator's range
+        # so only the transaction check can fail
+        for k in range(1000):
+            tx = replace(block.transactions[0], payload=b"swapped:%d" % k)
+            swapped = replace(block, transactions=(tx,) + block.transactions[1:])
+            if own.covers(msch(swapped.digest)):
+                break
+        outcome = run._verify_block(swapped)
+        assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
 
 
 class TestUntrustedHonest:

@@ -218,6 +218,42 @@ class TestVerifyTransaction:
         assert verify_transaction(child, backend, {parent.id}).ok
 
 
+class TestSharedSignatureVerdicts:
+    def test_copy_with_same_id_and_signature_is_checked_afresh(self, backend):
+        kp = backend.keypair(b"s")
+        tx = create_transaction(kp, b"data", backend)
+        signatures = {}
+        assert verify_transaction(tx, backend, signatures=signatures).ok
+        assert signatures == {tx: True}
+        forged = dataclasses.replace(tx, payload=b"datb")
+        outcome = verify_transaction(forged, backend, signatures=signatures)
+        assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
+        assert signatures == {tx: True, forged: False}
+
+    def test_parent_is_checked_on_every_call(self, backend):
+        kp = backend.keypair(b"s")
+        parent = create_transaction(kp, b"one", backend)
+        child = create_transaction(kp, b"two", backend, previous_id=parent.id)
+        signatures = {}
+        assert verify_transaction(child, backend, {parent.id}, signatures).ok
+        outcome = verify_transaction(child, backend, frozenset(), signatures)
+        assert not outcome.ok and outcome.reason == REASON_MISSING_PREVIOUS
+
+    def test_block_with_swapped_transaction_is_checked_afresh(self, backend):
+        kps = make_keypairs(backend, 2, "sw")
+        alloc = build_allocation([kps[0].public])  # one owner: every digest is in range
+        tx = create_transaction(kps[1], b"x", backend)
+        block = grind_block(kps[0], "", [tx], alloc, backend)
+        signatures = {}
+        assert verify_block(block, alloc, backend, signatures).ok
+        # same id and signature, so the header signature still verifies
+        swapped = dataclasses.replace(
+            block, transactions=(dataclasses.replace(tx, payload=b"y"),)
+        )
+        outcome = verify_block(swapped, alloc, backend, signatures)
+        assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
+
+
 class TestVerifyBlock:
     def _setup(self, backend, count=10):
         kps = make_keypairs(backend, count, "vb")

@@ -243,6 +243,22 @@ class TestDht:
         assert ring_members(alloc, len(pks) - 1, 1)[2] == alloc.validators[0]
 
 
+class TestLookupTables:
+    def test_tables_agree_with_scans(self, backend):
+        kps = make_keypairs(backend, 62, "lt")
+        stranger = backend.keypair(b"stranger").public
+        for count in range(1, 63):
+            alloc = build_allocation(kp.public for kp in kps[:count])
+            for idx, symbol in enumerate(ALPHABET):
+                (owner,) = [p for p, r in enumerate(alloc.ranges) if r.start <= idx <= r.end]
+                assert alloc.owner_index(symbol) == owner
+            for kp in kps[:count]:
+                (pos,) = [i for i, pk in enumerate(alloc.validators) if pk.raw == kp.public.raw]
+                assert alloc.position_of(kp.public) == pos
+            with pytest.raises(ValueError):
+                alloc.position_of(stranger)
+
+
 def test_allocation_table_renders(backend):
     pks = [kp.public for kp in make_keypairs(backend, 3, "tbl")]
     alloc = build_allocation(pks)
