@@ -127,6 +127,30 @@ class ScenarioConfig:
                     f"adversary_ids must name range-owning validators "
                     f"0..{self.ring_size - 1}, got {bad}"
                 )
+            self._validate_exclusions()
+
+    def _validate_exclusions(self) -> None:
+        """The range owners left once epoch 0's forgers are excluded must admit the wings.
+
+        Under false-verification the honest wing mates (when m >= 1) or the
+        auditor report the generator and the colluding main verifier; under
+        fake-transaction only the auditor reports, naming the generator and
+        all 2m+1 endorsers.  An attack nobody reports excludes nobody.
+        """
+        if self.epochs < 2:
+            return
+        if self.attack == "false-verification":
+            excluded = 2 if self.m >= 1 or self.auditor else 0
+        else:
+            excluded = 2 * self.m + 2 if self.auditor else 0
+        left = self.ring_size - excluded
+        try:
+            SetParams(n=self.n, m=self.m, num_validators=left)
+        except ValueError as exc:
+            raise ConfigError(
+                f"attack {self.attack!r} excludes {excluded} of {self.ring_size} range "
+                f"owners after epoch 0, leaving {left}, too few for the later epochs: {exc}"
+            ) from exc
 
     @property
     def ring_size(self) -> int:

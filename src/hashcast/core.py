@@ -12,8 +12,8 @@ credential) followed by a tail (`block_tail`: length-prefixed body,
 endorsement count, endorsements).  Only the head depends on the nonce, so a
 nonce grind builds the tail once and, per try, signs, builds the head, hashes
 head and tail and reads the first digest symbol alone (`msch_index`).
-`transaction_size` and `block_size` give wire sizes without serializing the
-transactions.
+`transaction_size` and `block_size` give wire sizes by arithmetic, without
+building any bytes.
 
 All types in this module are immutable values; they can be shared freely
 between concurrent readers.  A `Block` computes its digest from its own
@@ -317,10 +317,21 @@ def serialize_block(block: Block) -> bytes:
     return _head(block) + block_tail(serialize_body(block.transactions), block.endorsements)
 
 
+# Serialized size of a block with an empty generator key, previous digest
+# and body and no endorsement: every other field has a fixed size.
+_BLOCK_FIXED_BYTES = len(serialize_block(Block(PublicKey(b"", ""), "", (), 0, b"")))
+
+
 def block_size(block: Block) -> int:
-    """`len(serialize_block(block))`, without serializing the transactions."""
-    fixed = len(_head(block)) + len(block_tail(b"", block.endorsements))
-    return fixed + sum(transaction_size(tx) for tx in block.transactions)
+    """`len(serialize_block(block))`, without building any of its bytes.
+
+    The variable parts are the generator key and previous digest in the
+    header, each transaction's id in the header and its `transaction_size`
+    in the body, and one `CREDENTIAL_BYTES` blob per endorsement.
+    """
+    size = _BLOCK_FIXED_BYTES + len(block.generator.raw) + len(block.previous_digest)
+    size += CREDENTIAL_BYTES * len(block.endorsements)
+    return size + sum(len(tx.id) + transaction_size(tx) for tx in block.transactions)
 
 
 def block_digest(block: Block) -> str:

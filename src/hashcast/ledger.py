@@ -115,13 +115,22 @@ class Ledger:
         return len(self.blocks)
 
     def append_block(
-        self, block: Block, alloc: RangeAllocation, params: SetParams, backend
+        self,
+        block: Block,
+        alloc: RangeAllocation,
+        params: SetParams,
+        backend,
+        endorsement_verdict: Optional[VerificationOutcome] = None,
     ) -> VerificationOutcome:
         """Append iff the endorsement set verifies and the chain links up.
 
         A fully endorsed block is accepted without re-verifying its
         transactions; the endorsement checks are the gate.
+        `endorsement_verdict` is the block's `verify_endorsements` verdict
+        if the caller already has it; else the endorsements are checked here.
         """
+        if endorsement_verdict is not None:
+            return self._append(block, lambda: endorsement_verdict)
         return self._append(block, lambda: verify_endorsements(block, alloc, params, backend))
 
     def append_unendorsed(self, block: Block) -> VerificationOutcome:

@@ -55,6 +55,7 @@ from .transmission import (
 )
 from .verification import (
     MisbehaviorReport,
+    NodeSet,
     SetParams,
     VerificationOutcome,
     audit_endorsed_block,
@@ -62,6 +63,7 @@ from .verification import (
     select_validator_set,
     tally_endorsement,
     verify_block,
+    verify_endorsements,
     verify_transaction,
 )
 from .weights import RangeAllocation, build_allocation
@@ -284,6 +286,14 @@ class _RunBase:
             self._commit_block(pk.display, allow_partial=True)
 
 
+def _shared(cache: dict, key, compute):
+    """`cache[key]`; on a miss, `compute()` stored under `key`."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = compute()
+    return value
+
+
 class VericomRun(_RunBase):
     """Backbone-routed multicast mode."""
 
@@ -297,6 +307,8 @@ class VericomRun(_RunBase):
         # verdicts shared by every node that checks the same item; dropped each epoch
         self.signatures: dict[Transaction, bool] = {}
         self.block_verdicts: dict[str, VerificationOutcome] = {}
+        self.verifier_sets: dict[str, NodeSet] = {}
+        self.endorsement_verdicts: dict[tuple, VerificationOutcome] = {}  # (digest, endorsements)
         self.excluded: set[str] = set()
         self.excluded_bns: set[int] = set()
         self.params: Optional[SetParams] = None
@@ -421,9 +433,11 @@ class VericomRun(_RunBase):
             ) from exc
         self._open_epoch(epoch, alloc, "vrd")
         self.chain_tip = {pk.display: "" for pk in alloc.validators}
-        # verdicts last one epoch: a block verdict's range check reads the allocation
+        # verdicts and verifier sets last one epoch: each reads the allocation
         self.signatures.clear()
         self.block_verdicts.clear()
+        self.verifier_sets.clear()
+        self.endorsement_verdicts.clear()
         self._arm_attack(epoch)
 
     # -- transaction pipeline -------------------------------------------
@@ -521,7 +535,7 @@ class VericomRun(_RunBase):
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        verifier_set = expected_verifier_set(block, self.alloc, self.params)
+        verifier_set = self._verifier_set(block)
         expected = [pk.display for pk in verifier_set.members]
         self.block_states[block.digest] = {
             "expected": expected,
@@ -577,11 +591,33 @@ class VericomRun(_RunBase):
         an endorsed copy keeps its block's digest, so the auditor shares the
         verifiers' verdict.
         """
-        outcome = self.block_verdicts.get(block.digest)
-        if outcome is None:
-            outcome = verify_block(block, self.alloc, self.backend, self.signatures)
-            self.block_verdicts[block.digest] = outcome
-        return outcome
+        return _shared(
+            self.block_verdicts,
+            block.digest,
+            lambda: verify_block(block, self.alloc, self.backend, self.signatures),
+        )
+
+    def _verifier_set(self, block: Block) -> NodeSet:
+        """`expected_verifier_set` once per block digest (which covers the generator) and epoch."""
+        return _shared(
+            self.verifier_sets,
+            block.digest,
+            lambda: expected_verifier_set(block, self.alloc, self.params),
+        )
+
+    def _verify_endorsements(self, endorsed: Block) -> VerificationOutcome:
+        """`verify_endorsements` once per endorsed copy and epoch.
+
+        The key is the copy's digest and endorsements, all that the check
+        reads, so a copy with other endorsements is checked afresh.
+        """
+        return _shared(
+            self.endorsement_verdicts,
+            (endorsed.digest, endorsed.endorsements),
+            lambda: verify_endorsements(
+                endorsed, self.alloc, self.params, self.backend, self._verifier_set(endorsed)
+            ),
+        )
 
     def _detected(self) -> None:
         if not self.metrics.detected:
@@ -613,24 +649,38 @@ class VericomRun(_RunBase):
         )
 
     def _endorsed_delivered(self, endorsed, display: str, send_time: float, size: int) -> None:
+        """The generator appends an endorsed copy to its ledger; the auditor audits it.
+
+        Both read one endorsement verdict (`_verify_endorsements`).  The
+        generator has a ledger only while it owns a range of the current
+        allocation; the auditor judges endorsements only of a valid block.
+        """
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         ident = self.by_display[display]
         if display == endorsed.generator.display:
             ledger = self.ledgers[self.epoch_index].get(display)
             if ledger is not None:
-                outcome = ledger.append_block(endorsed, self.alloc, self.params, self.backend)
+                outcome = ledger.append_block(
+                    endorsed,
+                    self.alloc,
+                    self.params,
+                    self.backend,
+                    self._verify_endorsements(endorsed),
+                )
                 kind = "append" if outcome.ok else f"append-rejected:{outcome.reason}"
                 self.log(f"node.{ident.node_id}", kind, endorsed.digest)
         if ident.role == "auditor":
             self.metrics.audit_ops += 1
+            block_verdict = self._verify_block(endorsed)
             outcome, report = audit_endorsed_block(
                 endorsed,
                 self.alloc,
                 self.params,
                 self.backend,
                 ident.public,
-                self._verify_block(endorsed),
+                block_verdict,
+                self._verify_endorsements(endorsed) if block_verdict.ok else None,
             )
             if report is not None:
                 self.log("auditor", "audit-failed", f"{report.item_digest} {report.reason}")
@@ -699,7 +749,7 @@ class VericomRun(_RunBase):
             self.alloc,
             self.backend,
         )
-        verifiers = expected_verifier_set(block, self.alloc, self.params)
+        verifiers = self._verifier_set(block)
         if self.config.attack == "false-verification":
             self.dishonest = frozenset({verifiers.main.raw})
         else:

@@ -13,8 +13,10 @@ reads one verdict.  `verify_transaction` and `verify_block` take a
 the whole transaction, so a copy that differs in any field is checked
 afresh; the parent check against `known_transactions` runs on every call.
 `simulation.VericomRun` also keeps one `verify_block` verdict per block
-digest and hands it to `audit_endorsed_block`.  Both maps are dropped when
-an epoch's allocation is published.
+digest, one verifier set per block digest, and one `verify_endorsements`
+verdict per endorsed copy (its digest and endorsements); it hands them to
+`verify_endorsements`, `Ledger.append_block` and `audit_endorsed_block`.
+All of these maps are dropped when an epoch's allocation is published.
 """
 
 from __future__ import annotations
@@ -212,10 +214,20 @@ def verify_block(
 
 
 def verify_endorsements(
-    block: Block, alloc: RangeAllocation, params: SetParams, backend
+    block: Block,
+    alloc: RangeAllocation,
+    params: SetParams,
+    backend,
+    expected: Optional[NodeSet] = None,
 ) -> VerificationOutcome:
-    """Full endorsement check: count, set membership, and signatures."""
-    expected = expected_verifier_set(block, alloc, params)
+    """Full endorsement check: count, set membership, and signatures.
+
+    `expected` is the block's verifier set (`expected_verifier_set` under
+    `alloc` and `params`) if the caller already holds it; else it is
+    derived here.
+    """
+    if expected is None:
+        expected = expected_verifier_set(block, alloc, params)
     if len(block.endorsements) != 2 * params.m + 1:
         return VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
     endorser_keys = {end.verifier.raw for end in block.endorsements}
@@ -276,15 +288,20 @@ def audit_endorsed_block(
     backend,
     auditor: PublicKey,
     block_verdict: Optional[VerificationOutcome] = None,
+    endorsement_verdict: Optional[VerificationOutcome] = None,
 ) -> tuple[VerificationOutcome, Optional[MisbehaviorReport]]:
     """Re-verify an endorsed block; on failure accuse generator + endorsers.
 
-    `block_verdict` is the block's `verify_block` verdict if the caller
-    already has it; the endorsements are checked either way.
+    `block_verdict` is the block's `verify_block` verdict and
+    `endorsement_verdict` its `verify_endorsements` verdict, each if the
+    caller already has it; a missing one is checked here.  The endorsements
+    are judged only once the block passes.
     """
     outcome = verify_block(block, alloc, backend) if block_verdict is None else block_verdict
     if outcome.ok:
-        outcome = verify_endorsements(block, alloc, params, backend)
+        outcome = endorsement_verdict
+        if outcome is None:
+            outcome = verify_endorsements(block, alloc, params, backend)
     if outcome.ok:
         return outcome, None
     accused = tuple([block.generator] + [end.verifier for end in block.endorsements])

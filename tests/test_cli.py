@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hashcast import cli
 from hashcast.cli import CSV_HEADER, main
 from hashcast.config import (
     ConfigError,
@@ -12,6 +13,7 @@ from hashcast.config import (
     load_config,
     load_sweep,
 )
+from hashcast.simulation import RunError
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -153,8 +155,8 @@ class TestRunCommand:
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "tx_count" in capsys.readouterr().err
 
-    def test_ring_shrunk_by_exclusions_is_one_error_line(self, tmp_path, capsys):
-        # epoch 0's colluders are excluded, so epoch 1 registers 3 of 7 validators
+    def test_ring_shrunk_by_exclusions_is_rejected_up_front(self, tmp_path, capsys):
+        # epoch 0's colluders would be excluded, leaving epoch 1 with 3 of 7 validators
         data = {
             "num_iot_nodes": 20,
             "num_validators": 7,
@@ -169,10 +171,21 @@ class TestRunCommand:
             "seed": 5,
         }
         config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: attack 'fake-transaction' excludes 4 of 7 range owners")
+        assert "leaving 3" in err and "3n+2m = 5" in err
+
+    def test_run_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def stuck(config):
+            raise RunError("epoch 1: 3 validators registered after exclusions")
+
+        monkeypatch.setattr(cli, "execute", stuck)
+        config = write_json(tmp_path / "c.json", {"num_iot_nodes": 15, "tx_count": 10})
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: epoch 1: 3 validators")
-        assert "3n+2m = 5" in err
+        assert err == "error: epoch 1: 3 validators registered after exclusions\n"
 
     def test_adversary_beyond_ring_cap_rejected(self, tmp_path, capsys):
         # validators 62..79 never register for a range, so 70 cannot forge

@@ -12,7 +12,9 @@ from hashcast.ledger import (
     grind_block,
 )
 from hashcast.verification import (
+    REASON_BAD_ENDORSEMENT,
     SetParams,
+    VerificationOutcome,
     audit_endorsed_block,
     endorse_block,
     expected_verifier_set,
@@ -269,6 +271,18 @@ class TestAppend:
         outcome = ledger.append_block(endorsed, alloc, params, backend)
         assert not outcome.ok  # same block again: duplicate (and broken chain)
 
+    def test_held_verdict_is_the_gate(self, backend):
+        endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
+        ledger = Ledger(owner=owner_kp.public)
+        held = VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
+        assert ledger.append_block(endorsed, alloc, params, backend, held) == held
+        assert ledger.ledger_length == 0
+        valid = VerificationOutcome.valid()
+        assert ledger.append_block(endorsed, alloc, params, backend, valid).ok
+        # a held verdict does not skip the chain checks
+        outcome = ledger.append_block(endorsed, alloc, params, backend, valid)
+        assert not outcome.ok and outcome.reason == "duplicate-block"
+
 
 class TestAudit:
     def test_honest_block_clean(self, backend):
@@ -303,6 +317,24 @@ class TestAudit:
         assert not outcome.ok
         assert report is not None
         assert len(report.accused) == 4  # one generator + 2m+1 endorsers
+
+    def test_held_endorsement_verdict_only_after_a_valid_block(self, backend):
+        kps, alloc, by_display = setup_ring(backend)
+        params = SetParams(n=1, m=1, num_validators=10)
+        owner_kp = by_display[alloc.validators[3].display]
+        tx = create_transaction(kps[7], b"real", backend)
+        block = grind_block(owner_kp, "", [tx], alloc, backend)
+        auditor = backend.keypair(b"aud").public
+        bad = VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
+        outcome, report = audit_endorsed_block(
+            block, alloc, params, backend, auditor, VerificationOutcome.valid(), bad
+        )
+        assert outcome == bad and report.reason == REASON_BAD_ENDORSEMENT
+        failed = VerificationOutcome.invalid("bad-signature")
+        outcome, report = audit_endorsed_block(
+            block, alloc, params, backend, auditor, failed, VerificationOutcome.valid()
+        )
+        assert outcome == failed and report.reason == "bad-signature"
 
 
 class TestScans:

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from hashcast import simulation
 from hashcast.config import ConfigError, ScenarioConfig, load_config
-from hashcast.core import msch, serialize_block, serialize_transaction
+from hashcast import core, verification
+from hashcast.core import endorsement_for, msch, serialize_block, serialize_transaction
 from hashcast.ledger import export_ledger_lines
-from hashcast.simulation import VERIFY_COST_MS, RunError, VericomRun, execute, run_scenario
+from hashcast.simulation import VERIFY_COST_MS, VericomRun, execute, run_scenario
 from hashcast.transmission import evaluate_window
-from hashcast.verification import REASON_BAD_SIGNATURE
+from hashcast.verification import REASON_BAD_ENDORSEMENT, REASON_BAD_SIGNATURE
 from oracles import ring_first_arrivals, scan_chain_integrity, scan_range_discipline
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -243,6 +245,33 @@ class TestAttacks:
         with pytest.raises(ConfigError):
             small_config(mode="baseline", attack="dropping", adversary_ids=(1,))
 
+    @pytest.mark.parametrize(
+        "attack, validators",
+        [("false-verification", 7), ("fake-transaction", 9)],
+    )
+    def test_exclusions_that_starve_a_later_epoch_are_rejected(self, attack, validators):
+        # n = m = 1 needs more than 3n+2m = 5 range owners in epoch 1; the report
+        # after epoch 0 excludes 2 (false-verification) or 2m+2 = 4 (auditor on)
+        with pytest.raises(ConfigError, match=f"excludes .* of {validators} .* leaving 5"):
+            small_config(num_validators=validators, epochs=2, attack=attack, adversary_ids=(0,))
+        # one more range owner is enough, and the run reaches its last epoch
+        run = execute(
+            small_config(
+                num_validators=validators + 1, epochs=2, attack=attack, adversary_ids=(0,)
+            )
+        )
+        assert run.metrics.detected
+        assert len(run.alloc.validators) == 6
+
+    def test_unreported_attack_needs_no_spare_range_owners(self):
+        # m = 0 and no auditor: the lone colluding verifier endorses and nobody reports
+        cfg = dict(num_validators=4, n=1, m=0, epochs=2, attack="false-verification")
+        run = execute(small_config(auditor=False, adversary_ids=(0,), **cfg))
+        assert not run.metrics.detected
+        assert len(run.alloc.validators) == 4
+        with pytest.raises(ConfigError, match="excludes 2 of 4"):
+            small_config(auditor=True, adversary_ids=(0,), **cfg)
+
 
 class TestUnattachedSender:
     """A node attached to no backbone node sends nothing, and the run goes on."""
@@ -395,11 +424,14 @@ def dropping_configs(draw):
 @st.composite
 def forging_configs(draw):
     cfg = draw(honest_configs())
-    return replace(
-        cfg,
-        attack=draw(st.sampled_from(["false-verification", "fake-transaction"])),
-        adversary_ids=(draw(st.integers(0, cfg.ring_size - 1)),),
-    )
+    try:
+        return replace(
+            cfg,
+            attack=draw(st.sampled_from(["false-verification", "fake-transaction"])),
+            adversary_ids=(draw(st.integers(0, cfg.ring_size - 1)),),
+        )
+    except ConfigError:  # the exclusions would leave a later epoch too few range owners
+        assume(False)
 
 
 def assert_ledgers_sound(run):
@@ -486,11 +518,7 @@ class TestWholeRunProperties:
     @given(forging_configs())
     @settings(max_examples=40, deadline=None)
     def test_forging_run_reports(self, cfg):
-        run = VericomRun(cfg)
-        try:
-            run.run()
-        except RunError:  # exclusions shrank a later epoch's ring below 3n+2m+1
-            assume(False)
+        run = execute(cfg)
         generator = run.malicious_generator.display
         (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
         expected = run.block_states[forged]["expected"]
@@ -517,6 +545,16 @@ class TestWholeRunProperties:
         assert_ledgers_sound(run)
         last = max(run.ledgers)
         assert scan_range_discipline(list(run.ledgers[last].values()), run.alloc)
+
+    # only forging attacks exclude range owners; dropping excludes backbone nodes
+    @given(forging_configs(), st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_valid_attack_config_never_ends_in_run_error(self, cfg, epochs):
+        try:
+            cfg = replace(cfg, epochs=epochs)
+        except ConfigError:
+            assume(False)
+        execute(cfg)  # a RunError fails here
 
 
 class _StoresNothing(dict):
@@ -563,14 +601,10 @@ def vericom_configs(draw):
 
 
 def run_outputs(run):
-    """Run `run`; return its error, event log, metrics, ledger dump and event count."""
-    try:
-        run.run()
-        error = None
-    except RunError as exc:  # exclusions can shrink a later epoch's ring too far
-        error = str(exc)
+    """Run `run`; return its event log, metrics, ledger dump and event count."""
+    run.run()
     ledgers = [ledger for epoch in run.ledgers.values() for ledger in epoch.values()]
-    return error, run.log_lines, run.metrics, export_ledger_lines(ledgers), run.queue._seq
+    return run.log_lines, run.metrics, export_ledger_lines(ledgers), run.queue._seq
 
 
 class TestVerdictSharing:
@@ -581,6 +615,8 @@ class TestVerdictSharing:
         uncached = VericomRun(cfg)
         uncached.signatures = _StoresNothing()
         uncached.block_verdicts = _StoresNothing()
+        uncached.verifier_sets = _StoresNothing()
+        uncached.endorsement_verdicts = _StoresNothing()
         assert run_outputs(cached) == run_outputs(uncached)
 
     def test_block_with_swapped_transaction_is_checked_afresh(self):
@@ -598,6 +634,53 @@ class TestVerdictSharing:
                 break
         outcome = run._verify_block(swapped)
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
+
+    def test_changed_endorsements_are_checked_afresh(self):
+        run = execute(small_config())
+        endorsed = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
+        assert run.endorsement_verdicts[(endorsed.digest, endorsed.endorsements)].ok
+        verifiers = {end.verifier.raw for end in endorsed.endorsements}
+        outsider = next(i for i in run.identities if i.public.raw not in verifiers)
+        swapped = endorsement_for(endorsed, outsider.keypair, run.backend)
+        for endorsements in (
+            endorsed.endorsements[:-1],
+            (swapped,) + endorsed.endorsements[1:],
+        ):
+            copy = replace(endorsed, endorsements=endorsements)
+            assert copy.digest == endorsed.digest
+            outcome = run._verify_endorsements(copy)
+            assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of `fn` through every `hashcast` module namespace that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hashcast" or name.startswith("hashcast."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestHostWorkCounts:
+    """Each block is sized, and its verifier set and endorsements checked, once on the host."""
+
+    def test_each_block_checked_once(self, monkeypatch):
+        endorsement_checks = count_calls(monkeypatch, verification.verify_endorsements)
+        verifier_sets = count_calls(monkeypatch, verification.select_verifier_set)
+        serialized = count_calls(monkeypatch, core.serialize_block)
+        run = execute(small_config(epochs=2, tx_count=60))
+        assert run.metrics.endorsed_blocks == run.metrics.blocks_committed > 0
+        assert run.metrics.audit_ops == run.metrics.endorsed_blocks
+        assert len(endorsement_checks) == run.metrics.endorsed_blocks
+        assert len(verifier_sets) == run.metrics.blocks_committed
+        assert serialized == []
 
 
 class TestUntrustedHonest:

@@ -395,6 +395,17 @@ class TestEndorsementFlow:
         outcome = verify_endorsements(endorsed, alloc, params, backend)
         assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
 
+    def test_held_verifier_set_is_the_expected_set(self, backend):
+        alloc, params, block, members, _ = self._pipeline(backend)
+        endorsed = endorse_block(block, members, backend)
+        held = expected_verifier_set(block, alloc, params)
+        assert verify_endorsements(endorsed, alloc, params, backend, held).ok
+        # the check reads the held set: handed the (disjoint) validator set, it
+        # rejects the right endorsers
+        wrong = select_validator_set(block.digest, alloc, params)
+        outcome = verify_endorsements(endorsed, alloc, params, backend, wrong)
+        assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
+
 
 class TestTally:
     def test_two_dishonest_outvoted_by_three_honest(self, backend):
