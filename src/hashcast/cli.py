@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
     (out / "events.log").write_text("\n".join(run.log_lines) + "\n", encoding="utf-8")
     (out / "summary.txt").write_text(summary_text(config, run), encoding="utf-8")
     ledgers = []
-    for epoch_ledgers in getattr(run, "ledgers", {}).values():
+    for epoch_ledgers in run.ledgers.values():
         ledgers.extend(epoch_ledgers.values())
     (out / "ledgers.txt").write_text(
         "\n".join(export_ledger_lines(ledgers)) + "\n", encoding="utf-8"

@@ -29,11 +29,7 @@ from .core import (
     signed_header,
     unsigned_header,
 )
-from .verification import (
-    SetParams,
-    VerificationOutcome,
-    verify_endorsements,
-)
+from .verification import VerificationOutcome
 from .weights import RangeAllocation, build_allocation
 
 # Safety valve for digest grinding; at most 62 range slots exist, so the
@@ -115,39 +111,24 @@ class Ledger:
         return len(self.blocks)
 
     def append_block(
-        self,
-        block: Block,
-        alloc: RangeAllocation,
-        params: SetParams,
-        backend,
-        endorsement_verdict: Optional[VerificationOutcome] = None,
+        self, block: Block, endorsement_verdict: VerificationOutcome
     ) -> VerificationOutcome:
-        """Append iff the endorsement set verifies and the chain links up.
+        """Append iff the block is new, links to the head, and its endorsements verify.
 
-        A fully endorsed block is accepted without re-verifying its
-        transactions; the endorsement checks are the gate.
-        `endorsement_verdict` is the block's `verify_endorsements` verdict
-        if the caller already has it; else the endorsements are checked here.
+        `endorsement_verdict` is the caller's `verify_endorsements` verdict
+        on the block, the gate for a fully endorsed block, whose
+        transactions are not verified again; a broadcast-mode chain, which
+        has no endorsements, passes `VerificationOutcome.valid()`.  The
+        duplicate and chain-link checks come first, so their rejections win.
         """
-        if endorsement_verdict is not None:
-            return self._append(block, lambda: endorsement_verdict)
-        return self._append(block, lambda: verify_endorsements(block, alloc, params, backend))
-
-    def append_unendorsed(self, block: Block) -> VerificationOutcome:
-        """Append without endorsement checks (broadcast-mode chains)."""
-        return self._append(block, VerificationOutcome.valid)
-
-    def _append(self, block: Block, endorsement_check) -> VerificationOutcome:
-        """Duplicate check, chain-link check, then `endorsement_check()`."""
         if block.digest in self._digests:
             return VerificationOutcome.invalid("duplicate-block")
         if block.previous_digest != self.head_digest:
             return VerificationOutcome.invalid("broken-chain")
-        outcome = endorsement_check()
-        if outcome.ok:
+        if endorsement_verdict.ok:
             self.blocks.append(block)
             self._digests.add(block.digest)
-        return outcome
+        return endorsement_verdict
 
 
 def commit_transactions(

@@ -187,7 +187,7 @@ class _RunBase:
         self.alloc: Optional[RangeAllocation] = None
         self.pools: dict[str, PendingPool] = {}
         self.ledgers: dict[int, dict[str, Ledger]] = {}
-        self.epoch_index = 0
+        self.epoch_ledgers: dict[str, Ledger] = {}  # the published allocation's
         self._build_population()
 
     def log(self, actor: str, kind: str, info: str) -> None:
@@ -237,15 +237,20 @@ class _RunBase:
         self.queue.push(epoch_end - EPOCH_MARGIN_MS / 2, self._flush_pools)
 
     def _open_epoch(self, epoch: int, alloc: RangeAllocation, actor: str) -> None:
-        """Publish the epoch's allocation and give every range owner a fresh pool and ledger."""
+        """Publish the epoch's allocation and give every range owner a fresh pool and ledger.
+
+        `epoch_ledgers` holds the new ledgers until the next allocation is
+        published, so an endorsed copy that arrives before then is appended
+        under the allocation it was cut in.
+        """
         self.alloc = alloc
         self.allocation_tables.append(alloc.table())
         self.log(actor, "allocation", f"epoch={epoch} validators={len(alloc.validators)}")
         self.pools = {}
-        self.ledgers[epoch] = {}
+        self.epoch_ledgers = self.ledgers[epoch] = {}
         for pk in alloc.validators:
             self.pools[pk.display] = PendingPool(owner=pk, alloc=alloc)
-            self.ledgers[epoch][pk.display] = Ledger(owner=pk)
+            self.epoch_ledgers[pk.display] = Ledger(owner=pk)
 
     # -- transactions and blocks ----------------------------------------
 
@@ -286,14 +291,6 @@ class _RunBase:
             self._commit_block(pk.display, allow_partial=True)
 
 
-def _shared(cache: dict, key, compute):
-    """`cache[key]`; on a miss, `compute()` stored under `key`."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = compute()
-    return value
-
-
 class VericomRun(_RunBase):
     """Backbone-routed multicast mode."""
 
@@ -306,9 +303,7 @@ class VericomRun(_RunBase):
         self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
         # verdicts shared by every node that checks the same item; dropped each epoch
         self.signatures: dict[Transaction, bool] = {}
-        self.block_verdicts: dict[str, VerificationOutcome] = {}
-        self.verifier_sets: dict[str, NodeSet] = {}
-        self.endorsement_verdicts: dict[tuple, VerificationOutcome] = {}  # (digest, endorsements)
+        self.memo: dict[tuple, object] = {}  # see _once
         self.excluded: set[str] = set()
         self.excluded_bns: set[int] = set()
         self.params: Optional[SetParams] = None
@@ -409,7 +404,6 @@ class VericomRun(_RunBase):
                     break
 
     def _begin_epoch(self, epoch: int, window_end: float) -> None:
-        self.epoch_index = epoch
         self.vrd = RangeDistributor(
             window_end_ms=window_end, excluded=frozenset(self.excluded)
         )
@@ -435,9 +429,7 @@ class VericomRun(_RunBase):
         self.chain_tip = {pk.display: "" for pk in alloc.validators}
         # verdicts and verifier sets last one epoch: each reads the allocation
         self.signatures.clear()
-        self.block_verdicts.clear()
-        self.verifier_sets.clear()
-        self.endorsement_verdicts.clear()
+        self.memo.clear()
         self._arm_attack(epoch)
 
     # -- transaction pipeline -------------------------------------------
@@ -584,39 +576,37 @@ class VericomRun(_RunBase):
         self.log("sim", "block-endorsed", d)
         self._uplink(self.by_display[state["main"]], self._broadcast_endorsed, endorsed)
 
-    def _verify_block(self, block: Block) -> VerificationOutcome:
-        """`verify_block` once per block digest and epoch; later checks reuse the verdict.
+    def _once(self, key: tuple, compute):
+        """`compute()` on the first call for `key` under the published allocation; kept after.
 
-        The digest covers everything `verify_block` reads of the block, and
-        an endorsed copy keeps its block's digest, so the auditor shares the
-        verifiers' verdict.
+        The keys are `("block", digest)` for a `verify_block` verdict,
+        `("set", digest)` for a verifier set and `("endorsed", digest,
+        endorsements)` for a `verify_endorsements` verdict.  Each value reads
+        only its key and the allocation: a block digest covers everything
+        `verify_block` reads and the generator, and an endorsed copy keeps
+        its block's digest, so the verifiers and the auditor share a
+        verdict.  `_finalize_allocation` drops them all.
         """
-        return _shared(
-            self.block_verdicts,
-            block.digest,
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = compute()
+        return value
+
+    def _verify_block(self, block: Block) -> VerificationOutcome:
+        return self._once(
+            ("block", block.digest),
             lambda: verify_block(block, self.alloc, self.backend, self.signatures),
         )
 
     def _verifier_set(self, block: Block) -> NodeSet:
-        """`expected_verifier_set` once per block digest (which covers the generator) and epoch."""
-        return _shared(
-            self.verifier_sets,
-            block.digest,
-            lambda: expected_verifier_set(block, self.alloc, self.params),
+        return self._once(
+            ("set", block.digest), lambda: expected_verifier_set(block, self.alloc, self.params)
         )
 
     def _verify_endorsements(self, endorsed: Block) -> VerificationOutcome:
-        """`verify_endorsements` once per endorsed copy and epoch.
-
-        The key is the copy's digest and endorsements, all that the check
-        reads, so a copy with other endorsements is checked afresh.
-        """
-        return _shared(
-            self.endorsement_verdicts,
-            (endorsed.digest, endorsed.endorsements),
-            lambda: verify_endorsements(
-                endorsed, self.alloc, self.params, self.backend, self._verifier_set(endorsed)
-            ),
+        return self._once(
+            ("endorsed", endorsed.digest, endorsed.endorsements),
+            lambda: verify_endorsements(endorsed, self._verifier_set(endorsed), self.backend),
         )
 
     def _detected(self) -> None:
@@ -652,36 +642,26 @@ class VericomRun(_RunBase):
         """The generator appends an endorsed copy to its ledger; the auditor audits it.
 
         Both read one endorsement verdict (`_verify_endorsements`).  The
-        generator has a ledger only while it owns a range of the current
-        allocation; the auditor judges endorsements only of a valid block.
+        generator has a ledger only while it owns a range of the published
+        allocation.  The auditor judges the block first and its endorsements
+        only if the block is valid: the verifier set of a block whose
+        generator owns no range cannot be derived.
         """
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         ident = self.by_display[display]
         if display == endorsed.generator.display:
-            ledger = self.ledgers[self.epoch_index].get(display)
+            ledger = self.epoch_ledgers.get(display)
             if ledger is not None:
-                outcome = ledger.append_block(
-                    endorsed,
-                    self.alloc,
-                    self.params,
-                    self.backend,
-                    self._verify_endorsements(endorsed),
-                )
+                outcome = ledger.append_block(endorsed, self._verify_endorsements(endorsed))
                 kind = "append" if outcome.ok else f"append-rejected:{outcome.reason}"
                 self.log(f"node.{ident.node_id}", kind, endorsed.digest)
         if ident.role == "auditor":
             self.metrics.audit_ops += 1
-            block_verdict = self._verify_block(endorsed)
-            outcome, report = audit_endorsed_block(
-                endorsed,
-                self.alloc,
-                self.params,
-                self.backend,
-                ident.public,
-                block_verdict,
-                self._verify_endorsements(endorsed) if block_verdict.ok else None,
-            )
+            outcome = self._verify_block(endorsed)
+            if outcome.ok:
+                outcome = self._verify_endorsements(endorsed)
+            report = audit_endorsed_block(endorsed, ident.public, outcome)
             if report is not None:
                 self.log("auditor", "audit-failed", f"{report.item_digest} {report.reason}")
                 self._record_report(report)
@@ -793,7 +773,6 @@ class BaselineRun(_RunBase):
         self._schedule_traffic(epoch, start, window_end)
 
     def _allocate(self, epoch: int) -> None:
-        self.epoch_index = epoch
         alloc = build_allocation(i.public for i in self.validators[: self.config.ring_size])
         self._open_epoch(epoch, alloc, "sim")
         self.pool_at = [self.pools.get(i.display) for i in self.identities]
@@ -802,7 +781,7 @@ class BaselineRun(_RunBase):
         self._originate(ident.node_id, tx, True, transaction_size(tx))
 
     def _send_block(self, ident: Identity, block: Block) -> None:
-        self.ledgers[self.epoch_index][ident.display].append_unendorsed(block)
+        self.epoch_ledgers[ident.display].append_block(block, VerificationOutcome.valid())
         self._originate(ident.node_id, block, False, block_size(block))
 
     def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:
@@ -837,7 +816,7 @@ class BaselineRun(_RunBase):
                 queue.push(now + delay, self._receive, node_id, nb, flood)
 
     def _chain_head(self, display: str) -> str:
-        return self.ledgers[self.epoch_index][display].head_digest
+        return self.epoch_ledgers[display].head_digest
 
 
 def execute(config: ScenarioConfig):

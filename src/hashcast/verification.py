@@ -12,11 +12,9 @@ reads one verdict.  `verify_transaction` and `verify_block` take a
 `signatures` map that holds each transaction's signature verdict, keyed on
 the whole transaction, so a copy that differs in any field is checked
 afresh; the parent check against `known_transactions` runs on every call.
-`simulation.VericomRun` also keeps one `verify_block` verdict per block
-digest, one verifier set per block digest, and one `verify_endorsements`
-verdict per endorsed copy (its digest and endorsements); it hands them to
-`verify_endorsements`, `Ledger.append_block` and `audit_endorsed_block`.
-All of these maps are dropped when an epoch's allocation is published.
+The later checks take the verdicts their callers hold as plain arguments:
+`verify_endorsements` the block's verifier set, and `audit_endorsed_block`
+the auditor's verdict on the endorsed copy.
 """
 
 from __future__ import annotations
@@ -213,22 +211,14 @@ def verify_block(
     return VerificationOutcome.valid()
 
 
-def verify_endorsements(
-    block: Block,
-    alloc: RangeAllocation,
-    params: SetParams,
-    backend,
-    expected: Optional[NodeSet] = None,
-) -> VerificationOutcome:
+def verify_endorsements(block: Block, expected: NodeSet, backend) -> VerificationOutcome:
     """Full endorsement check: count, set membership, and signatures.
 
-    `expected` is the block's verifier set (`expected_verifier_set` under
-    `alloc` and `params`) if the caller already holds it; else it is
-    derived here.
+    `expected` is the block's verifier set, `expected_verifier_set` under
+    the allocation the block was cut in; its 2m+1 members must each have
+    signed the block digest once.
     """
-    if expected is None:
-        expected = expected_verifier_set(block, alloc, params)
-    if len(block.endorsements) != 2 * params.m + 1:
+    if len(block.endorsements) != len(expected.members):
         return VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
     endorser_keys = {end.verifier.raw for end in block.endorsements}
     if endorser_keys != set(expected.member_keys):
@@ -282,34 +272,21 @@ def tally_endorsement(
 
 
 def audit_endorsed_block(
-    block: Block,
-    alloc: RangeAllocation,
-    params: SetParams,
-    backend,
-    auditor: PublicKey,
-    block_verdict: Optional[VerificationOutcome] = None,
-    endorsement_verdict: Optional[VerificationOutcome] = None,
-) -> tuple[VerificationOutcome, Optional[MisbehaviorReport]]:
-    """Re-verify an endorsed block; on failure accuse generator + endorsers.
+    block: Block, auditor: PublicKey, outcome: VerificationOutcome
+) -> Optional[MisbehaviorReport]:
+    """The auditor's report on an endorsed block it judged `outcome`, or None if valid.
 
-    `block_verdict` is the block's `verify_block` verdict and
-    `endorsement_verdict` its `verify_endorsements` verdict, each if the
-    caller already has it; a missing one is checked here.  The endorsements
-    are judged only once the block passes.
+    `outcome` is the block's `verify_block` verdict or, once that passes,
+    its `verify_endorsements` verdict.  An invalid one accuses the generator
+    and every endorser.
     """
-    outcome = verify_block(block, alloc, backend) if block_verdict is None else block_verdict
     if outcome.ok:
-        outcome = endorsement_verdict
-        if outcome is None:
-            outcome = verify_endorsements(block, alloc, params, backend)
-    if outcome.ok:
-        return outcome, None
+        return None
     accused = tuple([block.generator] + [end.verifier for end in block.endorsements])
-    report = MisbehaviorReport(
+    return MisbehaviorReport(
         kind="audit",
         item_digest=block.digest,
         reason=outcome.reason,
         accused=accused,
         reporters=(auditor,),
     )
-    return outcome, report

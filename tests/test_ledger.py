@@ -15,12 +15,11 @@ from hashcast.verification import (
     REASON_BAD_ENDORSEMENT,
     SetParams,
     VerificationOutcome,
-    audit_endorsed_block,
     endorse_block,
     expected_verifier_set,
 )
 from hashcast.weights import build_allocation
-from conftest import make_keypairs
+from conftest import audit, endorsement_verdict, make_keypairs
 from oracles import scan_chain_integrity, scan_range_discipline
 
 
@@ -245,42 +244,45 @@ class TestAppend:
 
     def test_fully_endorsed_appends(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
+        verdict = endorsement_verdict(endorsed, alloc, params, backend)
         ledger = Ledger(owner=owner_kp.public)
-        assert ledger.append_block(endorsed, alloc, params, backend).ok
+        assert ledger.append_block(endorsed, verdict).ok
         assert ledger.ledger_length == 1
 
     def test_partial_endorsement_rejected(self, backend):
         endorsed, block, alloc, params, owner_kp = self._endorsed_block(backend)
         short = dataclasses.replace(block, endorsements=endorsed.endorsements[:2])
         ledger = Ledger(owner=owner_kp.public)
-        outcome = ledger.append_block(short, alloc, params, backend)
+        outcome = ledger.append_block(short, endorsement_verdict(short, alloc, params, backend))
         assert not outcome.ok and outcome.reason == "bad-endorsement"
         assert ledger.ledger_length == 0
 
     def test_replay_rejected(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
+        verdict = endorsement_verdict(endorsed, alloc, params, backend)
         ledger = Ledger(owner=owner_kp.public)
-        assert ledger.append_block(endorsed, alloc, params, backend).ok
-        outcome = ledger.append_block(endorsed, alloc, params, backend)
+        assert ledger.append_block(endorsed, verdict).ok
+        outcome = ledger.append_block(endorsed, verdict)
         assert not outcome.ok and outcome.reason == "duplicate-block"
 
     def test_broken_chain_rejected(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
+        unlinked = dataclasses.replace(endorsed, previous_digest="not-the-head")
         ledger = Ledger(owner=owner_kp.public)
-        assert ledger.append_block(endorsed, alloc, params, backend).ok
-        outcome = ledger.append_block(endorsed, alloc, params, backend)
-        assert not outcome.ok  # same block again: duplicate (and broken chain)
+        outcome = ledger.append_block(unlinked, VerificationOutcome.valid())
+        assert not outcome.ok and outcome.reason == "broken-chain"
+        assert ledger.ledger_length == 0
 
     def test_held_verdict_is_the_gate(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
         ledger = Ledger(owner=owner_kp.public)
         held = VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
-        assert ledger.append_block(endorsed, alloc, params, backend, held) == held
+        assert ledger.append_block(endorsed, held) == held
         assert ledger.ledger_length == 0
         valid = VerificationOutcome.valid()
-        assert ledger.append_block(endorsed, alloc, params, backend, valid).ok
-        # a held verdict does not skip the chain checks
-        outcome = ledger.append_block(endorsed, alloc, params, backend, valid)
+        assert ledger.append_block(endorsed, valid).ok
+        # a valid verdict does not skip the chain checks
+        outcome = ledger.append_block(endorsed, valid)
         assert not outcome.ok and outcome.reason == "duplicate-block"
 
 
@@ -298,7 +300,7 @@ class TestAudit:
             block, [by_display[pk.display] for pk in verifier_set.members], backend
         )
         auditor = backend.keypair(b"aud").public
-        outcome, report = audit_endorsed_block(endorsed, alloc, params, backend, auditor)
+        outcome, report = audit(endorsed, alloc, params, backend, auditor)
         assert outcome.ok and report is None
 
     def test_colluding_fake_block_reported(self, backend):
@@ -313,28 +315,10 @@ class TestAudit:
             block, [by_display[pk.display] for pk in verifier_set.members], backend
         )
         auditor = backend.keypair(b"aud").public
-        outcome, report = audit_endorsed_block(endorsed, alloc, params, backend, auditor)
+        outcome, report = audit(endorsed, alloc, params, backend, auditor)
         assert not outcome.ok
         assert report is not None
         assert len(report.accused) == 4  # one generator + 2m+1 endorsers
-
-    def test_held_endorsement_verdict_only_after_a_valid_block(self, backend):
-        kps, alloc, by_display = setup_ring(backend)
-        params = SetParams(n=1, m=1, num_validators=10)
-        owner_kp = by_display[alloc.validators[3].display]
-        tx = create_transaction(kps[7], b"real", backend)
-        block = grind_block(owner_kp, "", [tx], alloc, backend)
-        auditor = backend.keypair(b"aud").public
-        bad = VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
-        outcome, report = audit_endorsed_block(
-            block, alloc, params, backend, auditor, VerificationOutcome.valid(), bad
-        )
-        assert outcome == bad and report.reason == REASON_BAD_ENDORSEMENT
-        failed = VerificationOutcome.invalid("bad-signature")
-        outcome, report = audit_endorsed_block(
-            block, alloc, params, backend, auditor, failed, VerificationOutcome.valid()
-        )
-        assert outcome == failed and report.reason == "bad-signature"
 
 
 class TestScans:
@@ -348,7 +332,7 @@ class TestScans:
             for tx in txs_for_owner(backend, alloc, owner_kp.public, 2, tag=f"b{i}"):
                 pool.add(tx)
             block = commit_transactions(owner_kp, pool, 2, alloc, backend, prev)
-            ledger.append_unendorsed(block)
+            ledger.append_block(block, VerificationOutcome.valid())
             prev = block_digest(block)
         assert scan_chain_integrity(ledger)
         assert scan_range_discipline([ledger], alloc)
@@ -362,7 +346,7 @@ class TestScans:
         for tx in txs_for_owner(backend, alloc, owner_kp.public, 2):
             pool.add(tx)
         block = commit_transactions(owner_kp, pool, 2, alloc, backend, "")
-        ledger.append_unendorsed(block)
+        ledger.append_block(block, VerificationOutcome.valid())
         lines = export_ledger_lines([ledger])
         assert len(lines) == 1
         assert str(2) in lines[0]

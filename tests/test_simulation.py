@@ -10,11 +10,23 @@ from hypothesis import strategies as st
 from hashcast import simulation
 from hashcast.config import ConfigError, ScenarioConfig, load_config
 from hashcast import core, verification
-from hashcast.core import endorsement_for, msch, serialize_block, serialize_transaction
+from hashcast.core import (
+    endorsement_for,
+    make_block,
+    msch,
+    serialize_block,
+    serialize_transaction,
+)
 from hashcast.ledger import export_ledger_lines
 from hashcast.simulation import VERIFY_COST_MS, VericomRun, execute, run_scenario
 from hashcast.transmission import evaluate_window
-from hashcast.verification import REASON_BAD_ENDORSEMENT, REASON_BAD_SIGNATURE
+from hashcast.verification import (
+    REASON_BAD_ENDORSEMENT,
+    REASON_BAD_SIGNATURE,
+    REASON_RANGE_MISMATCH,
+    VerificationOutcome,
+    endorse_block,
+)
 from oracles import ring_first_arrivals, scan_chain_integrity, scan_range_discipline
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -564,6 +576,13 @@ class _StoresNothing(dict):
         pass
 
 
+def store_nothing(run, *names):
+    """Replace each of `run`'s caches `names` with a `_StoresNothing`; each must exist."""
+    for name in names:
+        assert isinstance(vars(run).get(name), dict), name
+        setattr(run, name, _StoresNothing())
+
+
 def window_counters(run):
     """Run `run`; return every node's (inbound, forwarded) at each window close."""
     closes = []
@@ -585,7 +604,7 @@ class TestPlanReuse:
     def test_reused_plans_charge_monitor_counters(self, cfg):
         cached = VericomRun(cfg)
         uncached = VericomRun(cfg)
-        uncached.plans = _StoresNothing()
+        store_nothing(uncached, "plans")
         assert window_counters(cached) == window_counters(uncached)
         assert cached.log_lines == uncached.log_lines
         assert cached.metrics == uncached.metrics
@@ -613,16 +632,13 @@ class TestVerdictSharing:
     def test_shared_verdicts_change_nothing(self, cfg):
         cached = VericomRun(cfg)
         uncached = VericomRun(cfg)
-        uncached.signatures = _StoresNothing()
-        uncached.block_verdicts = _StoresNothing()
-        uncached.verifier_sets = _StoresNothing()
-        uncached.endorsement_verdicts = _StoresNothing()
+        store_nothing(uncached, "signatures", "memo")
         assert run_outputs(cached) == run_outputs(uncached)
 
     def test_block_with_swapped_transaction_is_checked_afresh(self):
         run = execute(small_config())
         block = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
-        assert run.block_verdicts[block.digest].ok
+        assert run.memo[("block", block.digest)].ok
         assert all(run.signatures[tx] for tx in block.transactions)
         own = run.alloc.range_for(block.generator)
         # same id and signature, another payload; keep the digest in the generator's range
@@ -638,7 +654,7 @@ class TestVerdictSharing:
     def test_changed_endorsements_are_checked_afresh(self):
         run = execute(small_config())
         endorsed = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
-        assert run.endorsement_verdicts[(endorsed.digest, endorsed.endorsements)].ok
+        assert run.memo[("endorsed", endorsed.digest, endorsed.endorsements)].ok
         verifiers = {end.verifier.raw for end in endorsed.endorsements}
         outsider = next(i for i in run.identities if i.public.raw not in verifiers)
         swapped = endorsement_for(endorsed, outsider.keypair, run.backend)
@@ -650,6 +666,39 @@ class TestVerdictSharing:
             assert copy.digest == endorsed.digest
             outcome = run._verify_endorsements(copy)
             assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
+
+    def test_auditor_judges_endorsements_only_of_a_valid_block(self):
+        run = execute(small_config())
+        endorsed = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
+        block_key = ("block", endorsed.digest)
+        endorsed_key = ("endorsed", endorsed.digest, endorsed.endorsements)
+        valid = VerificationOutcome.valid()
+        bad_block = VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
+        bad_endorsements = VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
+        for block_verdict, endorsement_verdict, reason in (
+            (bad_block, valid, REASON_BAD_SIGNATURE),
+            (bad_block, bad_endorsements, REASON_BAD_SIGNATURE),
+            (valid, bad_endorsements, REASON_BAD_ENDORSEMENT),
+        ):
+            run.memo[block_key], run.memo[endorsed_key] = block_verdict, endorsement_verdict
+            run._endorsed_delivered(endorsed, run.auditors[0], run.queue.now, 0)
+            report = run.metrics.reports[-1]
+            assert (report.kind, report.item_digest, report.reason) == (
+                "audit", endorsed.digest, reason
+            )
+
+    def test_block_of_a_generator_outside_the_allocation_is_a_range_mismatch(self):
+        # the block fails verify_block, so the auditor must not derive its verifier
+        # set: the generator has no ring position to derive it from
+        run = execute(small_config())
+        outsider = next(i for i in run.identities if i.role == "node")
+        txs = run.ledgers[0][run.alloc.validators[0].display].blocks[0].transactions
+        block = make_block(outsider.keypair, "", txs, 0, run.backend)
+        endorsed = endorse_block(block, [v.keypair for v in run.validators[:3]], run.backend)
+        run._endorsed_delivered(endorsed, run.auditors[0], run.queue.now, 0)
+        report = run.metrics.reports[-1]
+        assert (report.item_digest, report.reason) == (endorsed.digest, REASON_RANGE_MISMATCH)
+        assert ("set", endorsed.digest) not in run.memo
 
 
 def count_calls(monkeypatch, fn):
@@ -666,6 +715,36 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+class TestEpochBoundary:
+    def test_endorsed_copy_in_next_registration_window_is_appended(self):
+        cfg = ScenarioConfig(
+            num_iot_nodes=10,
+            num_validators=10,
+            num_backbone=3,
+            backbone_topology="chain",
+            n=1,
+            m=1,
+            block_size=2,
+            tx_count=28,
+            epochs=3,
+            auditor=False,
+            trust_mode="untrusted",
+            link_delay_ms=40.0,
+            seed=4237,
+        )
+        run = execute(cfg)
+        assert run.metrics.committed_tx == 28
+        # some copy reaches its generator between an epoch's start and its allocation
+        in_window, late_appends = False, 0
+        for line in run.log_lines:
+            kind = line.split()[2]
+            if kind in ("epoch-start", "allocation"):
+                in_window = kind == "epoch-start"
+            late_appends += in_window and kind == "append"
+        assert late_appends > 0
+        assert_ledgers_sound(run)
 
 
 class TestHostWorkCounts:

@@ -21,7 +21,6 @@ from hashcast.verification import (
     REASON_RANGE_MISMATCH,
     SetParams,
     VerificationOutcome,
-    audit_endorsed_block,
     endorse_block,
     expected_verifier_set,
     select_validator_set,
@@ -34,7 +33,7 @@ from hashcast.verification import (
     verify_transaction,
 )
 from hashcast.weights import allocate_ranges, build_allocation
-from conftest import make_keypairs
+from conftest import audit, endorsement_verdict, make_keypairs
 
 
 def ring_allocation(backend, count, tag="vr"):
@@ -330,7 +329,7 @@ class TestEndorsementFlow:
         assert report is None
         assert len(endorsed.endorsements) == 3
         assert [end.verifier for end in endorsed.endorsements] == [kp.public for kp in members]
-        assert verify_endorsements(endorsed, alloc, params, backend).ok
+        assert endorsement_verdict(endorsed, alloc, params, backend).ok
         grown = len(serialize_block(endorsed)) - len(serialize_block(block))
         assert grown == 459 * 3
 
@@ -362,9 +361,7 @@ class TestEndorsementFlow:
         alloc, params, block, members, by_display = self._pipeline(backend)
         endorsed, _ = tally_endorsement(block, vote(block, members, alloc, backend), backend)
         auditor = backend.keypair(b"aud").public
-        outcome, report = audit_endorsed_block(
-            endorsed, alloc, params, backend, auditor
-        )
+        outcome, report = audit(endorsed, alloc, params, backend, auditor)
         assert outcome.ok and report is None
 
     def test_auditor_catches_colluding_endorsers(self, backend):
@@ -374,9 +371,7 @@ class TestEndorsementFlow:
         forged = dataclasses.replace(block, transactions=(forged_tx,))
         endorsed = endorse_block(forged, members, backend)  # collusion: sign anyway
         auditor = backend.keypair(b"aud").public
-        outcome, report = audit_endorsed_block(
-            endorsed, alloc, params, backend, auditor
-        )
+        outcome, report = audit(endorsed, alloc, params, backend, auditor)
         assert not outcome.ok
         assert report is not None
         assert len(report.accused) == 1 + 3  # generator plus 2m+1 endorsers
@@ -386,24 +381,24 @@ class TestEndorsementFlow:
         alloc, params, block, members, by_display = self._pipeline(backend)
         imposters = [backend.keypair(f"imp:{i}".encode()) for i in range(3)]
         endorsed = endorse_block(block, imposters, backend)
-        outcome = verify_endorsements(endorsed, alloc, params, backend)
+        outcome = endorsement_verdict(endorsed, alloc, params, backend)
         assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
 
     def test_short_endorsement_rejected(self, backend):
         alloc, params, block, members, _ = self._pipeline(backend)
         endorsed = endorse_block(block, members[:2], backend)
-        outcome = verify_endorsements(endorsed, alloc, params, backend)
+        outcome = endorsement_verdict(endorsed, alloc, params, backend)
         assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
 
     def test_held_verifier_set_is_the_expected_set(self, backend):
         alloc, params, block, members, _ = self._pipeline(backend)
         endorsed = endorse_block(block, members, backend)
         held = expected_verifier_set(block, alloc, params)
-        assert verify_endorsements(endorsed, alloc, params, backend, held).ok
+        assert verify_endorsements(endorsed, held, backend).ok
         # the check reads the held set: handed the (disjoint) validator set, it
         # rejects the right endorsers
         wrong = select_validator_set(block.digest, alloc, params)
-        outcome = verify_endorsements(endorsed, alloc, params, backend, wrong)
+        outcome = verify_endorsements(endorsed, wrong, backend)
         assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
 
 
