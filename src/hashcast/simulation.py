@@ -154,6 +154,28 @@ class Identity:
         return self.keypair.public.display
 
 
+@dataclass(eq=False)
+class Epoch:
+    """One published allocation and everything judged under it.
+
+    A transaction is bound to the record published when it is injected and a
+    block to the record it was cut under, so a copy still in flight across an
+    allocation is pooled, verified, appended and audited under the one it was
+    sent under.  `tips` holds each range owner's last sent block, which its
+    next block links to; `signatures` and `memo` the shared verdicts (see
+    `VericomRun._once`); `votes` each block's verifier verdicts so far.
+    """
+
+    alloc: RangeAllocation
+    params: Optional[SetParams]  # None in the baseline, which forms no sets
+    pools: dict[str, PendingPool]
+    ledgers: dict[str, Ledger]
+    tips: dict[str, str]
+    signatures: dict[Transaction, bool] = field(default_factory=dict)
+    memo: dict[tuple, object] = field(default_factory=dict)
+    votes: dict[str, dict[str, VerificationOutcome]] = field(default_factory=dict)
+
+
 class _RunBase:
     """The run path both modes share: epochs, traffic, pools, ledgers, blocks.
 
@@ -162,8 +184,8 @@ class _RunBase:
     epoch's start and window end once and passes them to the subclass's
     `_schedule_epoch`, which calls `_schedule_traffic` and schedules the
     event that calls `_open_epoch`.  A subclass also provides `_send_tx` for
-    a fresh transaction, `_chain_head` for the digest a validator's next
-    block links to, and `_send_block` for a freshly cut block.
+    a fresh transaction and `_send_block` for a freshly cut block, which
+    records the block as its owner's tip once it is sent.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -184,10 +206,8 @@ class _RunBase:
         self.allocation_tables: list[str] = []
         self.settlement_lines: list[str] = []
         self.routing_dump = ""
-        self.alloc: Optional[RangeAllocation] = None
-        self.pools: dict[str, PendingPool] = {}
+        self.epoch: Optional[Epoch] = None  # the published record
         self.ledgers: dict[int, dict[str, Ledger]] = {}
-        self.epoch_ledgers: dict[str, Ledger] = {}  # the published allocation's
         self._build_population()
 
     def log(self, actor: str, kind: str, info: str) -> None:
@@ -236,21 +256,16 @@ class _RunBase:
         epoch_end = start + self.epoch_ms
         self.queue.push(epoch_end - EPOCH_MARGIN_MS / 2, self._flush_pools)
 
-    def _open_epoch(self, epoch: int, alloc: RangeAllocation, actor: str) -> None:
-        """Publish the epoch's allocation and give every range owner a fresh pool and ledger.
-
-        `epoch_ledgers` holds the new ledgers until the next allocation is
-        published, so an endorsed copy that arrives before then is appended
-        under the allocation it was cut in.
-        """
-        self.alloc = alloc
+    def _open_epoch(self, epoch: int, alloc: RangeAllocation, params, actor: str) -> None:
+        """Publish the epoch's record: every range owner gets a fresh pool, ledger and tip."""
         self.allocation_tables.append(alloc.table())
         self.log(actor, "allocation", f"epoch={epoch} validators={len(alloc.validators)}")
-        self.pools = {}
-        self.epoch_ledgers = self.ledgers[epoch] = {}
+        record = self.epoch = Epoch(alloc, params, pools={}, ledgers={}, tips={})
         for pk in alloc.validators:
-            self.pools[pk.display] = PendingPool(owner=pk, alloc=alloc)
-            self.epoch_ledgers[pk.display] = Ledger(owner=pk)
+            record.pools[pk.display] = PendingPool(owner=pk, alloc=alloc)
+            record.ledgers[pk.display] = Ledger(owner=pk)
+            record.tips[pk.display] = ""
+        self.ledgers[epoch] = record.ledgers
 
     # -- transactions and blocks ----------------------------------------
 
@@ -262,33 +277,33 @@ class _RunBase:
         self.log(f"node.{sender_id}", "inject-tx", tx.id)
         self._send_tx(ident, tx)
 
-    def _commit_block(self, display: str, allow_partial: bool) -> None:
+    def _commit_block(self, epoch: Epoch, display: str, allow_partial: bool) -> None:
         ident = self.by_display[display]
         block = commit_transactions(
             ident.keypair,
-            self.pools[display],
+            epoch.pools[display],
             self.config.block_size,
-            self.alloc,
+            epoch.alloc,
             self.backend,
-            self._chain_head(display),
+            epoch.tips[display],
             allow_partial=allow_partial,
         )
         if block is None:
             return
         self.metrics.blocks_committed += 1
         self.log(f"node.{ident.node_id}", "commit-block", block.digest)
-        self._send_block(ident, block)
+        self._send_block(epoch, ident, block)
 
-    def _pool_tx(self, display: str, tx: Transaction) -> None:
-        """Pool a verified tx at `display`; a full pool cuts a block."""
-        pool = self.pools.get(display)
+    def _pool_tx(self, epoch: Epoch, display: str, tx: Transaction) -> None:
+        """Pool a verified tx at `display` under `epoch`; a full pool cuts a block."""
+        pool = epoch.pools.get(display)
         if pool is not None and pool.add(tx):
-            self._commit_block(display, allow_partial=False)
+            self._commit_block(epoch, display, allow_partial=False)
 
     def _flush_pools(self) -> None:
-        """Cut a last block from every range owner's non-empty pool."""
-        for pk in self.alloc.validators:
-            self._commit_block(pk.display, allow_partial=True)
+        """Cut a last block from every non-empty pool of the published record."""
+        for pk in self.epoch.alloc.validators:
+            self._commit_block(self.epoch, pk.display, allow_partial=True)
 
 
 class VericomRun(_RunBase):
@@ -301,14 +316,7 @@ class VericomRun(_RunBase):
         self.home: dict[str, int] = {}
         # (origin, destination displays) -> plan; dropped by _join_all
         self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
-        # verdicts shared by every node that checks the same item; dropped each epoch
-        self.signatures: dict[Transaction, bool] = {}
-        self.memo: dict[tuple, object] = {}  # see _once
-        self.excluded: set[str] = set()
         self.excluded_bns: set[int] = set()
-        self.params: Optional[SetParams] = None
-        self.chain_tip: dict[str, str] = {}
-        self.block_states: dict[str, dict] = {}
         self.dishonest: frozenset[bytes] = frozenset()  # raw keys of colluding verifiers
         self.malicious_generator: Optional[Identity] = None
         self.accounting = TrafficAccounting(TRAFFIC_FEE)
@@ -404,9 +412,8 @@ class VericomRun(_RunBase):
                     break
 
     def _begin_epoch(self, epoch: int, window_end: float) -> None:
-        self.vrd = RangeDistributor(
-            window_end_ms=window_end, excluded=frozenset(self.excluded)
-        )
+        excluded = frozenset(self.metrics.excluded + self.metrics.penalties)
+        self.vrd = RangeDistributor(window_end_ms=window_end, excluded=excluded)
         self.log("sim", "epoch-start", str(epoch))
 
     def _register(self, ident: Identity) -> None:
@@ -417,25 +424,19 @@ class VericomRun(_RunBase):
     def _finalize_allocation(self, epoch: int) -> None:
         try:
             alloc = self.vrd.finalize_allocation(self.queue.now)
-            self.params = SetParams(
-                n=self.config.n, m=self.config.m, num_validators=len(alloc.validators)
-            )
+            params = SetParams(self.config.n, self.config.m, len(alloc.validators))
         except ValueError as exc:
             registered = len(self.vrd.registrations)
             raise RunError(
                 f"epoch {epoch}: {registered} validators registered after exclusions: {exc}"
             ) from exc
-        self._open_epoch(epoch, alloc, "vrd")
-        self.chain_tip = {pk.display: "" for pk in alloc.validators}
-        # verdicts and verifier sets last one epoch: each reads the allocation
-        self.signatures.clear()
-        self.memo.clear()
+        self._open_epoch(epoch, alloc, params, "vrd")
         self._arm_attack(epoch)
 
     # -- transaction pipeline -------------------------------------------
 
-    def _uplink(self, ident: Identity, handler, item) -> bool:
-        """Send an item over the sender's access link to its backbone node.
+    def _uplink(self, ident: Identity, handler, epoch: Epoch, item) -> bool:
+        """Send an item, bound to `epoch`, over the sender's access link to its backbone node.
 
         A sender attached to no backbone node counts one routing failure
         and sends nothing; the return value says whether the item went out.
@@ -446,18 +447,19 @@ class VericomRun(_RunBase):
             return False
         send_time = self.queue.now
         arrive = send_time + self.access[(ident.node_id, bn_id)]
-        self.queue.push(arrive, handler, item, bn_id, send_time)
+        self.queue.push(arrive, handler, epoch, item, bn_id, send_time)
         return True
 
     def _send_tx(self, ident: Identity, tx: Transaction) -> None:
-        self._uplink(ident, self._tx_at_backbone, tx)
+        self._uplink(ident, self._tx_at_backbone, self.epoch, tx)
 
-    def _tx_at_backbone(self, tx: Transaction, bn_id: int, send_time: float) -> None:
+    def _tx_at_backbone(self, epoch: Epoch, tx: Transaction, bn_id: int, send_time: float) -> None:
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        vset = select_validator_set(tx.id, self.alloc, self.params)
+        vset = select_validator_set(tx.id, epoch.alloc, epoch.params)
         self._multicast(
+            epoch,
             bn_id,
             [pk.display for pk in vset.members],
             transaction_size(tx),
@@ -466,7 +468,7 @@ class VericomRun(_RunBase):
             tx,
         )
 
-    def _multicast(self, bn_id, displays, size, send_time, handler, item) -> None:
+    def _multicast(self, epoch, bn_id, displays, size, send_time, handler, item) -> None:
         """Route an item from backbone node `bn_id` to every attached one of `displays`.
 
         A plan depends only on `bn_id`, `displays` and what `_join_all` sets
@@ -493,80 +495,66 @@ class VericomRun(_RunBase):
             self.metrics.lost_items += len(result.lost)
             self.log(f"bn.{bn_id}", "multicast-losses", str(len(result.lost)))
         for delivery in result.deliveries:
-            self.queue.push(
-                self.queue.now + delivery.delay_ms,
-                handler,
-                item,
-                delivery.display,
-                send_time,
-                size,
-            )
+            at = self.queue.now + delivery.delay_ms
+            self.queue.push(at, handler, epoch, item, delivery.display, send_time, size)
 
-    def _tx_delivered(self, tx: Transaction, display: str, send_time: float, size: int) -> None:
+    def _tx_delivered(self, epoch: Epoch, tx, display: str, send_time: float, size: int) -> None:
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         self.metrics.verify_ops += 1
-        outcome = verify_transaction(tx, self.backend, signatures=self.signatures)
+        outcome = verify_transaction(tx, self.backend, signatures=epoch.signatures)
         ident = self.by_display[display]
         if not outcome.ok:
             self.log(f"node.{ident.node_id}", "tx-rejected", f"{tx.id} {outcome.reason}")
             return
-        self._pool_tx(display, tx)
+        self._pool_tx(epoch, display, tx)
 
-    def _chain_head(self, display: str) -> str:
-        return self.chain_tip[display]
-
-    def _send_block(self, ident: Identity, block: Block) -> None:
-        if self._uplink(ident, self._block_at_backbone, block):
-            self.chain_tip[ident.display] = block.digest
+    def _send_block(self, epoch: Epoch, ident: Identity, block: Block) -> None:
+        if self._uplink(ident, self._block_at_backbone, epoch, block):
+            epoch.tips[ident.display] = block.digest
         else:
             # the block never leaves its generator, so its transactions are lost
             self.metrics.lost_items += len(block.transactions)
 
-    def _block_at_backbone(self, block, bn_id: int, send_time: float) -> None:
+    def _block_at_backbone(self, epoch: Epoch, block, bn_id: int, send_time: float) -> None:
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        verifier_set = self._verifier_set(block)
-        expected = [pk.display for pk in verifier_set.members]
-        self.block_states[block.digest] = {
-            "expected": expected,
-            "verdicts": {},
-            "main": verifier_set.main.display,
-        }
+        epoch.votes[block.digest] = {}
         self._multicast(
+            epoch,
             bn_id,
-            expected,
+            [pk.display for pk in self._verifier_set(epoch, block).members],
             block_size(block),
             send_time,
             self._block_delivered,
             block,
         )
 
-    def _block_delivered(self, block, display: str, send_time: float, size: int) -> None:
+    def _block_delivered(
+        self, epoch: Epoch, block, display: str, send_time: float, size: int
+    ) -> None:
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         self.metrics.verify_ops += 1
         d = block.digest
-        state = self.block_states.get(d)
-        if state is None or display in state["verdicts"]:
+        votes = epoch.votes.get(d)
+        if votes is None or display in votes:
             return
         ident = self.by_display[display]
         if ident.public.raw in self.dishonest:
             outcome = VerificationOutcome.valid()
         else:
-            outcome = self._verify_block(block)
-        state["verdicts"][display] = outcome
-        self.log(
-            f"node.{ident.node_id}",
-            "block-verdict",
-            f"{d} {'valid' if outcome.ok else 'invalid'}",
-        )
-        if len(state["verdicts"]) < len(state["expected"]):
+            outcome = self._verify_block(epoch, block)
+        votes[display] = outcome
+        verdict = "valid" if outcome.ok else "invalid"
+        self.log(f"node.{ident.node_id}", "block-verdict", f"{d} {verdict}")
+        verifier_set = self._verifier_set(epoch, block)
+        if len(votes) < len(verifier_set.members):
             return
         verdicts = [
-            (self.by_display[disp].keypair, state["verdicts"][disp])
-            for disp in state["expected"]
+            (self.by_display[pk.display].keypair, votes[pk.display])
+            for pk in verifier_set.members
         ]
         endorsed, report = tally_endorsement(block, verdicts, self.backend, self.dishonest)
         if report is not None:
@@ -574,10 +562,11 @@ class VericomRun(_RunBase):
             return
         self.metrics.endorsed_blocks += 1
         self.log("sim", "block-endorsed", d)
-        self._uplink(self.by_display[state["main"]], self._broadcast_endorsed, endorsed)
+        main = self.by_display[verifier_set.main.display]
+        self._uplink(main, self._broadcast_endorsed, epoch, endorsed)
 
-    def _once(self, key: tuple, compute):
-        """`compute()` on the first call for `key` under the published allocation; kept after.
+    def _once(self, epoch: Epoch, key: tuple, compute):
+        """`compute()` on the first call for `key` under `epoch`'s allocation; kept after.
 
         The keys are `("block", digest)` for a `verify_block` verdict,
         `("set", digest)` for a verifier set and `("endorsed", digest,
@@ -585,28 +574,35 @@ class VericomRun(_RunBase):
         only its key and the allocation: a block digest covers everything
         `verify_block` reads and the generator, and an endorsed copy keeps
         its block's digest, so the verifiers and the auditor share a
-        verdict.  `_finalize_allocation` drops them all.
+        verdict.  Each record keeps its own memo, so a copy in flight across
+        an allocation is still judged under the one it was sent under.
         """
-        value = self.memo.get(key)
+        value = epoch.memo.get(key)
         if value is None:
-            value = self.memo[key] = compute()
+            value = epoch.memo[key] = compute()
         return value
 
-    def _verify_block(self, block: Block) -> VerificationOutcome:
+    def _verify_block(self, epoch: Epoch, block: Block) -> VerificationOutcome:
         return self._once(
+            epoch,
             ("block", block.digest),
-            lambda: verify_block(block, self.alloc, self.backend, self.signatures),
+            lambda: verify_block(block, epoch.alloc, self.backend, epoch.signatures),
         )
 
-    def _verifier_set(self, block: Block) -> NodeSet:
+    def _verifier_set(self, epoch: Epoch, block: Block) -> NodeSet:
         return self._once(
-            ("set", block.digest), lambda: expected_verifier_set(block, self.alloc, self.params)
+            epoch,
+            ("set", block.digest),
+            lambda: expected_verifier_set(block, epoch.alloc, epoch.params),
         )
 
-    def _verify_endorsements(self, endorsed: Block) -> VerificationOutcome:
+    def _verify_endorsements(self, epoch: Epoch, endorsed: Block) -> VerificationOutcome:
         return self._once(
+            epoch,
             ("endorsed", endorsed.digest, endorsed.endorsements),
-            lambda: verify_endorsements(endorsed, self._verifier_set(endorsed), self.backend),
+            lambda: verify_endorsements(
+                endorsed, self._verifier_set(epoch, endorsed), self.backend
+            ),
         )
 
     def _detected(self) -> None:
@@ -620,47 +616,51 @@ class VericomRun(_RunBase):
         for pk in report.accused:
             if pk.display not in self.metrics.excluded:
                 self.metrics.excluded.append(pk.display)
-            self.excluded.add(pk.display)
         accused = ",".join(pk.display[:8] for pk in report.accused)
         self.log("sim", "misbehavior-report", f"{report.kind} {report.item_digest} [{accused}]")
 
-    def _broadcast_endorsed(self, endorsed, bn_id: int, send_time: float) -> None:
+    def _broadcast_endorsed(self, epoch: Epoch, endorsed, bn_id: int, send_time: float) -> None:
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
         self.log(f"bn.{bn_id}", "broadcast-endorsed", endorsed.digest)
         self._multicast(
+            epoch,
             bn_id,
-            [pk.display for pk in self.alloc.validators] + self.auditors,
+            [pk.display for pk in epoch.alloc.validators] + self.auditors,
             block_size(endorsed),
             send_time,
             self._endorsed_delivered,
             endorsed,
         )
 
-    def _endorsed_delivered(self, endorsed, display: str, send_time: float, size: int) -> None:
+    def _endorsed_delivered(
+        self, epoch: Epoch, endorsed, display: str, send_time: float, size: int
+    ) -> None:
         """The generator appends an endorsed copy to its ledger; the auditor audits it.
 
-        Both read one endorsement verdict (`_verify_endorsements`).  The
-        generator has a ledger only while it owns a range of the published
-        allocation.  The auditor judges the block first and its endorsements
-        only if the block is valid: the verifier set of a block whose
-        generator owns no range cannot be derived.
+        Both read one endorsement verdict (`_verify_endorsements`) under
+        `epoch`, the record the block was cut under, so a copy in flight
+        across an allocation is appended and audited under the one it was
+        sent under.  The generator has a ledger only if it owns a range
+        there.  The auditor judges the block first and its endorsements only
+        if the block is valid: the verifier set of a block whose generator
+        owns no range cannot be derived.
         """
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         ident = self.by_display[display]
         if display == endorsed.generator.display:
-            ledger = self.epoch_ledgers.get(display)
+            ledger = epoch.ledgers.get(display)
             if ledger is not None:
-                outcome = ledger.append_block(endorsed, self._verify_endorsements(endorsed))
+                outcome = ledger.append_block(endorsed, self._verify_endorsements(epoch, endorsed))
                 kind = "append" if outcome.ok else f"append-rejected:{outcome.reason}"
                 self.log(f"node.{ident.node_id}", kind, endorsed.digest)
         if ident.role == "auditor":
             self.metrics.audit_ops += 1
-            outcome = self._verify_block(endorsed)
+            outcome = self._verify_block(epoch, endorsed)
             if outcome.ok:
-                outcome = self._verify_endorsements(endorsed)
+                outcome = self._verify_endorsements(epoch, endorsed)
             report = audit_endorsed_block(endorsed, ident.public, outcome)
             if report is not None:
                 self.log("auditor", "audit-failed", f"{report.item_digest} {report.reason}")
@@ -682,7 +682,6 @@ class VericomRun(_RunBase):
         for display in settlement.penalties:
             if display not in self.metrics.penalties:
                 self.metrics.penalties.append(display)
-            self.excluded.add(display)
         self.log("ta", "settlement", f"epoch={epoch} penalties={len(settlement.penalties)}")
 
     def _monitor_window(self, window: int) -> None:
@@ -716,7 +715,7 @@ class VericomRun(_RunBase):
         Under false-verification only the main verifier colludes, so its wing
         mates reject the block; under fake-transaction every verifier does.
         """
-        generator = self.malicious_generator
+        generator, epoch = self.malicious_generator, self.epoch
         fake_tx = Transaction(
             sender=self.identities[-1].public,
             payload=b"forged:" + self.rng_payload.randbytes(self.config.payload_size),
@@ -724,18 +723,18 @@ class VericomRun(_RunBase):
         )
         block = grind_block(
             generator.keypair,
-            self.chain_tip[generator.display],
+            epoch.tips[generator.display],
             [replace(fake_tx, id=transaction_id(fake_tx))],
-            self.alloc,
+            epoch.alloc,
             self.backend,
         )
-        verifiers = self._verifier_set(block)
+        verifiers = self._verifier_set(epoch, block)
         if self.config.attack == "false-verification":
             self.dishonest = frozenset({verifiers.main.raw})
         else:
             self.dishonest = verifiers.member_keys
         self.log(f"node.{generator.node_id}", "commit-forged-block", block.digest)
-        self._send_block(generator, block)
+        self._send_block(epoch, generator, block)
 
 
 class BaselineRun(_RunBase):
@@ -774,14 +773,15 @@ class BaselineRun(_RunBase):
 
     def _allocate(self, epoch: int) -> None:
         alloc = build_allocation(i.public for i in self.validators[: self.config.ring_size])
-        self._open_epoch(epoch, alloc, "sim")
-        self.pool_at = [self.pools.get(i.display) for i in self.identities]
+        self._open_epoch(epoch, alloc, None, "sim")
+        self.pool_at = [self.epoch.pools.get(i.display) for i in self.identities]
 
     def _send_tx(self, ident: Identity, tx: Transaction) -> None:
         self._originate(ident.node_id, tx, True, transaction_size(tx))
 
-    def _send_block(self, ident: Identity, block: Block) -> None:
-        self.epoch_ledgers[ident.display].append_block(block, VerificationOutcome.valid())
+    def _send_block(self, epoch: Epoch, ident: Identity, block: Block) -> None:
+        epoch.ledgers[ident.display].append_block(block, VerificationOutcome.valid())
+        epoch.tips[ident.display] = block.digest
         self._originate(ident.node_id, block, False, block_size(block))
 
     def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:
@@ -808,15 +808,12 @@ class BaselineRun(_RunBase):
         """
         self.metrics.verify_ops += 1
         if flood[1] and self.pool_at[node_id] is not None:
-            self._pool_tx(self.identities[node_id].display, flood[0])
+            self._pool_tx(self.epoch, self.identities[node_id].display, flood[0])
         queue = self.queue
         now = queue.now
         for nb, delay in self.links[node_id]:
             if nb != sender:
                 queue.push(now + delay, self._receive, node_id, nb, flood)
-
-    def _chain_head(self, display: str) -> str:
-        return self.epoch_ledgers[display].head_digest
 
 
 def execute(config: ScenarioConfig):

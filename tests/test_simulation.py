@@ -1,5 +1,5 @@
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -85,12 +85,9 @@ class TestHonestRuns:
         assert run.metrics.routing_failures == 0
 
     def test_ledger_scans_hold(self):
-        run = execute(small_config(tx_count=100))
-        for epoch, ledgers in run.ledgers.items():
-            alloc = run.alloc
-            for ledger in ledgers.values():
-                assert scan_chain_integrity(ledger)
-            assert scan_range_discipline(list(ledgers.values()), alloc)
+        run, records = run_keeping_records(small_config(tx_count=100, epochs=3))
+        assert sorted(run.ledgers) == sorted(records) == [0, 1, 2]
+        assert_ledgers_in_range(run, records)
 
     def test_no_double_commit(self):
         run = execute(small_config(tx_count=150))
@@ -273,14 +270,14 @@ class TestAttacks:
             )
         )
         assert run.metrics.detected
-        assert len(run.alloc.validators) == 6
+        assert len(run.epoch.alloc.validators) == 6
 
     def test_unreported_attack_needs_no_spare_range_owners(self):
         # m = 0 and no auditor: the lone colluding verifier endorses and nobody reports
         cfg = dict(num_validators=4, n=1, m=0, epochs=2, attack="false-verification")
         run = execute(small_config(auditor=False, adversary_ids=(0,), **cfg))
         assert not run.metrics.detected
-        assert len(run.alloc.validators) == 4
+        assert len(run.epoch.alloc.validators) == 4
         with pytest.raises(ConfigError, match="excludes 2 of 4"):
             small_config(auditor=True, adversary_ids=(0,), **cfg)
 
@@ -304,7 +301,7 @@ class TestUnattachedSender:
         run = execute(cfg)
         generator = run.malicious_generator.display
         assert generator in run.metrics.isolated
-        assert run.chain_tip[generator] == ""  # the unsent block is not a tip
+        assert run.epoch.tips[generator] == ""  # the unsent block is not a tip
         assert run.metrics.routing_failures >= 1
 
     def test_flush_after_rebuild_isolates_validators(self):
@@ -329,10 +326,10 @@ class TestUnattachedSender:
         unsent = []
 
         class Recording(VericomRun):
-            def _send_block(self, ident, block):
+            def _send_block(self, epoch, ident, block):
                 attached = ident.display in self.home
                 lost_before = self.metrics.lost_items
-                super()._send_block(ident, block)
+                super()._send_block(epoch, ident, block)
                 if not attached:
                     unsent.append((len(block.transactions), self.metrics.lost_items - lost_before))
 
@@ -446,6 +443,30 @@ def forging_configs(draw):
         assume(False)
 
 
+def run_keeping_records(cfg):
+    """Run `cfg` in vericom mode; return the run and each epoch's published record."""
+    run = VericomRun(cfg)
+    records = {}
+    open_epoch = run._open_epoch
+
+    def open_and_keep(epoch, *args):
+        open_epoch(epoch, *args)
+        records[epoch] = run.epoch
+
+    run._open_epoch = open_and_keep
+    run.run()
+    return run, records
+
+
+def assert_ledgers_in_range(run, records):
+    """Each epoch's chains link up, and each block lies in its owner's range of that epoch."""
+    for epoch, ledgers in run.ledgers.items():
+        assert records[epoch].ledgers is ledgers
+        for ledger in ledgers.values():
+            assert scan_chain_integrity(ledger)
+        assert scan_range_discipline(list(ledgers.values()), records[epoch].alloc)
+
+
 def assert_ledgers_sound(run):
     """No tx committed twice or beyond what was injected; every chain links up."""
     assert run.metrics.committed_tx <= run.metrics.injected_tx
@@ -530,10 +551,11 @@ class TestWholeRunProperties:
     @given(forging_configs())
     @settings(max_examples=40, deadline=None)
     def test_forging_run_reports(self, cfg):
-        run = execute(cfg)
+        run, records = run_keeping_records(cfg)
         generator = run.malicious_generator.display
         (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
-        expected = run.block_states[forged]["expected"]
+        # the forged block is cut under epoch 0's allocation
+        expected = [pk.display for pk in records[0].memo[("set", forged)].members]
         reports = [(r.kind, [pk.display for pk in r.accused]) for r in run.metrics.reports]
         if cfg.attack == "false-verification" and cfg.m >= 1:
             # the honest wing mates reject and accuse the colluding main verifier
@@ -556,7 +578,7 @@ class TestWholeRunProperties:
         assert run.metrics.isolated == []
         assert_ledgers_sound(run)
         last = max(run.ledgers)
-        assert scan_range_discipline(list(run.ledgers[last].values()), run.alloc)
+        assert scan_range_discipline(list(run.ledgers[last].values()), run.epoch.alloc)
 
     # only forging attacks exclude range owners; dropping excludes backbone nodes
     @given(forging_configs(), st.integers(2, 3))
@@ -577,10 +599,25 @@ class _StoresNothing(dict):
 
 
 def store_nothing(run, *names):
-    """Replace each of `run`'s caches `names` with a `_StoresNothing`; each must exist."""
+    """Replace each cache `names` with a `_StoresNothing`; each must exist.
+
+    A name is either a cache of `run` or a field of the epoch record, which
+    is replaced in every record as soon as `_open_epoch` publishes it.
+    """
+    on_records = [name for name in names if name in {f.name for f in fields(simulation.Epoch)}]
     for name in names:
-        assert isinstance(vars(run).get(name), dict), name
-        setattr(run, name, _StoresNothing())
+        if name not in on_records:
+            assert isinstance(vars(run).get(name), dict), name
+            setattr(run, name, _StoresNothing())
+    open_epoch = run._open_epoch
+
+    def open_storing_nothing(*args):
+        open_epoch(*args)
+        for name in on_records:
+            assert isinstance(getattr(run.epoch, name), dict), name
+            setattr(run.epoch, name, _StoresNothing())
+
+    run._open_epoch = open_storing_nothing
 
 
 def window_counters(run):
@@ -637,10 +674,11 @@ class TestVerdictSharing:
 
     def test_block_with_swapped_transaction_is_checked_afresh(self):
         run = execute(small_config())
-        block = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
-        assert run.memo[("block", block.digest)].ok
-        assert all(run.signatures[tx] for tx in block.transactions)
-        own = run.alloc.range_for(block.generator)
+        epoch = run.epoch
+        block = run.ledgers[0][epoch.alloc.validators[0].display].blocks[0]
+        assert epoch.memo[("block", block.digest)].ok
+        assert all(epoch.signatures[tx] for tx in block.transactions)
+        own = epoch.alloc.range_for(block.generator)
         # same id and signature, another payload; keep the digest in the generator's range
         # so only the transaction check can fail
         for k in range(1000):
@@ -648,13 +686,13 @@ class TestVerdictSharing:
             swapped = replace(block, transactions=(tx,) + block.transactions[1:])
             if own.covers(msch(swapped.digest)):
                 break
-        outcome = run._verify_block(swapped)
+        outcome = run._verify_block(epoch, swapped)
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
 
     def test_changed_endorsements_are_checked_afresh(self):
         run = execute(small_config())
-        endorsed = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
-        assert run.memo[("endorsed", endorsed.digest, endorsed.endorsements)].ok
+        endorsed = run.ledgers[0][run.epoch.alloc.validators[0].display].blocks[0]
+        assert run.epoch.memo[("endorsed", endorsed.digest, endorsed.endorsements)].ok
         verifiers = {end.verifier.raw for end in endorsed.endorsements}
         outsider = next(i for i in run.identities if i.public.raw not in verifiers)
         swapped = endorsement_for(endorsed, outsider.keypair, run.backend)
@@ -664,12 +702,13 @@ class TestVerdictSharing:
         ):
             copy = replace(endorsed, endorsements=endorsements)
             assert copy.digest == endorsed.digest
-            outcome = run._verify_endorsements(copy)
+            outcome = run._verify_endorsements(run.epoch, copy)
             assert not outcome.ok and outcome.reason == REASON_BAD_ENDORSEMENT
 
     def test_auditor_judges_endorsements_only_of_a_valid_block(self):
         run = execute(small_config())
-        endorsed = run.ledgers[0][run.alloc.validators[0].display].blocks[0]
+        epoch = run.epoch
+        endorsed = run.ledgers[0][epoch.alloc.validators[0].display].blocks[0]
         block_key = ("block", endorsed.digest)
         endorsed_key = ("endorsed", endorsed.digest, endorsed.endorsements)
         valid = VerificationOutcome.valid()
@@ -680,8 +719,8 @@ class TestVerdictSharing:
             (bad_block, bad_endorsements, REASON_BAD_SIGNATURE),
             (valid, bad_endorsements, REASON_BAD_ENDORSEMENT),
         ):
-            run.memo[block_key], run.memo[endorsed_key] = block_verdict, endorsement_verdict
-            run._endorsed_delivered(endorsed, run.auditors[0], run.queue.now, 0)
+            epoch.memo[block_key], epoch.memo[endorsed_key] = block_verdict, endorsement_verdict
+            run._endorsed_delivered(epoch, endorsed, run.auditors[0], run.queue.now, 0)
             report = run.metrics.reports[-1]
             assert (report.kind, report.item_digest, report.reason) == (
                 "audit", endorsed.digest, reason
@@ -692,13 +731,13 @@ class TestVerdictSharing:
         # set: the generator has no ring position to derive it from
         run = execute(small_config())
         outsider = next(i for i in run.identities if i.role == "node")
-        txs = run.ledgers[0][run.alloc.validators[0].display].blocks[0].transactions
+        txs = run.ledgers[0][run.epoch.alloc.validators[0].display].blocks[0].transactions
         block = make_block(outsider.keypair, "", txs, 0, run.backend)
         endorsed = endorse_block(block, [v.keypair for v in run.validators[:3]], run.backend)
-        run._endorsed_delivered(endorsed, run.auditors[0], run.queue.now, 0)
+        run._endorsed_delivered(run.epoch, endorsed, run.auditors[0], run.queue.now, 0)
         report = run.metrics.reports[-1]
         assert (report.item_digest, report.reason) == (endorsed.digest, REASON_RANGE_MISMATCH)
-        assert ("set", endorsed.digest) not in run.memo
+        assert ("set", endorsed.digest) not in run.epoch.memo
 
 
 def count_calls(monkeypatch, fn):
@@ -745,6 +784,99 @@ class TestEpochBoundary:
             late_appends += in_window and kind == "append"
         assert late_appends > 0
         assert_ledgers_sound(run)
+
+    def test_late_copy_is_audited_under_the_allocation_it_was_cut_in(self):
+        # copies cut in epoch 0 reach the auditor just after epoch 1's allocation
+        # at 417 ms; judged against the new ranges they were range mismatches,
+        # honest validators were excluded and epoch 2 had 1 range owner left
+        cfg = ScenarioConfig(
+            num_iot_nodes=15,
+            num_validators=8,
+            num_backbone=4,
+            backbone_topology="chain",
+            n=1,
+            m=1,
+            block_size=2,
+            tx_count=49,
+            epochs=3,
+            attack="false-verification",
+            adversary_ids=(3,),
+            link_delay_ms=40.0,
+            access_delay_max_ms=30.0,
+            seed=206958,
+        )
+        run = execute(cfg)  # a RunError fails here
+        assert len(run.ledgers) == 3
+        assert not [line for line in run.log_lines if "audit-failed" in line]
+        accused = {pk.raw for report in run.metrics.reports for pk in report.accused}
+        assert accused == {run.malicious_generator.public.raw} | run.dishonest
+
+    def test_late_copy_lands_in_the_ledger_of_its_epoch(self):
+        # node 6's endorsed copies cut at 215 and 521 ms reach it after the next
+        # allocation; appended to the next epoch's ledger, they broke its chain
+        cfg = ScenarioConfig(
+            num_iot_nodes=16,
+            num_validators=14,
+            num_backbone=5,
+            n=2,
+            m=0,
+            block_size=4,
+            tx_count=45,
+            epochs=3,
+            auditor=False,
+            link_delay_ms=40.0,
+            access_delay_max_ms=30.0,
+            monitor_window_ms=30.0,
+            seed=104088,
+        )
+        run = execute(cfg)
+        assert not [line for line in run.log_lines if "broken-chain" in line]
+        # a block is cut under the allocation its transactions were injected under
+        injected_in, epoch = {}, None
+        for line in run.log_lines:
+            kind, info = line.split()[2:4]
+            if kind == "allocation":
+                epoch = int(info.removeprefix("epoch="))
+            elif kind == "inject-tx":
+                injected_in[info] = epoch
+        for epoch, ledgers in run.ledgers.items():
+            for ledger in ledgers.values():
+                for block in ledger.blocks:
+                    assert {injected_in[tx.id] for tx in block.transactions} == {epoch}
+        # 37 of 45: the other 8 reach their pools after the epoch's flush and stay there
+        assert run.metrics.committed_tx >= 37
+        assert_ledgers_sound(run)
+
+
+@st.composite
+def long_delay_configs(draw):
+    """Honest or forging vericom configs in either trust mode, with long link and access delays."""
+    cfg = draw(st.one_of(honest_configs(), forging_configs()))
+    return replace(
+        cfg,
+        trust_mode=draw(st.sampled_from(["trusted", "untrusted"])),
+        link_delay_ms=draw(st.sampled_from([1.0, 10.0, 40.0])),
+        access_delay_max_ms=draw(st.sampled_from([2.0, 30.0])),
+    )
+
+
+class TestLongDelays:
+    """Copies still in flight across an allocation are judged under the one they were sent under."""
+
+    @given(long_delay_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_only_forgers_are_accused_and_chains_hold(self, cfg):
+        run, records = run_keeping_records(cfg)  # a RunError fails here
+        forger = run.malicious_generator
+        allowed = run.dishonest | ({forger.public.raw} if forger else set())
+        for report in run.metrics.reports:
+            assert {pk.raw for pk in report.accused} <= allowed
+        # only the forger's own chain breaks: its next block links to the rejected one
+        for line in run.log_lines:
+            actor, kind = line.split()[1:3]
+            if kind == "append-rejected:broken-chain":
+                assert forger is not None and actor == f"node.{forger.node_id}"
+        assert_ledgers_in_range(run, records)
 
 
 class TestHostWorkCounts:
@@ -802,7 +934,7 @@ class TestRingCap:
             seed=9,
         )
         run = execute(cfg)
-        assert len(run.alloc.validators) == 62
+        assert len(run.epoch.alloc.validators) == 62
         assert run.metrics.committed_tx == 30
         # all 80 validator keys remain routable destinations
         bn = run.graph.nodes[min(run.graph.nodes)]
