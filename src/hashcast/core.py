@@ -9,17 +9,18 @@ for every signature backend.
 
 A block is a head (`block_head`: tag, kind, signed header, generator's
 credential) followed by a tail (`block_tail`: length-prefixed body,
-endorsement count, endorsements).  Only the head depends on the nonce, so a
-nonce grind builds the tail once and, per try, signs, builds the head, hashes
-head and tail and reads the first digest symbol alone (`msch_index`).
+endorsement count, endorsements).  Only the nonce and signature in the head
+change between grind tries, so a grind hashes the bytes before them
+(`head_parts`) once and, per try, signs, copies that SHA-256 state, feeds it
+the rest and reads the first digest symbol alone (`msch_index`).
 `transaction_size` and `block_size` give wire sizes by arithmetic, without
 building any bytes.
 
 All types in this module are immutable values; they can be shared freely
 between concurrent readers.  A `Block` computes its digest from its own
 content the first time `Block.digest` is read and keeps it; no caller can
-supply one, so the cached value always matches the content.  A copy made
-with `replace` computes its own.  Two functions set it instead, each from
+supply one, so the cached value always matches the content.  A copy of a
+block computes its own.  Two functions set it instead, each from
 the same content: `ledger.grind_block` encodes the SHA-256 of the winning
 head and tail (`base62_digest`), and the endorsed copy made by
 `verification.endorse_block` keeps the digest of the block it endorses
@@ -30,7 +31,7 @@ computation behind it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -172,17 +173,19 @@ def _field(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
+def credential_parts(public: PublicKey, signature_length: int) -> tuple[bytes, bytes]:
+    """A credential blob's bytes before and after a signature: key and lengths, then zeros."""
+    lead = len(public.raw).to_bytes(2, "big") + public.raw + signature_length.to_bytes(2, "big")
+    room = CREDENTIAL_BYTES - len(lead) - signature_length
+    if room < 0:
+        raise ValueError("credential exceeds fixed blob size")
+    return lead, bytes(room)
+
+
 def pack_credential(public: PublicKey, signature: bytes) -> bytes:
     """Pack a PK+signature pair into the fixed 459-byte credential blob."""
-    blob = (
-        len(public.raw).to_bytes(2, "big")
-        + public.raw
-        + len(signature).to_bytes(2, "big")
-        + signature
-    )
-    if len(blob) > CREDENTIAL_BYTES:
-        raise ValueError("credential exceeds fixed blob size")
-    return blob + bytes(CREDENTIAL_BYTES - len(blob))
+    lead, padding = credential_parts(public, len(signature))
+    return lead + signature + padding
 
 
 @dataclass(frozen=True)
@@ -258,16 +261,11 @@ def create_transaction(
     signature = backend.sign(
         keypair.secret, transaction_signing_bytes(keypair.public, payload, previous_id)
     )
-    tx = Transaction(
-        sender=keypair.public,
-        payload=payload,
-        signature=signature,
-        previous_id=previous_id,
-    )
-    return replace(tx, id=transaction_id(tx))
+    tx = Transaction(keypair.public, payload, signature, previous_id)
+    return Transaction(keypair.public, payload, signature, previous_id, transaction_id(tx))
 
 
-_NONCE_BYTES = 8
+NONCE_BYTES = 8
 
 # Format tag and kind field that open every block; built once, not per grind try.
 _BLOCK_KIND = FORMAT_TAG + _field(b"blk")
@@ -277,14 +275,14 @@ def unsigned_header(
     generator: PublicKey, previous_digest: str, transactions: Sequence[Transaction]
 ) -> bytes:
     """A block header without its trailing nonce."""
-    tx_ids = "".join(tx.id for tx in transactions).encode("ascii")
+    tx_ids = "".join([tx.id for tx in transactions]).encode("ascii")
     fields = (b"blkhdr", generator.raw, previous_digest.encode("ascii"), tx_ids)
-    return FORMAT_TAG + b"".join(_field(data) for data in fields)
+    return FORMAT_TAG + b"".join(map(_field, fields))
 
 
 def signed_header(header: bytes, nonce: int) -> bytes:
     """Bytes a generator signs: a header without its nonce, then the nonce."""
-    return header + nonce.to_bytes(_NONCE_BYTES, "big")
+    return header + nonce.to_bytes(NONCE_BYTES, "big")
 
 
 def block_header_bytes(block: Block) -> bytes:
@@ -297,9 +295,17 @@ def serialize_body(transactions: Sequence[Transaction]) -> bytes:
     return b"".join(serialize_transaction(tx) for tx in transactions)
 
 
+def head_parts(generator: PublicKey, header: bytes, sig_length: int) -> tuple[bytes, ...]:
+    """The fixed parts of the block head `prefix + nonce + lead + signature + padding`."""
+    lead, padding = credential_parts(generator, sig_length)
+    prefix = _BLOCK_KIND + (len(header) + NONCE_BYTES).to_bytes(4, "big") + header
+    return prefix, CREDENTIAL_BYTES.to_bytes(4, "big") + lead, padding
+
+
 def block_head(generator: PublicKey, signed: bytes, signature: bytes) -> bytes:
     """A block's bytes before its body; `signature` is the generator's over `signed`."""
-    return _BLOCK_KIND + _field(signed) + _field(pack_credential(generator, signature))
+    prefix, lead, padding = head_parts(generator, signed[:-NONCE_BYTES], len(signature))
+    return prefix + signed[-NONCE_BYTES:] + lead + signature + padding
 
 
 def block_tail(body: bytes, endorsements: Sequence[Endorsement] = ()) -> bytes:

@@ -18,15 +18,15 @@ from .core import (
     KeyPair,
     PublicKey,
     Transaction,
+    NONCE_BYTES,
     base62_digest,
     block_digest,  # noqa: F401 (re-exported as ledger.block_digest)
-    block_head,
     block_tail,
+    head_parts,
     make_block,
     msch,
     msch_index,
     serialize_body,
-    signed_header,
     unsigned_header,
 )
 from .verification import VerificationOutcome
@@ -161,24 +161,32 @@ def grind_block(
 ) -> Block:
     """Try nonces until the block digest starts inside the signer's own range.
 
-    The header without its nonce and the block's tail (`block_tail`, which
-    serializes the transactions) are built once.  A try signs the header
-    with its nonce through `backend.sign`, builds the head (`block_head`),
-    hashes head and tail and reads the first digest symbol alone
-    (`msch_index`).  Only the winning nonce is built into a `Block`, through
-    `make_block`; the block keeps the winning hash as its digest
-    (`base62_digest`), so its content is not hashed again.
+    The header without its nonce, the SHA-256 state of the head's prefix
+    (`head_parts`) and the tail (`block_tail`) are built once per block.  A
+    try signs the header with its nonce through `backend.sign`, feeds a copy
+    of that state the nonce, lead, signature, padding and tail, and reads the
+    first digest symbol alone (`msch_index`).  Only the winning nonce is
+    built into a `Block`, through `make_block`; the block keeps the winning
+    hash as its digest (`base62_digest`), so its content is not hashed again.
     """
     own_range = alloc.range_for(keypair.public)
+    start, end = own_range.start, own_range.end
+    secret, sign = keypair.secret, backend.sign
     header = unsigned_header(keypair.public, previous_digest, txs)
     tail = block_tail(serialize_body(txs))
+    signature_length = -1
     for nonce in range(MAX_COMMIT_TRIES):
-        signed = signed_header(header, nonce)
-        head = block_head(keypair.public, signed, backend.sign(keypair.secret, signed))
-        hasher = hashlib.sha256(head)
-        hasher.update(tail)
+        nonce_bytes = nonce.to_bytes(NONCE_BYTES, "big")
+        signature = sign(secret, header + nonce_bytes)
+        if len(signature) != signature_length:  # the lead and padding depend on it
+            signature_length = len(signature)
+            prefix, lead, padding = head_parts(keypair.public, header, signature_length)
+            prefix_state, rest = hashlib.sha256(prefix), padding + tail
+        hasher = prefix_state.copy()
+        hasher.update(nonce_bytes + lead + signature)
+        hasher.update(rest)
         sha256 = hasher.digest()
-        if own_range.start <= msch_index(sha256) <= own_range.end:
+        if start <= msch_index(sha256) <= end:
             block = make_block(keypair, previous_digest, txs, nonce, backend)
             # make_block signs the same header: the hashed head and tail are its content
             block.__dict__["digest"] = base62_digest(sha256)

@@ -14,10 +14,10 @@ so a config+seed pair always produces the same event trace and report.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional
 
 from . import transmission
@@ -129,12 +129,14 @@ class EventQueue:
     def push(self, time: float, fn, *args) -> None:
         if time < self.now - 1e-9:
             raise ValueError("cannot schedule an event in the past")
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._seq += 1
+        seq = self._seq
+        heappush(self._heap, (time, seq, fn, args))
+        self._seq = seq + 1
 
     def run(self) -> None:
-        while self._heap:
-            time, _, fn, args = heapq.heappop(self._heap)
+        heap, pop = self._heap, heappop
+        while heap:
+            time, _, fn, args = pop(heap)
             self.now = time
             fn(*args)
 
@@ -716,15 +718,13 @@ class VericomRun(_RunBase):
         mates reject the block; under fake-transaction every verifier does.
         """
         generator, epoch = self.malicious_generator, self.epoch
-        fake_tx = Transaction(
-            sender=self.identities[-1].public,
-            payload=b"forged:" + self.rng_payload.randbytes(self.config.payload_size),
-            signature=b"\x00" * 32,
-        )
+        sender, signature = self.identities[-1].public, b"\x00" * 32
+        payload = b"forged:" + self.rng_payload.randbytes(self.config.payload_size)
+        fake_tx = Transaction(sender, payload, signature)
         block = grind_block(
             generator.keypair,
             epoch.tips[generator.display],
-            [replace(fake_tx, id=transaction_id(fake_tx))],
+            [Transaction(sender, payload, signature, None, transaction_id(fake_tx))],
             epoch.alloc,
             self.backend,
         )

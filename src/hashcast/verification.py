@@ -19,7 +19,7 @@ the auditor's verdict on the endorsed copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Container, MutableMapping, Optional, Sequence
 
 from .core import (
@@ -233,7 +233,14 @@ def verify_endorsements(block: Block, expected: NodeSet, backend) -> Verificatio
 def endorse_block(block: Block, signers: Sequence[KeyPair], backend) -> Block:
     """Attach one endorsement per signer; callers check verdicts first."""
     endorsements = tuple(endorsement_for(block, kp, backend) for kp in signers)
-    endorsed = replace(block, endorsements=endorsements)
+    endorsed = Block(
+        block.generator,
+        block.previous_digest,
+        block.transactions,
+        block.nonce,
+        block.signature,
+        endorsements,
+    )
     # The digest covers no endorsement, so the copy keeps the block's.
     endorsed.__dict__["digest"] = block.digest
     return endorsed

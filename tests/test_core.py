@@ -10,14 +10,17 @@ from hashcast.core import (
     ALPHABET,
     CREDENTIAL_BYTES,
     DIGEST_LENGTH,
+    NONCE_BYTES,
     Block,
     Ed25519Signer,
     SimulatedSigner,
     block_digest,
+    block_head,
     block_size,
     create_transaction,
     digest,
     endorsement_for,
+    head_parts,
     make_block,
     msch,
     msch_index,
@@ -26,6 +29,7 @@ from hashcast.core import (
     serialize_transaction,
     transaction_id,
     transaction_size,
+    unsigned_header,
 )
 from hashcast.verification import endorse_block
 from conftest import make_keypairs
@@ -258,6 +262,15 @@ class TestBlockSerialization:
             )
         with pytest.raises(TypeError):
             dataclasses.replace(block, digest="0" * 32)
+
+    def test_head_parts_frame_nonce_and_signature(self, any_backend):
+        block, kps = self._block(any_backend, nonce=7)
+        header = unsigned_header(block.generator, block.previous_digest, block.transactions)
+        nonce = block.nonce.to_bytes(NONCE_BYTES, "big")
+        prefix, lead, padding = head_parts(block.generator, header, len(block.signature))
+        head = prefix + nonce + lead + block.signature + padding
+        assert head == block_head(block.generator, header + nonce, block.signature)
+        assert block_wire_bytes(block, ()).startswith(head)
 
     def test_header_signature_round_trip(self, backend):
         block, kps = self._block(backend)

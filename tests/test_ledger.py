@@ -1,8 +1,18 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hashcast.core import block_digest, create_transaction, make_block, msch
+from hashcast.core import (
+    ALPHABET,
+    SimulatedSigner,
+    block_digest,
+    create_transaction,
+    make_block,
+    msch,
+    pack_credential,
+)
 from hashcast.ledger import (
     Ledger,
     PendingPool,
@@ -171,28 +181,80 @@ class TestCommit:
         )
         assert block is not None and len(block.transactions) == 3
 
+    @staticmethod
+    def naive_grind(owner_kp, previous_digest, txs, alloc, backend):
+        """The first nonce's block whose full content digest lands in the owner's range."""
+        own_range = alloc.range_for(owner_kp.public)
+        nonce = 0
+        while True:
+            naive = make_block(owner_kp, previous_digest, txs, nonce, backend)
+            if own_range.covers(msch(block_digest(naive))):
+                return naive
+            nonce += 1
+
     @pytest.mark.parametrize("tx_count", [1, 50])
-    def test_grind_matches_naive_loop(self, backend, tx_count):
-        kps, alloc, by_display = setup_ring(backend)
-        sender = backend.keypair(b"grind-sender")
+    def test_grind_matches_naive_loop(self, any_backend, tx_count):
+        kps, alloc, by_display = setup_ring(any_backend)
+        sender = any_backend.keypair(b"grind-sender")
         txs = [
-            create_transaction(sender, bytes([i]) * 510, backend) for i in range(tx_count)
+            create_transaction(sender, bytes([i]) * 510, any_backend) for i in range(tx_count)
         ]
         nonces = []
         for owner in alloc.validators:
             owner_kp = by_display[owner.display]
-            own_range = alloc.range_for(owner)
-            nonce = 0
-            while True:
-                naive = make_block(owner_kp, "prev", txs, nonce, backend)
-                if own_range.covers(msch(block_digest(naive))):
-                    break
-                nonce += 1
-            block = grind_block(owner_kp, "prev", txs, alloc, backend)
+            naive = self.naive_grind(owner_kp, "prev", txs, alloc, any_backend)
+            block = grind_block(owner_kp, "prev", txs, alloc, any_backend)
             assert block == naive  # same nonce and signature
             assert block.digest == block_digest(naive)
-            nonces.append(nonce)
+            nonces.append(naive.nonce)
         assert max(nonces) > 0  # some owner needed more than one try
+
+    @given(
+        tx_count=st.integers(1, 60),
+        previous=st.one_of(st.just(""), st.text(ALPHABET, min_size=32, max_size=32)),
+        owner_index=st.integers(0, 9),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_grind_matches_naive_loop_for_any_block(self, tx_count, previous, owner_index):
+        backend = SimulatedSigner()
+        kps, alloc, by_display = setup_ring(backend)
+        sender = backend.keypair(b"grind-sender")
+        txs = [create_transaction(sender, bytes([i]) * 40, backend) for i in range(tx_count)]
+        owner_kp = by_display[alloc.validators[owner_index].display]
+        naive = self.naive_grind(owner_kp, previous, txs, alloc, backend)
+        block = grind_block(owner_kp, previous, txs, alloc, backend)
+        assert block == naive
+        assert block.digest == block_digest(naive)
+
+    def test_grind_follows_a_varying_signature_length(self, backend):
+        class VaryingSigner(SimulatedSigner):
+            def sign(self, secret, message):
+                tag = super().sign(secret, message)
+                return tag[: 16 + tag[0] % 17]  # 16 to 32 bytes, by message
+
+        varying = VaryingSigner()
+        kps, alloc, by_display = setup_ring(varying)
+        txs = [create_transaction(kps[0], b"tx", backend)]
+        for owner in alloc.validators:
+            owner_kp = by_display[owner.display]
+            naive = self.naive_grind(owner_kp, "", txs, alloc, varying)
+            block = grind_block(owner_kp, "", txs, alloc, varying)
+            assert block == naive
+            assert block.digest == block_digest(naive)
+
+    def test_grind_rejects_an_oversized_signature(self, backend):
+        class LongSigner(SimulatedSigner):
+            def sign(self, secret, message):
+                return super().sign(secret, message) * 15  # 480 bytes: over the blob
+
+        long_signer = LongSigner()
+        kps, alloc, by_display = setup_ring(long_signer)
+        owner_kp = by_display[alloc.validators[0].display]
+        txs = [create_transaction(owner_kp, b"tx", backend)]
+        with pytest.raises(ValueError, match="^credential exceeds fixed blob size$"):
+            pack_credential(owner_kp.public, long_signer.sign(owner_kp.secret, b"m"))
+        with pytest.raises(ValueError, match="^credential exceeds fixed blob size$"):
+            grind_block(owner_kp, "", txs, alloc, long_signer)
 
     @pytest.mark.parametrize("tx_count", [1, 50])
     def test_grind_hands_over_its_digest(self, any_backend, tx_count, monkeypatch):
