@@ -30,6 +30,7 @@ from .core import (
     Transaction,
     block_size,
     create_transaction,
+    msch,
     transaction_id,
     transaction_size,
 )
@@ -459,11 +460,17 @@ class VericomRun(_RunBase):
         if bn_id not in self.graph.nodes:
             self.metrics.lost_items += 1
             return
-        vset = select_validator_set(tx.id, epoch.alloc, epoch.params)
+        displays = self._once(
+            epoch,
+            ("validators", msch(tx.id)),
+            lambda: tuple(
+                pk.display for pk in select_validator_set(tx.id, epoch.alloc, epoch.params).members
+            ),
+        )
         self._multicast(
             epoch,
             bn_id,
-            [pk.display for pk in vset.members],
+            displays,
             transaction_size(tx),
             send_time,
             self._tx_delivered,
@@ -571,13 +578,17 @@ class VericomRun(_RunBase):
         """`compute()` on the first call for `key` under `epoch`'s allocation; kept after.
 
         The keys are `("block", digest)` for a `verify_block` verdict,
-        `("set", digest)` for a verifier set and `("endorsed", digest,
-        endorsements)` for a `verify_endorsements` verdict.  Each value reads
-        only its key and the allocation: a block digest covers everything
-        `verify_block` reads and the generator, and an endorsed copy keeps
-        its block's digest, so the verifiers and the auditor share a
-        verdict.  Each record keeps its own memo, so a copy in flight across
-        an allocation is still judged under the one it was sent under.
+        `("validators", symbol)` for the displays of a transaction's
+        validator set, `("set", generator raw key, symbol)` for a block's
+        verifier set and `("endorsed", digest, endorsements)` for a
+        `verify_endorsements` verdict, where `symbol` is the item digest's
+        first one.  Each value reads only its key and the allocation: set
+        selection reads only the generator and the first symbol, a block
+        digest covers everything `verify_block` reads and the generator,
+        and an endorsed copy keeps its block's digest, so the verifiers and
+        the auditor share a verdict.  Each record keeps its own memo, so a
+        copy in flight across an allocation is still judged under the one it
+        was sent under.
         """
         value = epoch.memo.get(key)
         if value is None:
@@ -594,7 +605,7 @@ class VericomRun(_RunBase):
     def _verifier_set(self, epoch: Epoch, block: Block) -> NodeSet:
         return self._once(
             epoch,
-            ("set", block.digest),
+            ("set", block.generator.raw, msch(block.digest)),
             lambda: expected_verifier_set(block, epoch.alloc, epoch.params),
         )
 

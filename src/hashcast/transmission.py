@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # Serialized routing-table sizing: each table is framed and signed by its
 # owner (one 459-byte credential + 64-byte frame) and carries fixed-width
@@ -157,8 +157,7 @@ def join_network(
     return None
 
 
-@dataclass
-class Delivery:
+class Delivery(NamedTuple):
     display: str
     delay_ms: float
 
@@ -219,12 +218,7 @@ def route_multicast(
                 result.lost.extend(subset)
             continue
         for display in local:
-            result.deliveries.append(
-                Delivery(
-                    display=display,
-                    delay_ms=delay_so_far + destinations[display],
-                )
-            )
+            result.deliveries.append(Delivery(display, delay_so_far + destinations[display]))
         for nxt in sorted(onward):
             result.link_transmissions += 1
             pending.append((nxt, delay_so_far + node.neighbors[nxt], onward[nxt]))

@@ -20,6 +20,7 @@ the auditor's verdict on the endorsed copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Container, MutableMapping, Optional, Sequence
 
 from .core import (
@@ -80,7 +81,7 @@ class NodeSet:
     members: tuple[PublicKey, ...]  # predecessors + main + successors
     relocated: bool = False
 
-    @property
+    @cached_property
     def member_keys(self) -> frozenset[bytes]:
         return frozenset(pk.raw for pk in self.members)
 
@@ -92,11 +93,14 @@ class VerificationOutcome:
 
     @classmethod
     def valid(cls) -> "VerificationOutcome":
-        return cls(ok=True)
+        return _VALID
 
     @classmethod
     def invalid(cls, reason: str) -> "VerificationOutcome":
         return cls(ok=False, reason=reason)
+
+
+_VALID = VerificationOutcome(ok=True)  # frozen, so every valid verdict can share it
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ def verify_endorsements(block: Block, expected: NodeSet, backend) -> Verificatio
     if len(block.endorsements) != len(expected.members):
         return VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
     endorser_keys = {end.verifier.raw for end in block.endorsements}
-    if endorser_keys != set(expected.member_keys):
+    if endorser_keys != expected.member_keys:
         return VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
     message = block.digest.encode("ascii")
     for end in block.endorsements:

@@ -555,7 +555,8 @@ class TestWholeRunProperties:
         generator = run.malicious_generator.display
         (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
         # the forged block is cut under epoch 0's allocation
-        expected = [pk.display for pk in records[0].memo[("set", forged)].members]
+        key = ("set", run.malicious_generator.public.raw, msch(forged))
+        expected = [pk.display for pk in records[0].memo[key].members]
         reports = [(r.kind, [pk.display for pk in r.accused]) for r in run.metrics.reports]
         if cfg.attack == "false-verification" and cfg.m >= 1:
             # the honest wing mates reject and accuse the colluding main verifier
@@ -737,7 +738,7 @@ class TestVerdictSharing:
         run._endorsed_delivered(run.epoch, endorsed, run.auditors[0], run.queue.now, 0)
         report = run.metrics.reports[-1]
         assert (report.item_digest, report.reason) == (endorsed.digest, REASON_RANGE_MISMATCH)
-        assert ("set", endorsed.digest) not in run.epoch.memo
+        assert ("set", outsider.public.raw, msch(endorsed.digest)) not in run.epoch.memo
 
 
 def count_calls(monkeypatch, fn):
@@ -880,7 +881,8 @@ class TestLongDelays:
 
 
 class TestHostWorkCounts:
-    """Each block is sized, and its verifier set and endorsements checked, once on the host."""
+    """Each block is sized and its endorsements checked once on the host; each set is
+    derived once per key under an allocation."""
 
     def test_each_block_checked_once(self, monkeypatch):
         endorsement_checks = count_calls(monkeypatch, verification.verify_endorsements)
@@ -892,6 +894,39 @@ class TestHostWorkCounts:
         assert len(endorsement_checks) == run.metrics.endorsed_blocks
         assert len(verifier_sets) == run.metrics.blocks_committed
         assert serialized == []
+
+    def test_each_set_derived_once_per_key(self, monkeypatch):
+        validator_sets = count_calls(monkeypatch, verification.select_validator_set)
+        verifier_sets = count_calls(monkeypatch, verification.select_verifier_set)
+        run = execute(small_config(epochs=2, tx_count=300, block_size=1))
+        # the calls keep their allocations alive, so no two share an id
+        validator_keys = [(id(alloc), msch(d)) for d, alloc, _ in validator_sets]
+        verifier_keys = [
+            (id(alloc), vset.main.raw, msch(d)) for d, alloc, _, vset in verifier_sets
+        ]
+        assert len(set(validator_keys)) == len(validator_keys)
+        assert len(set(verifier_keys)) == len(verifier_keys)
+        # one set per key that some item carried, and fewer sets than items
+        epoch_of, epoch = {}, None
+        for line in run.log_lines:
+            kind, info = line.split()[2:4]
+            if kind == "allocation":
+                epoch = int(info.removeprefix("epoch="))
+            elif kind == "inject-tx":
+                epoch_of[info] = epoch
+        blocks = [
+            (epoch, block)
+            for epoch, ledgers in run.ledgers.items()
+            for ledger in ledgers.values()
+            for block in ledger.blocks
+        ]
+        assert len(blocks) == run.metrics.blocks_committed
+        assert len(validator_sets) == len({(e, msch(tx_id)) for tx_id, e in epoch_of.items()})
+        assert len(verifier_sets) == len(
+            {(e, block.generator.raw, msch(block.digest)) for e, block in blocks}
+        )
+        assert len(validator_sets) < run.metrics.injected_tx
+        assert len(verifier_sets) < run.metrics.blocks_committed
 
 
 class TestUntrustedHonest:

@@ -2,8 +2,11 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashcast.core import (
+    SimulatedSigner,
     ALPHABET,
     block_digest,
     create_transaction,
@@ -189,6 +192,57 @@ class TestSelectVerifierSet:
                     assert not (vs.member_keys & vset.member_keys)
                     assert len(vs.members) == 2 * m + 1
                     assert len(set(vs.members)) == 2 * m + 1
+
+
+@st.composite
+def allocations_with_params(draw):
+    """A random allocation of 4 to 30 validators, with admissible set parameters."""
+    backend = SimulatedSigner()
+    count = draw(st.integers(4, 30))
+    kps = make_keypairs(backend, count, f"memo:{draw(st.integers(0, 10**6))}")
+    n, m = draw(st.sampled_from(admissible_params(count)))
+    return backend, kps, build_allocation([kp.public for kp in kps]), SetParams(n, m, count)
+
+
+class TestSetKeys:
+    """A run keys its set memo on what each rule reads: the first digest symbol,
+    and for a verifier set also the generator."""
+
+    @given(
+        allocations_with_params(),
+        st.sampled_from(ALPHABET),
+        st.text(ALPHABET, max_size=50),
+        st.text(ALPHABET, max_size=50),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_validator_set_reads_only_the_first_symbol(self, drawn, symbol, tail_a, tail_b):
+        _, _, alloc, params = drawn
+        assert select_validator_set(symbol + tail_a, alloc, params) == select_validator_set(
+            symbol + tail_b, alloc, params
+        )
+
+    @given(allocations_with_params(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_verifier_set_reads_only_the_generator_and_first_symbol(self, drawn, data):
+        backend, kps, alloc, params = drawn
+        generator = data.draw(st.sampled_from(kps))
+        tx = create_transaction(kps[0], data.draw(st.binary(max_size=8)), backend)
+        previous = data.draw(st.text(ALPHABET, min_size=1, max_size=43))
+        # two bodies that differ in their parent link and nonce; find a shared first symbol
+        seen_a, seen_b = {}, {}
+        for nonce in range(1000):
+            a = make_block(generator, "", [tx], nonce, backend)
+            b = make_block(generator, previous, [tx], nonce, backend)
+            seen_a[msch(a.digest)], seen_b[msch(b.digest)] = a, b
+            shared = seen_a.keys() & seen_b.keys()
+            if shared:
+                break
+        symbol = min(shared)
+        a, b = seen_a[symbol], seen_b[symbol]
+        assert a.digest != b.digest
+        assert expected_verifier_set(a, alloc, params) == expected_verifier_set(
+            b, alloc, params
+        )
 
 
 class TestVerifyTransaction:
