@@ -223,22 +223,19 @@ def transaction_signing_bytes(
 ) -> bytes:
     """Bytes a sender signs: everything except the id and the credential."""
     prev = (previous_id or "").encode("ascii")
-    return b"".join(
-        [FORMAT_TAG, _field(b"txsign"), _field(sender.raw), _field(payload), _field(prev)]
-    )
+    return FORMAT_TAG + b"".join(map(_field, (b"txsign", sender.raw, payload, prev)))
 
 
-def serialize_transaction(tx: Transaction, include_id: bool = True) -> bytes:
-    prev = (tx.previous_id or "").encode("ascii")
-    parts = [
-        FORMAT_TAG,
-        _field(b"tx"),
-        _field(tx.id.encode("ascii") if include_id else b""),
-        _field(pack_credential(tx.sender, tx.signature)),
-        _field(tx.payload),
-        _field(prev),
-    ]
-    return b"".join(parts)
+def _encode_transaction(
+    tx_id: str, sender: PublicKey, signature: bytes, payload: bytes, previous_id: Optional[str]
+) -> bytes:
+    prev = (previous_id or "").encode("ascii")
+    fields = (b"tx", tx_id.encode("ascii"), pack_credential(sender, signature), payload, prev)
+    return FORMAT_TAG + b"".join(map(_field, fields))
+
+
+def serialize_transaction(tx: Transaction) -> bytes:
+    return _encode_transaction(tx.id, tx.sender, tx.signature, tx.payload, tx.previous_id)
 
 
 # Serialized size of a transaction with an empty id, payload and previous
@@ -251,8 +248,13 @@ def transaction_size(tx: Transaction) -> int:
     return _TX_FIXED_BYTES + len(tx.id) + len(tx.payload) + len(tx.previous_id or "")
 
 
+def _id_of(sender: PublicKey, signature: bytes, payload: bytes, prev: Optional[str]) -> str:
+    """The id rule: the digest of a transaction's encoding with an empty id."""
+    return digest(_encode_transaction("", sender, signature, payload, prev))
+
+
 def transaction_id(tx: Transaction) -> str:
-    return digest(serialize_transaction(tx, include_id=False))
+    return _id_of(tx.sender, tx.signature, tx.payload, tx.previous_id)
 
 
 def create_transaction(
@@ -261,8 +263,8 @@ def create_transaction(
     signature = backend.sign(
         keypair.secret, transaction_signing_bytes(keypair.public, payload, previous_id)
     )
-    tx = Transaction(keypair.public, payload, signature, previous_id)
-    return Transaction(keypair.public, payload, signature, previous_id, transaction_id(tx))
+    tx_id = _id_of(keypair.public, signature, payload, previous_id)
+    return Transaction(keypair.public, payload, signature, previous_id, tx_id)
 
 
 NONCE_BYTES = 8

@@ -483,8 +483,8 @@ class VericomRun(_RunBase):
         A plan depends only on `bn_id`, `displays` and what `_join_all` sets
         up (the graph, its routes, the homes and the access legs), so each
         plan is kept in `plans` and reused for the same origin and display
-        list until the next `_join_all` drops them all.  A reused plan
-        charges its monitor counts again, as routing afresh would.
+        list until the next `_join_all` drops them all.  In untrusted mode, the
+        only one that reads them, a reused plan charges its monitor counts again.
         """
         key = (bn_id, tuple(displays))
         result = self.plans.get(key)
@@ -495,7 +495,7 @@ class VericomRun(_RunBase):
                 if home is not None:
                     destinations[display] = self.access[(self.by_display[display].node_id, home)]
             result = self.plans[key] = route_multicast(self.graph, bn_id, destinations)
-        else:
+        elif self.config.trust_mode == "untrusted":
             charge_monitors(self.graph, result.charged)
         # the access-link copy into the backbone, then one copy per backbone link
         self.metrics.packet_bytes_backbone += size * (1 + result.link_transmissions)
@@ -753,15 +753,15 @@ class BaselineRun(_RunBase):
 
     The nodes form a ring laid on a seeded shuffle, and each ring link gets
     one seeded delay.  An item's originator verifies it and sends it to its
-    ring neighbours.  A node that gets an item for the first time verifies it
-    and passes it on to every neighbour except the one it came from; a
-    repeated copy is counted in the IoT bytes and dropped.
+    ring neighbours.  A node that gets an item for the first time verifies
+    it, pools it if it owns a pool (a full pool cuts a block, which floods
+    first) and sends it on along `onward[node][sender]`, its ring links but
+    the one it came over; a repeated copy is dropped.  A flood over N nodes
+    thus costs N + 1 copies and N verifications, all charged by `_originate`.
 
-    Each flood is one record, `(item, is_tx, size, send_time, seen)`, shared
-    by all of its hop events; `seen` is a bytearray with one slot per node,
-    freed with the record once the flood's last hop has fired.  `pool_at`
-    holds each node's pending pool for the epoch, or None, so a hop pools a
-    transaction only at the range owners.
+    A flood's hop events share one record, `(item, is_tx, send_time, seen)`,
+    and one handler, `_hop` (`_receive` bound once in `__init__`); each looks
+    up `queue.push` as it runs.  `pool_at` holds each node's pool, or None.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -776,7 +776,12 @@ class BaselineRun(_RunBase):
             delay = self.rng_access.uniform(config.access_delay_min_ms, config.access_delay_max_ms)
             self.links[a].append((b, delay))
             self.links[b].append((a, delay))
+        self.onward = [
+            {nb: [link for link in links if link[0] != nb] for nb, _ in links}
+            for links in self.links
+        ]
         self.pool_at: list[Optional[PendingPool]] = []
+        self._hop = self._receive
 
     def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         self.queue.push(window_end, self._allocate, epoch)
@@ -796,35 +801,28 @@ class BaselineRun(_RunBase):
         self._originate(ident.node_id, block, False, block_size(block))
 
     def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:
-        seen = bytearray(self.config.num_iot_nodes)
+        nodes, now = self.config.num_iot_nodes, self.queue.now
+        self.metrics.packet_bytes_iot += (nodes + 1) * size
+        self.metrics.verify_ops += nodes
+        seen = bytearray(nodes)
         seen[node_id] = 1
-        self._deliver(-1, node_id, (item, is_tx, size, self.queue.now, seen))
+        if is_tx and self.pool_at[node_id] is not None:
+            self._pool_tx(self.epoch, self.identities[node_id].display, item)
+        flood = (item, is_tx, now, seen)
+        for nb, delay in self.links[node_id]:
+            self.queue.push(now + delay, self._hop, node_id, nb, flood)
 
     def _receive(self, sender: int, node_id: int, flood: tuple) -> None:
-        metrics = self.metrics
-        metrics.packet_bytes_iot += flood[2]
-        seen = flood[4]
+        seen = flood[3]
         if seen[node_id]:
             return
         seen[node_id] = 1
-        metrics.delay_samples.append(self.queue.now - flood[3])
-        self._deliver(sender, node_id, flood)
-
-    def _deliver(self, sender: int, node_id: int, flood: tuple) -> None:
-        """`node_id` verifies the item and pools it if it owns a pool, then sends it on.
-
-        The pool comes first: a full pool cuts a block, whose flood is
-        scheduled before this item's next hops.  Every neighbour but
-        `sender` gets a copy.
-        """
-        self.metrics.verify_ops += 1
+        now = self.queue.now
+        self.metrics.delay_samples.append(now - flood[2])
         if flood[1] and self.pool_at[node_id] is not None:
             self._pool_tx(self.epoch, self.identities[node_id].display, flood[0])
-        queue = self.queue
-        now = queue.now
-        for nb, delay in self.links[node_id]:
-            if nb != sender:
-                queue.push(now + delay, self._receive, node_id, nb, flood)
+        for nb, delay in self.onward[node_id][sender]:
+            self.queue.push(now + delay, self._hop, node_id, nb, flood)
 
 
 def execute(config: ScenarioConfig):

@@ -147,6 +147,20 @@ class TestTransactionSerialization:
             for mutant in mutants:
                 assert transaction_id(mutant) != tx.id
 
+    @given(
+        backend=st.sampled_from([SimulatedSigner(), Ed25519Signer()]),
+        payload=st.binary(max_size=600),
+        parent=st.one_of(st.none(), st.binary(max_size=16).map(digest)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_created_id_is_the_id_rule(self, backend, payload, parent):
+        kp = backend.keypair(b"sender")
+        tx = create_transaction(kp, payload, backend, parent)
+        assert (tx.sender, tx.payload, tx.previous_id) == (kp.public, payload, parent)
+        assert tx.id == transaction_id(tx)
+        # the rule itself: the digest of the serialization with an empty id
+        assert tx.id == digest(serialize_transaction(dataclasses.replace(tx, id="")))
+
     def test_immutability(self, backend):
         kp = backend.keypair(b"sender")
         tx = create_transaction(kp, b"data", backend)

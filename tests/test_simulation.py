@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hashcast import simulation
+from hashcast import simulation, transmission
 from hashcast.config import ConfigError, ScenarioConfig, load_config
 from hashcast import core, verification
 from hashcast.core import (
@@ -531,6 +531,36 @@ class TestWholeRunProperties:
         assert_ledgers_sound(run)
 
     @given(honest_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_baseline_flood_charges_are_the_hops_made(self, cfg):
+        # the bytes and verifications charged per flood at origination equal
+        # those of the copies and first arrivals the hop events really made
+        originations, copy_bytes, first_arrivals = [], [], []
+        originate, receive = simulation.BaselineRun._originate, simulation.BaselineRun._receive
+
+        def counted_originate(run, node_id, item, is_tx, size):
+            originations.append(node_id)
+            originate(run, node_id, item, is_tx, size)
+
+        def counted_receive(run, sender, node_id, flood):
+            item, is_tx, _, seen = flood
+            copy_bytes.append(len(serialize_transaction(item) if is_tx else serialize_block(item)))
+            if not seen[node_id]:
+                first_arrivals.append(node_id)
+            receive(run, sender, node_id, flood)
+
+        with (
+            mock.patch.object(simulation.BaselineRun, "_originate", counted_originate),
+            mock.patch.object(simulation.BaselineRun, "_receive", counted_receive),
+        ):
+            run = execute(replace(cfg, mode="baseline"))
+        metrics = run.metrics
+        assert len(originations) == metrics.injected_tx + metrics.blocks_committed
+        assert metrics.packet_bytes_iot == sum(copy_bytes)
+        assert metrics.verify_ops == len(originations) + len(first_arrivals)
+        assert len(first_arrivals) == len(metrics.delay_samples)
+
+    @given(honest_configs())
     @settings(max_examples=30, deadline=None)
     def test_baseline_delays_are_ring_shortest_paths(self, cfg):
         run = execute(replace(cfg, mode="baseline"))
@@ -646,6 +676,53 @@ class TestPlanReuse:
         assert window_counters(cached) == window_counters(uncached)
         assert cached.log_lines == uncached.log_lines
         assert cached.metrics == uncached.metrics
+
+    @given(honest_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_trusted_run_charges_monitors_only_when_routing(self, cfg):
+        # no _monitor_window reads the counts in trusted mode, so a reused
+        # plan does not charge them again; replaying the charges changes nothing
+        assert cfg.trust_mode == "trusted"
+        routed, replayed, reused = [], [], []
+        charge = transmission.charge_monitors
+
+        def charge_routed(graph, charged):
+            routed.append(charged)
+            charge(graph, charged)
+
+        def charge_replayed(graph, charged):
+            replayed.append(charged)
+            charge(graph, charged)
+
+        with (
+            mock.patch.object(transmission, "charge_monitors", charge_routed),
+            mock.patch.object(simulation, "charge_monitors", charge_replayed),
+        ):
+            plain = VericomRun(cfg)
+            outputs = run_outputs(plain)
+        assert replayed == []
+        assert len(routed) == len(plain.plans)
+        with_replay = VericomRun(cfg)
+        multicast = with_replay._multicast
+
+        def multicast_and_replay(epoch, bn_id, displays, *rest):
+            plan = with_replay.plans.get((bn_id, tuple(displays)))
+            multicast(epoch, bn_id, displays, *rest)
+            if plan is not None:
+                reused.append(plan)
+                charge(with_replay.graph, plan.charged)
+
+        with_replay._multicast = multicast_and_replay
+        assert run_outputs(with_replay) == outputs
+        inbound = [
+            sum(bn.window_inbound for bn in run.graph.nodes.values()) for run in (plain, with_replay)
+        ]
+        assert inbound[1] - inbound[0] == sum(len(plan.charged) for plan in reused)
+        assert (plain.routing_dump, plain.allocation_tables, plain.settlement_lines) == (
+            with_replay.routing_dump,
+            with_replay.allocation_tables,
+            with_replay.settlement_lines,
+        )
 
 
 @st.composite
