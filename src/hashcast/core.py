@@ -5,7 +5,9 @@ the 1-byte format tag, followed by its fields in declared order, each encoded
 as a 4-byte big-endian length prefix plus the raw bytes.  The public key and
 signature of a transaction, block header, or endorsement are packed together
 into one fixed-size 459-byte credential blob, so byte accounting is identical
-for every signature backend.
+for every signature backend.  Each encoder builds its bytes in one
+`b"".join` over module-level kind prefixes and `struct`-packed lengths, and a
+block body joins every transaction's pieces at once (`serialize_body`).
 
 A block is a head (`block_head`: tag, kind, signed header, generator's
 credential) followed by a tail (`block_tail`: length-prefixed body,
@@ -25,12 +27,22 @@ the same content: `ledger.grind_block` encodes the SHA-256 of the winning
 head and tail (`base62_digest`), and the endorsed copy made by
 `verification.endorse_block` keeps the digest of the block it endorses
 because `block_digest` covers no endorsement.  `block_digest` is the uncached
-computation behind it.
+computation behind it.  `Transaction.content_id` (uncached: `transaction_id`)
+works the same way, set by `create_transaction` from the content it has just
+hashed.  Both are set with `object.__setattr__`: writing through `__dict__`
+would move the instance's attributes out of inline storage and slow every
+later read of them.
+
+`PublicKey` hashes as its raw key and `Transaction` as its id, in constant
+time, where the generated hash rebuilds nested field tuples on every call.
+`__eq__` stays generated and compares every field, so equal values hash
+equal and a copy with the same id but other content is still its own key.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -97,6 +109,9 @@ def msch(d: str) -> str:
 class PublicKey:
     raw: bytes
     display: str  # base-62 digest of the raw key, used in tables and logs
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
 
 
 @dataclass(frozen=True)
@@ -169,8 +184,12 @@ class Ed25519Signer:
             return False
 
 
+_length = struct.Struct(">I").pack  # a field's 4-byte big-endian length prefix
+_CREDENTIAL_LENGTH = _length(CREDENTIAL_BYTES)
+
+
 def _field(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
+    return _length(len(data)) + data
 
 
 def credential_parts(public: PublicKey, signature_length: int) -> tuple[bytes, bytes]:
@@ -196,6 +215,14 @@ class Transaction:
     previous_id: Optional[str] = None
     id: str = ""
 
+    def __hash__(self) -> int:
+        return hash(self.id)
+
+    @cached_property
+    def content_id(self) -> str:
+        """The id its content gives (`transaction_id`), computed on first read and kept."""
+        return transaction_id(self)
+
 
 @dataclass(frozen=True)
 class Endorsement:
@@ -218,24 +245,41 @@ class Block:
         return block_digest(self)
 
 
+# Fixed leading bytes of each encoding: the format tag and the kind field.
+_TX_KIND = FORMAT_TAG + _field(b"tx")
+_TXSIGN_KIND = FORMAT_TAG + _field(b"txsign")
+_HEADER_KIND = FORMAT_TAG + _field(b"blkhdr")
+
+
 def transaction_signing_bytes(
     sender: PublicKey, payload: bytes, previous_id: Optional[str]
 ) -> bytes:
     """Bytes a sender signs: everything except the id and the credential."""
-    prev = (previous_id or "").encode("ascii")
-    return FORMAT_TAG + b"".join(map(_field, (b"txsign", sender.raw, payload, prev)))
+    raw, prev = sender.raw, (previous_id or "").encode("ascii")
+    return b"".join((
+        _TXSIGN_KIND,
+        _length(len(raw)), raw,
+        _length(len(payload)), payload,
+        _length(len(prev)), prev,
+    ))  # fmt: skip
 
 
-def _encode_transaction(
+def _transaction_parts(
     tx_id: str, sender: PublicKey, signature: bytes, payload: bytes, previous_id: Optional[str]
-) -> bytes:
-    prev = (previous_id or "").encode("ascii")
-    fields = (b"tx", tx_id.encode("ascii"), pack_credential(sender, signature), payload, prev)
-    return FORMAT_TAG + b"".join(map(_field, fields))
+) -> tuple[bytes, ...]:
+    """A transaction's encoding in pieces: the fields `tx`, id, credential, payload, previous id."""
+    tid, prev = tx_id.encode("ascii"), (previous_id or "").encode("ascii")
+    lead, padding = credential_parts(sender, len(signature))
+    return (
+        _TX_KIND, _length(len(tid)), tid,
+        _CREDENTIAL_LENGTH, lead, signature, padding,
+        _length(len(payload)), payload,
+        _length(len(prev)), prev,
+    )  # fmt: skip
 
 
 def serialize_transaction(tx: Transaction) -> bytes:
-    return _encode_transaction(tx.id, tx.sender, tx.signature, tx.payload, tx.previous_id)
+    return b"".join(_transaction_parts(tx.id, tx.sender, tx.signature, tx.payload, tx.previous_id))
 
 
 # Serialized size of a transaction with an empty id, payload and previous
@@ -250,10 +294,11 @@ def transaction_size(tx: Transaction) -> int:
 
 def _id_of(sender: PublicKey, signature: bytes, payload: bytes, prev: Optional[str]) -> str:
     """The id rule: the digest of a transaction's encoding with an empty id."""
-    return digest(_encode_transaction("", sender, signature, payload, prev))
+    return digest(b"".join(_transaction_parts("", sender, signature, payload, prev)))
 
 
 def transaction_id(tx: Transaction) -> str:
+    """The id `tx`'s content gives, computed afresh; `Transaction.content_id` caches it."""
     return _id_of(tx.sender, tx.signature, tx.payload, tx.previous_id)
 
 
@@ -264,7 +309,9 @@ def create_transaction(
         keypair.secret, transaction_signing_bytes(keypair.public, payload, previous_id)
     )
     tx_id = _id_of(keypair.public, signature, payload, previous_id)
-    return Transaction(keypair.public, payload, signature, previous_id, tx_id)
+    tx = Transaction(keypair.public, payload, signature, previous_id, tx_id)
+    object.__setattr__(tx, "content_id", tx_id)  # derived from this same content just above
+    return tx
 
 
 NONCE_BYTES = 8
@@ -277,9 +324,14 @@ def unsigned_header(
     generator: PublicKey, previous_digest: str, transactions: Sequence[Transaction]
 ) -> bytes:
     """A block header without its trailing nonce."""
+    raw, prev = generator.raw, previous_digest.encode("ascii")
     tx_ids = "".join([tx.id for tx in transactions]).encode("ascii")
-    fields = (b"blkhdr", generator.raw, previous_digest.encode("ascii"), tx_ids)
-    return FORMAT_TAG + b"".join(map(_field, fields))
+    return b"".join((
+        _HEADER_KIND,
+        _length(len(raw)), raw,
+        _length(len(prev)), prev,
+        _length(len(tx_ids)), tx_ids,
+    ))  # fmt: skip
 
 
 def signed_header(header: bytes, nonce: int) -> bytes:
@@ -294,14 +346,17 @@ def block_header_bytes(block: Block) -> bytes:
 
 def serialize_body(transactions: Sequence[Transaction]) -> bytes:
     """A block body: its transactions serialized in order."""
-    return b"".join(serialize_transaction(tx) for tx in transactions)
+    parts: list[bytes] = []
+    for tx in transactions:
+        parts += _transaction_parts(tx.id, tx.sender, tx.signature, tx.payload, tx.previous_id)
+    return b"".join(parts)
 
 
 def head_parts(generator: PublicKey, header: bytes, sig_length: int) -> tuple[bytes, ...]:
     """The fixed parts of the block head `prefix + nonce + lead + signature + padding`."""
     lead, padding = credential_parts(generator, sig_length)
-    prefix = _BLOCK_KIND + (len(header) + NONCE_BYTES).to_bytes(4, "big") + header
-    return prefix, CREDENTIAL_BYTES.to_bytes(4, "big") + lead, padding
+    prefix = _BLOCK_KIND + _length(len(header) + NONCE_BYTES) + header
+    return prefix, _CREDENTIAL_LENGTH + lead, padding
 
 
 def block_head(generator: PublicKey, signed: bytes, signature: bytes) -> bytes:
@@ -312,7 +367,7 @@ def block_head(generator: PublicKey, signed: bytes, signature: bytes) -> bytes:
 
 def block_tail(body: bytes, endorsements: Sequence[Endorsement] = ()) -> bytes:
     """A block's bytes from its body on; `body` is `serialize_body(transactions)`."""
-    parts = [len(body).to_bytes(4, "big"), body, len(endorsements).to_bytes(4, "big")]
+    parts = [_length(len(body)), body, _length(len(endorsements))]
     parts.extend(pack_credential(end.verifier, end.signature) for end in endorsements)
     return b"".join(parts)
 

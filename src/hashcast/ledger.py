@@ -189,7 +189,7 @@ def grind_block(
         if start <= msch_index(sha256) <= end:
             block = make_block(keypair, previous_digest, txs, nonce, backend)
             # make_block signs the same header: the hashed head and tail are its content
-            block.__dict__["digest"] = base62_digest(sha256)
+            object.__setattr__(block, "digest", base62_digest(sha256))
             return block
     raise RuntimeError(f"no nonce below {MAX_COMMIT_TRIES} lands the digest in the signer's range")
 

@@ -309,6 +309,11 @@ class _RunBase:
             self._commit_block(self.epoch, pk.display, allow_partial=True)
 
 
+def _validator_displays(d: str, alloc: RangeAllocation, params: SetParams) -> tuple[str, ...]:
+    """The displays of the validator set of digest `d`, in set order."""
+    return tuple(pk.display for pk in select_validator_set(d, alloc, params).members)
+
+
 class VericomRun(_RunBase):
     """Backbone-routed multicast mode."""
 
@@ -463,10 +468,8 @@ class VericomRun(_RunBase):
         displays = self._once(
             epoch,
             ("validators", msch(tx.id)),
-            lambda: tuple(
-                pk.display for pk in select_validator_set(tx.id, epoch.alloc, epoch.params).members
-            ),
-        )
+            _validator_displays, tx.id, epoch.alloc, epoch.params,
+        )  # fmt: skip
         self._multicast(
             epoch,
             bn_id,
@@ -485,6 +488,8 @@ class VericomRun(_RunBase):
         plan is kept in `plans` and reused for the same origin and display
         list until the next `_join_all` drops them all.  In untrusted mode, the
         only one that reads them, a reused plan charges its monitor counts again.
+        `queue.now` and `queue.push` are read once per call, never kept: a
+        caller may rebind `push` after the run is built.
         """
         key = (bn_id, tuple(displays))
         result = self.plans.get(key)
@@ -503,18 +508,18 @@ class VericomRun(_RunBase):
         if result.lost:
             self.metrics.lost_items += len(result.lost)
             self.log(f"bn.{bn_id}", "multicast-losses", str(len(result.lost)))
-        for delivery in result.deliveries:
-            at = self.queue.now + delivery.delay_ms
-            self.queue.push(at, handler, epoch, item, delivery.display, send_time, size)
+        now, push = self.queue.now, self.queue.push
+        for display, delay_ms in result.deliveries:
+            push(now + delay_ms, handler, epoch, item, display, send_time, size)
 
     def _tx_delivered(self, epoch: Epoch, tx, display: str, send_time: float, size: int) -> None:
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         self.metrics.verify_ops += 1
         outcome = verify_transaction(tx, self.backend, signatures=epoch.signatures)
-        ident = self.by_display[display]
         if not outcome.ok:
-            self.log(f"node.{ident.node_id}", "tx-rejected", f"{tx.id} {outcome.reason}")
+            node_id = self.by_display[display].node_id
+            self.log(f"node.{node_id}", "tx-rejected", f"{tx.id} {outcome.reason}")
             return
         self._pool_tx(epoch, display, tx)
 
@@ -574,8 +579,8 @@ class VericomRun(_RunBase):
         main = self.by_display[verifier_set.main.display]
         self._uplink(main, self._broadcast_endorsed, epoch, endorsed)
 
-    def _once(self, epoch: Epoch, key: tuple, compute):
-        """`compute()` on the first call for `key` under `epoch`'s allocation; kept after.
+    def _once(self, epoch: Epoch, key: tuple, compute, *args):
+        """`compute(*args)` on the first call for `key` under `epoch`'s allocation; kept after.
 
         The keys are `("block", digest)` for a `verify_block` verdict,
         `("validators", symbol)` for the displays of a transaction's
@@ -588,35 +593,34 @@ class VericomRun(_RunBase):
         and an endorsed copy keeps its block's digest, so the verifiers and
         the auditor share a verdict.  Each record keeps its own memo, so a
         copy in flight across an allocation is still judged under the one it
-        was sent under.
+        was sent under.  Callers pass `compute` and its arguments rather than
+        a closure, so a hit builds nothing but the key.
         """
         value = epoch.memo.get(key)
         if value is None:
-            value = epoch.memo[key] = compute()
+            value = epoch.memo[key] = compute(*args)
         return value
 
     def _verify_block(self, epoch: Epoch, block: Block) -> VerificationOutcome:
         return self._once(
             epoch,
             ("block", block.digest),
-            lambda: verify_block(block, epoch.alloc, self.backend, epoch.signatures),
-        )
+            verify_block, block, epoch.alloc, self.backend, epoch.signatures,
+        )  # fmt: skip
 
     def _verifier_set(self, epoch: Epoch, block: Block) -> NodeSet:
         return self._once(
             epoch,
             ("set", block.generator.raw, msch(block.digest)),
-            lambda: expected_verifier_set(block, epoch.alloc, epoch.params),
-        )
+            expected_verifier_set, block, epoch.alloc, epoch.params,
+        )  # fmt: skip
 
     def _verify_endorsements(self, epoch: Epoch, endorsed: Block) -> VerificationOutcome:
         return self._once(
             epoch,
             ("endorsed", endorsed.digest, endorsed.endorsements),
-            lambda: verify_endorsements(
-                endorsed, self._verifier_set(epoch, endorsed), self.backend
-            ),
-        )
+            verify_endorsements, endorsed, self._verifier_set(epoch, endorsed), self.backend,
+        )  # fmt: skip
 
     def _detected(self) -> None:
         if not self.metrics.detected:
@@ -662,14 +666,14 @@ class VericomRun(_RunBase):
         """
         self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
-        ident = self.by_display[display]
         if display == endorsed.generator.display:
             ledger = epoch.ledgers.get(display)
             if ledger is not None:
                 outcome = ledger.append_block(endorsed, self._verify_endorsements(epoch, endorsed))
                 kind = "append" if outcome.ok else f"append-rejected:{outcome.reason}"
-                self.log(f"node.{ident.node_id}", kind, endorsed.digest)
-        if ident.role == "auditor":
+                self.log(f"node.{self.by_display[display].node_id}", kind, endorsed.digest)
+        if display in self.auditors:
+            ident = self.by_display[display]
             self.metrics.audit_ops += 1
             outcome = self._verify_block(epoch, endorsed)
             if outcome.ok:

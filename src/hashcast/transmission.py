@@ -194,20 +194,22 @@ def route_multicast(
     this call added through `charge_monitors`.
     """
     result = MulticastResult()
+    nodes, deliveries, missing = graph.nodes, result.deliveries, result.missing_route
     # (node, arrived_delay, dest subset), visited breadth-first: the loop
     # also walks the entries appended to `pending` while it runs.
     pending = [(origin, 0.0, sorted(destinations))]
     for node_id, delay_so_far, dests in pending:
-        node = graph.nodes[node_id]
+        node = nodes[node_id]
+        attached, routes = node.attached, node.routes
         onward: dict[int, list[str]] = {}
         local: list[str] = []
         for display in dests:
-            if display in node.attached:
+            if display in attached:
                 local.append(display)
             else:
-                nxt = node.routes.get(display)
+                nxt = routes.get(display)
                 if nxt is None or nxt == node_id:
-                    result.missing_route.append(display)
+                    missing.append(display)
                 else:
                     onward.setdefault(nxt, []).append(display)
         if onward:
@@ -218,18 +220,20 @@ def route_multicast(
                 result.lost.extend(subset)
             continue
         for display in local:
-            result.deliveries.append(Delivery(display, delay_so_far + destinations[display]))
+            deliveries.append(Delivery(display, delay_so_far + destinations[display]))
+        neighbors = node.neighbors
         for nxt in sorted(onward):
-            result.link_transmissions += 1
-            pending.append((nxt, delay_so_far + node.neighbors[nxt], onward[nxt]))
+            pending.append((nxt, delay_so_far + neighbors[nxt], onward[nxt]))
+        result.link_transmissions += len(onward)
     charge_monitors(graph, result.charged)
     return result
 
 
 def charge_monitors(graph: BackboneGraph, charged: Sequence[tuple[int, int]]) -> None:
     """Count each (node id, copies forwarded) entry as one inbound copy at that node."""
+    nodes = graph.nodes
     for node_id, forwarded in charged:
-        node = graph.nodes[node_id]
+        node = nodes[node_id]
         node.window_inbound += 1
         node.window_forwarded += forwarded
 

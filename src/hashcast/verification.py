@@ -7,11 +7,17 @@ one twist: if the candidate set would overlap the block's validator set, the
 main verifier is relocated a fixed offset after the validator-set main so the
 two sets never share a node.
 
+A transaction is valid only if its sender signed it and its id is the
+digest of its content (`Transaction.content_id`), so an id always stands
+for one content: a block's signed header lists only the ids.
+
 Verdicts are shared within a run: every node that checks the same item
 reads one verdict.  `verify_transaction` and `verify_block` take a
 `signatures` map that holds each transaction's signature verdict, keyed on
-the whole transaction, so a copy that differs in any field is checked
-afresh; the parent check against `known_transactions` runs on every call.
+the whole transaction: a key is hashed by its id alone but compared field
+by field, so a copy that differs in any field gets its own entry and is
+checked afresh.  The parent check against `known_transactions` runs on
+every call.
 The later checks take the verdicts their callers hold as plain arguments:
 `verify_endorsements` the block's verifier set, and `audit_endorsed_block`
 the auditor's verdict on the endorsed copy.
@@ -36,6 +42,7 @@ from .core import (
 from .weights import RangeAllocation
 
 REASON_BAD_SIGNATURE = "bad-signature"
+REASON_ID_MISMATCH = "id-mismatch"
 REASON_MISSING_PREVIOUS = "missing-previous-tx"
 REASON_RANGE_MISMATCH = "range-mismatch"
 REASON_BAD_ENDORSEMENT = "bad-endorsement"
@@ -177,22 +184,26 @@ def verify_transaction(
     known_transactions: Container[str] = frozenset(),
     signatures: Optional[MutableMapping[Transaction, bool]] = None,
 ) -> VerificationOutcome:
-    """Check the sender signature and, for chained payloads, the parent.
+    """Check the sender signature, that the id is the content's, and a chained payload's parent.
 
     With `signatures`, the signature verdict is read from it, or checked and
-    stored there on a miss.
+    stored there on a miss.  A transaction whose id is not its content's
+    (`Transaction.content_id`) is never stored, so a stored valid verdict
+    vouches for the id too.
     """
     ok = None if signatures is None else signatures.get(tx)
     if ok is None:
         signing = transaction_signing_bytes(tx.sender, tx.payload, tx.previous_id)
         ok = backend.verify(tx.sender, signing, tx.signature)
+        if ok and tx.id != tx.content_id:
+            return VerificationOutcome.invalid(REASON_ID_MISMATCH)
         if signatures is not None:
             signatures[tx] = ok
     if not ok:
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
     if tx.previous_id is not None and tx.previous_id not in known_transactions:
         return VerificationOutcome.invalid(REASON_MISSING_PREVIOUS)
-    return VerificationOutcome.valid()
+    return _VALID
 
 
 def verify_block(
@@ -246,7 +257,7 @@ def endorse_block(block: Block, signers: Sequence[KeyPair], backend) -> Block:
         endorsements,
     )
     # The digest covers no endorsement, so the copy keeps the block's.
-    endorsed.__dict__["digest"] = block.digest
+    object.__setattr__(endorsed, "digest", block.digest)
     return endorsed
 
 

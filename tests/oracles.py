@@ -5,8 +5,9 @@ character arithmetic instead of the table, repeat counts from prefix scans,
 shortest paths from Floyd-Warshall instead of per-source Dijkstra, a flood's
 first arrivals from Dijkstra instead of replaying its hop events,
 base-62 digests from one `divmod` per symbol instead of the pair table, and
-block bytes from the README's "Serialization" section instead of the
-library's head and tail builders.  The ledger scans walk whole chains, which
+transaction and block bytes from the README's "Serialization" section, one
+length-prefixed field at a time, instead of the library's one-join encoders
+and head and tail builders.  The ledger scans walk whole chains, which
 the library itself never does.
 """
 
@@ -111,13 +112,23 @@ def _wire_credential(key, signature):
     return blob.ljust(459, b"\x00")
 
 
+def transaction_wire_bytes(tx, tx_id=None):
+    """A transaction's bytes as the README lays them out, with `tx_id` (default its own id)."""
+    tx_id = tx.id if tx_id is None else tx_id
+    credential = _wire_credential(tx.sender.raw, tx.signature)
+    fields = (b"tx", tx_id.encode(), credential, tx.payload, (tx.previous_id or "").encode())
+    return b"\x01" + b"".join(map(_wire_field, fields))
+
+
+def transaction_signing_wire_bytes(tx):
+    """The bytes a sender signs, as the README lays them out."""
+    fields = (b"txsign", tx.sender.raw, tx.payload, (tx.previous_id or "").encode())
+    return b"\x01" + b"".join(map(_wire_field, fields))
+
+
 def block_wire_bytes(block, endorsements):
     """A block's bytes as the README lays them out, with the given endorsements."""
-    body = b""
-    for tx in block.transactions:
-        body += b"\x01" + _wire_field(b"tx") + _wire_field(tx.id.encode())
-        body += _wire_field(_wire_credential(tx.sender.raw, tx.signature))
-        body += _wire_field(tx.payload) + _wire_field((tx.previous_id or "").encode())
+    body = b"".join(transaction_wire_bytes(tx) for tx in block.transactions)
     header = b"\x01" + _wire_field(b"blkhdr") + _wire_field(block.generator.raw)
     header += _wire_field(block.previous_digest.encode())
     header += _wire_field("".join(tx.id for tx in block.transactions).encode())

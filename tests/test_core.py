@@ -26,14 +26,21 @@ from hashcast.core import (
     msch_index,
     pack_credential,
     serialize_block,
+    serialize_body,
     serialize_transaction,
     transaction_id,
+    transaction_signing_bytes,
     transaction_size,
     unsigned_header,
 )
 from hashcast.verification import endorse_block
 from conftest import make_keypairs
-from oracles import base62_digest, block_wire_bytes
+from oracles import (
+    base62_digest,
+    block_wire_bytes,
+    transaction_signing_wire_bytes,
+    transaction_wire_bytes,
+)
 
 
 class TestDigest:
@@ -166,6 +173,36 @@ class TestTransactionSerialization:
         tx = create_transaction(kp, b"data", backend)
         with pytest.raises(dataclasses.FrozenInstanceError):
             tx.payload = b"other"
+
+
+class TestReferenceEncoders:
+    """The one-join encoders against the README's rule, one length-prefixed field at a time."""
+
+    SIZES = (0, 1, 510, 4096)
+
+    def _transactions(self, backend):
+        kp = backend.keypair(b"reference")
+        parent = digest(b"parent")
+        return [
+            create_transaction(kp, random.Random(size).randbytes(size), backend, previous_id)
+            for size in self.SIZES
+            for previous_id in (None, parent)
+        ]
+
+    def test_each_encoder_matches_the_field_rule(self, any_backend):
+        for tx in self._transactions(any_backend):
+            wire = transaction_wire_bytes(tx)
+            assert serialize_transaction(tx) == wire
+            assert transaction_size(tx) == len(wire)
+            signing = transaction_signing_bytes(tx.sender, tx.payload, tx.previous_id)
+            assert signing == transaction_signing_wire_bytes(tx)
+            assert any_backend.verify(tx.sender, signing, tx.signature)
+            assert transaction_id(tx) == tx.id == base62_digest(transaction_wire_bytes(tx, ""))
+
+    def test_body_is_the_transactions_in_order(self, any_backend):
+        txs = self._transactions(any_backend)
+        assert serialize_body(txs) == b"".join(map(transaction_wire_bytes, txs))
+        assert serialize_body([]) == b""
 
 
 class TestWireSizes:

@@ -1016,6 +1016,45 @@ class TestUntrustedHonest:
         assert flags == []
 
 
+def leaf_dropper_config():
+    """A star whose dropping leaf (backbone node 4) has only the auditor attached."""
+    return small_config(
+        num_backbone=8,
+        backbone_topology="star",
+        backbone_capacity=21,
+        trust_mode="untrusted",
+        monitor_window_ms=30.0,
+        attack="dropping",
+        adversary_ids=(4,),
+        seed=13,
+    )
+
+
+class TestMonitoringBlindSpot:
+    """A dropper that holds only local deliveries (ROADMAP item 9, monitoring that catches
+    every loss)."""
+
+    def test_the_dropper_is_a_leaf_that_only_delivers(self):
+        run = VericomRun(leaf_dropper_config())
+        run._join_all()
+        assert run.graph.nodes[4].neighbors.keys() == {0}
+        assert list(run.graph.nodes[4].attached) == run.auditors
+        # the auditor sends nothing, so no copy leaves backbone node 4
+        assert run.auditors[0] not in {run.identities[i].display for i in run.sender_ids}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 9 (monitoring that catches every loss): a node counts a copy as "
+        "inbound only when it has onward destinations, so a dropper holding only local "
+        "deliveries is never flagged",
+    )
+    def test_a_dropper_that_only_delivers_is_flagged_and_excluded(self):
+        run = execute(leaf_dropper_config())
+        assert run.metrics.lost_items > 0
+        assert run.metrics.detected
+        assert 4 in run.excluded_bns
+
+
 class TestMonitorSchedule:
     def test_clamped_tick_time_is_pushed_once(self):
         # a 30 ms window in a 340 ms epoch: ticks 10 and 11 both clamp to 290 ms

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hashcast.core import (
     SimulatedSigner,
     ALPHABET,
+    PublicKey,
+    Transaction,
     block_digest,
     create_transaction,
     digest,
@@ -15,11 +17,13 @@ from hashcast.core import (
     msch,
     serialize_block,
     transaction_id,
+    transaction_signing_bytes,
 )
 from hashcast.ledger import grind_block
 from hashcast.verification import (
     REASON_BAD_ENDORSEMENT,
     REASON_BAD_SIGNATURE,
+    REASON_ID_MISMATCH,
     REASON_MISSING_PREVIOUS,
     REASON_RANGE_MISMATCH,
     SetParams,
@@ -256,6 +260,7 @@ class TestVerifyTransaction:
         tx = create_transaction(kp, b"data", backend)
         tampered = dataclasses.replace(tx, payload=b"datb")
         outcome = verify_transaction(tampered, backend)
+        # its id is no longer its content's either, but the signature is checked first
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
 
     def test_missing_previous(self, backend):
@@ -279,6 +284,7 @@ class TestSharedSignatureVerdicts:
         assert verify_transaction(tx, backend, signatures=signatures).ok
         assert signatures == {tx: True}
         forged = dataclasses.replace(tx, payload=b"datb")
+        assert hash(forged) == hash(tx) and forged != tx  # same id: one hash, two keys
         outcome = verify_transaction(forged, backend, signatures=signatures)
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
         assert signatures == {tx: True, forged: False}
@@ -305,6 +311,68 @@ class TestSharedSignatureVerdicts:
         )
         outcome = verify_block(swapped, alloc, backend, signatures)
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
+
+
+class TestTransactionIds:
+    """A transaction passes only if its id is the digest of its content."""
+
+    def _signed(self, backend, tx_id):
+        """A correctly signed transaction, built by hand with the id `tx_id`."""
+        kp, payload = backend.keypair(b"ids"), b"hand-built"
+        signature = backend.sign(kp.secret, transaction_signing_bytes(kp.public, payload, None))
+        return Transaction(kp.public, payload, signature, None, tx_id)
+
+    def test_hand_built_transaction_is_judged_by_its_content(self, any_backend):
+        unnamed = self._signed(any_backend, "")
+        named = self._signed(any_backend, unnamed.content_id)
+        assert named.content_id == transaction_id(named) == transaction_id(unnamed)
+        assert verify_transaction(named, any_backend).ok
+        for tx in (unnamed, dataclasses.replace(named, id=digest(b"another"))):
+            outcome = verify_transaction(tx, any_backend)
+            assert not outcome.ok and outcome.reason == REASON_ID_MISMATCH
+
+    def test_renamed_copy_is_rejected_and_never_stored(self, any_backend):
+        kp = any_backend.keypair(b"ids")
+        tx = create_transaction(kp, b"data", any_backend)
+        renamed = dataclasses.replace(tx, id=digest(b"another"))
+        assert renamed.content_id == tx.id != renamed.id
+        signatures = {}
+        assert verify_transaction(tx, any_backend, signatures=signatures).ok
+        for _ in range(2):  # a stored verdict would vouch for the id too
+            outcome = verify_transaction(renamed, any_backend, signatures=signatures)
+            assert not outcome.ok and outcome.reason == REASON_ID_MISMATCH
+        assert signatures == {tx: True}
+
+    def test_block_with_a_renamed_transaction_is_rejected(self, any_backend):
+        kps = make_keypairs(any_backend, 2, "ids")
+        alloc = build_allocation([kps[0].public])  # one owner: every digest is in range
+        tx = create_transaction(kps[1], b"x", any_backend)
+        renamed = dataclasses.replace(tx, id=digest(b"another"))
+        hand_built = self._signed(any_backend, digest(b"another"))
+        for bad in (renamed, hand_built):
+            block = grind_block(kps[0], "", [tx, bad], alloc, any_backend)
+            for signatures in (None, {}):
+                outcome = verify_block(block, alloc, any_backend, signatures)
+                assert not outcome.ok and outcome.reason == REASON_ID_MISMATCH
+        honest = grind_block(kps[0], "", [tx], alloc, any_backend)
+        assert verify_block(honest, alloc, any_backend).ok
+
+
+class TestHashContract:
+    """Keys hash by one field but compare field by field; see also
+    `TestSharedSignatureVerdicts`, where a same-id copy gets its own entry."""
+
+    def test_equal_values_hash_equal(self, any_backend):
+        kp = any_backend.keypair(b"hash")
+        tx = create_transaction(kp, b"x", any_backend)
+        twin_key = PublicKey(bytes(bytearray(kp.public.raw)), "".join(kp.public.display))
+        twin = Transaction(
+            twin_key, bytes(bytearray(tx.payload)), bytes(bytearray(tx.signature)), None, tx.id
+        )
+        assert twin_key is not kp.public and twin is not tx
+        assert twin_key == kp.public and hash(twin_key) == hash(kp.public)
+        assert twin == tx and hash(twin) == hash(tx)
+        assert {tx: True}[twin]
 
 
 class TestVerifyBlock:
