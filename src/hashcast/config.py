@@ -103,6 +103,8 @@ class ScenarioConfig:
 
     def _validate_attack(self) -> None:
         if self.attack == "none":
+            if self.adversary_ids:
+                raise ConfigError("adversary_ids needs an attack; attack is 'none'")
             return
         if self.mode != "vericom":
             raise ConfigError("attack scenarios are defined for vericom mode only")

@@ -470,26 +470,20 @@ class VericomRun(_RunBase):
             ("validators", msch(tx.id)),
             _validator_displays, tx.id, epoch.alloc, epoch.params,
         )  # fmt: skip
-        self._multicast(
-            epoch,
-            bn_id,
-            displays,
-            transaction_size(tx),
-            send_time,
-            self._tx_delivered,
-            tx,
+        self.metrics.verify_ops += self._multicast(
+            epoch, bn_id, displays, transaction_size(tx), send_time, self._tx_delivered, tx
         )
 
-    def _multicast(self, epoch, bn_id, displays, size, send_time, handler, item) -> None:
-        """Route an item from backbone node `bn_id` to every attached one of `displays`.
+    def _multicast(self, epoch, bn_id, displays, size, send_time, handler, item) -> int:
+        """Send an item from backbone node `bn_id` to every attached one of `displays`.
 
+        Every multicast is charged here, from a fresh or a reused plan alike:
+        its bytes, routing failures and losses and, in untrusted mode, where
+        a monitoring window reads them, its monitor counts.  Schedules
+        `handler` once per delivery and returns the number of deliveries.
         A plan depends only on `bn_id`, `displays` and what `_join_all` sets
-        up (the graph, its routes, the homes and the access legs), so each
-        plan is kept in `plans` and reused for the same origin and display
-        list until the next `_join_all` drops them all.  In untrusted mode, the
-        only one that reads them, a reused plan charges its monitor counts again.
-        `queue.now` and `queue.push` are read once per call, never kept: a
-        caller may rebind `push` after the run is built.
+        up, so it is kept in `plans` until the next `_join_all`.  `queue.push`
+        is read per call: a caller may rebind it after the run is built.
         """
         key = (bn_id, tuple(displays))
         result = self.plans.get(key)
@@ -500,22 +494,23 @@ class VericomRun(_RunBase):
                 if home is not None:
                     destinations[display] = self.access[(self.by_display[display].node_id, home)]
             result = self.plans[key] = route_multicast(self.graph, bn_id, destinations)
-        elif self.config.trust_mode == "untrusted":
+        if self.config.trust_mode == "untrusted":
             charge_monitors(self.graph, result.charged)
+        metrics, deliveries = self.metrics, result.deliveries
         # the access-link copy into the backbone, then one copy per backbone link
-        self.metrics.packet_bytes_backbone += size * (1 + result.link_transmissions)
-        self.metrics.routing_failures += len(result.missing_route)
+        metrics.packet_bytes_backbone += size * (1 + result.link_transmissions)
+        metrics.packet_bytes_iot += size * len(deliveries)
+        metrics.routing_failures += len(result.missing_route)
         if result.lost:
-            self.metrics.lost_items += len(result.lost)
+            metrics.lost_items += len(result.lost)
             self.log(f"bn.{bn_id}", "multicast-losses", str(len(result.lost)))
         now, push = self.queue.now, self.queue.push
-        for display, delay_ms in result.deliveries:
-            push(now + delay_ms, handler, epoch, item, display, send_time, size)
+        for display, delay_ms in deliveries:
+            push(now + delay_ms, handler, epoch, item, display, send_time)
+        return len(deliveries)
 
-    def _tx_delivered(self, epoch: Epoch, tx, display: str, send_time: float, size: int) -> None:
-        self.metrics.packet_bytes_iot += size
+    def _tx_delivered(self, epoch: Epoch, tx, display: str, send_time: float) -> None:
         self.metrics.delay_samples.append(self.queue.now - send_time)
-        self.metrics.verify_ops += 1
         outcome = verify_transaction(tx, self.backend, signatures=epoch.signatures)
         if not outcome.ok:
             node_id = self.by_display[display].node_id
@@ -535,7 +530,7 @@ class VericomRun(_RunBase):
             self.metrics.lost_items += 1
             return
         epoch.votes[block.digest] = {}
-        self._multicast(
+        self.metrics.verify_ops += self._multicast(
             epoch,
             bn_id,
             [pk.display for pk in self._verifier_set(epoch, block).members],
@@ -545,15 +540,11 @@ class VericomRun(_RunBase):
             block,
         )
 
-    def _block_delivered(
-        self, epoch: Epoch, block, display: str, send_time: float, size: int
-    ) -> None:
-        self.metrics.packet_bytes_iot += size
+    def _block_delivered(self, epoch: Epoch, block, display: str, send_time: float) -> None:
         self.metrics.delay_samples.append(self.queue.now - send_time)
-        self.metrics.verify_ops += 1
         d = block.digest
-        votes = epoch.votes.get(d)
-        if votes is None or display in votes:
+        votes = epoch.votes[d]
+        if display in votes:
             return
         ident = self.by_display[display]
         if ident.public.raw in self.dishonest:
@@ -651,9 +642,7 @@ class VericomRun(_RunBase):
             endorsed,
         )
 
-    def _endorsed_delivered(
-        self, epoch: Epoch, endorsed, display: str, send_time: float, size: int
-    ) -> None:
+    def _endorsed_delivered(self, epoch: Epoch, endorsed, display: str, send_time: float) -> None:
         """The generator appends an endorsed copy to its ledger; the auditor audits it.
 
         Both read one endorsement verdict (`_verify_endorsements`) under
@@ -664,7 +653,6 @@ class VericomRun(_RunBase):
         if the block is valid: the verifier set of a block whose generator
         owns no range cannot be derived.
         """
-        self.metrics.packet_bytes_iot += size
         self.metrics.delay_samples.append(self.queue.now - send_time)
         if display == endorsed.generator.display:
             ledger = epoch.ledgers.get(display)

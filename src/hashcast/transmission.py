@@ -5,14 +5,15 @@ routing pass reads which destinations are attached to which backbone node
 and gives every node a next-hop table from one Dijkstra pass over the link
 delays, with ties broken by the lowest-id first hop.  Multicast forwards one
 copy per link and fans out only where destination paths diverge.
-`route_multicast` returns one multicast's whole plan, including the monitor
-counts it charged, so a caller can reuse the plan until the next round of
-joins by replaying those counts through `charge_monitors`.
+`route_multicast` only plans: it returns one multicast's deliveries, link
+copies and monitor counts and changes nothing, so a caller can reuse a plan
+until the next round of joins.
 
-In untrusted mode every backbone node counts the multicast copies that reach
-it with onward destinations and the copies it forwards.  A node that
-forwarded fewer than it received over a monitoring window is flagged, and
-the backbone is rebuilt without the flagged nodes.
+In untrusted mode the caller charges each multicast's monitor counts through
+`charge_monitors`: every backbone node counts the copies that reach it with
+onward destinations and the copies it forwards.  A node that forwarded fewer
+than it received over a monitoring window is flagged, and the backbone is
+rebuilt without the flagged nodes.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ class MulticastResult:
     link_transmissions: int = 0
     lost: list[str] = field(default_factory=list)
     missing_route: list[str] = field(default_factory=list)
-    # (node id, copies forwarded) per copy a node took in with onward destinations
+    # (node id, copies forwarded) per copy a node took in with onward
+    # destinations: the monitor counts `charge_monitors` adds
     charged: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -177,21 +179,16 @@ def route_multicast(
     origin: int,
     destinations: dict[str, float],
 ) -> MulticastResult:
-    """Forward one item from `origin` to every destination key.
+    """Plan one item's multicast from `origin` to every destination key.
 
     `destinations` maps each key display to the delay of its final access
     link.  A destination that a node on its path has neither attached nor
-    a next hop for is reported as a missing route.  The rest travel as
-    one copy per backbone link, split only where their next hops differ; a
-    destination's delay is the link delays on its path plus its access leg.
-    A node that holds a copy with onward destinations counts it as inbound
-    and counts every copy it sends on as forwarded.  A node with `drop_all`
-    set forwards and delivers nothing; every destination of its copy is
-    reported as lost.
-
-    Returns the deliveries in visiting order, the number of link copies, the
-    lost and missing-route destinations, and in `charged` the monitor counts
-    this call added through `charge_monitors`.
+    a next hop for is a missing route.  The rest travel as one copy per
+    backbone link, split only where their next hops differ; a destination's
+    delay is the link delays on its path plus its access leg.  A node with
+    `drop_all` set forwards and delivers nothing, so every destination of its
+    copy is lost.  The graph is left unchanged: the monitor counts are only
+    listed in `charged`, for the caller to charge.
     """
     result = MulticastResult()
     nodes, deliveries, missing = graph.nodes, result.deliveries, result.missing_route
@@ -225,7 +222,6 @@ def route_multicast(
         for nxt in sorted(onward):
             pending.append((nxt, delay_so_far + neighbors[nxt], onward[nxt]))
         result.link_transmissions += len(onward)
-    charge_monitors(graph, result.charged)
     return result
 
 

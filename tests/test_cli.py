@@ -212,6 +212,17 @@ class TestRunCommand:
         assert "adversary_ids" in capsys.readouterr().err
         assert ScenarioConfig.from_dict(dict(data, adversary_ids=[5])).adversary_ids == (5,)
 
+    @pytest.mark.parametrize("mode", ["vericom", "baseline"])
+    def test_adversary_ids_without_an_attack_rejected(self, tmp_path, capsys, mode):
+        # with attack "none" the ids would be validated, then ignored
+        data = {"mode": mode, "adversary_ids": [0]}
+        with pytest.raises(ConfigError, match="adversary_ids"):
+            ScenarioConfig.from_dict(data)
+        config = write_json(tmp_path / "c.json", data)
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert "adversary_ids" in capsys.readouterr().err
+        assert ScenarioConfig.from_dict(dict(data, adversary_ids=[])).adversary_ids == ()
+
     def test_adversary_ids_not_a_list_rejected(self, tmp_path, capsys):
         data = {"attack": "fake-transaction", "adversary_ids": 3}
         with pytest.raises(ConfigError, match="adversary_ids"):

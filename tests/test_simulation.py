@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hashcast import simulation, transmission
+from hashcast import simulation
 from hashcast.config import ConfigError, ScenarioConfig, load_config
 from hashcast import core, verification
 from hashcast.core import (
@@ -494,6 +494,18 @@ class TestWholeRunProperties:
             (2 * cfg.n + 1) * metrics.injected_tx
             + (2 * cfg.m + 1) * metrics.blocks_committed
         )
+        # each tx reaches its validator set, each block its verifiers without
+        # endorsements (459 bytes each), and each endorsed copy every range
+        # owner and the auditor
+        ledgers = [ledger for epoch in run.ledgers.values() for ledger in epoch.values()]
+        blocks = [block for ledger in ledgers for block in ledger.blocks]
+        endorsers = 2 * cfg.m + 1
+        assert metrics.packet_bytes_iot == sum(
+            (2 * cfg.n + 1) * sum(core.transaction_size(tx) for tx in b.transactions)
+            + endorsers * (core.block_size(b) - 459 * endorsers)
+            + (cfg.ring_size + int(cfg.auditor)) * core.block_size(b)
+            for b in blocks
+        )
         # per epoch: its start, one registration per range owner, the window
         # end, the flush and the settlement; per tx: its injection, the
         # uplink and one delivery per validator-set member; per block: the
@@ -666,8 +678,17 @@ def window_counters(run):
     return closes
 
 
+@st.composite
+def vericom_configs(draw):
+    """Any valid vericom config: either trust mode, with no attack or any of the three."""
+    cfg = draw(st.one_of(honest_configs(), forging_configs(), dropping_configs()))
+    if cfg.attack == "dropping":
+        return cfg
+    return replace(cfg, trust_mode=draw(st.sampled_from(["trusted", "untrusted"])))
+
+
 class TestPlanReuse:
-    @given(dropping_configs())
+    @given(vericom_configs())
     @settings(max_examples=40, deadline=None)
     def test_reused_plans_charge_monitor_counters(self, cfg):
         cached = VericomRun(cfg)
@@ -679,59 +700,14 @@ class TestPlanReuse:
 
     @given(honest_configs())
     @settings(max_examples=30, deadline=None)
-    def test_trusted_run_charges_monitors_only_when_routing(self, cfg):
-        # no _monitor_window reads the counts in trusted mode, so a reused
-        # plan does not charge them again; replaying the charges changes nothing
+    def test_trusted_run_charges_no_monitors(self, cfg):
+        # no _monitor_window reads the counts in trusted mode
         assert cfg.trust_mode == "trusted"
-        routed, replayed, reused = [], [], []
-        charge = transmission.charge_monitors
-
-        def charge_routed(graph, charged):
-            routed.append(charged)
-            charge(graph, charged)
-
-        def charge_replayed(graph, charged):
-            replayed.append(charged)
-            charge(graph, charged)
-
-        with (
-            mock.patch.object(transmission, "charge_monitors", charge_routed),
-            mock.patch.object(simulation, "charge_monitors", charge_replayed),
-        ):
-            plain = VericomRun(cfg)
-            outputs = run_outputs(plain)
-        assert replayed == []
-        assert len(routed) == len(plain.plans)
-        with_replay = VericomRun(cfg)
-        multicast = with_replay._multicast
-
-        def multicast_and_replay(epoch, bn_id, displays, *rest):
-            plan = with_replay.plans.get((bn_id, tuple(displays)))
-            multicast(epoch, bn_id, displays, *rest)
-            if plan is not None:
-                reused.append(plan)
-                charge(with_replay.graph, plan.charged)
-
-        with_replay._multicast = multicast_and_replay
-        assert run_outputs(with_replay) == outputs
-        inbound = [
-            sum(bn.window_inbound for bn in run.graph.nodes.values()) for run in (plain, with_replay)
-        ]
-        assert inbound[1] - inbound[0] == sum(len(plan.charged) for plan in reused)
-        assert (plain.routing_dump, plain.allocation_tables, plain.settlement_lines) == (
-            with_replay.routing_dump,
-            with_replay.allocation_tables,
-            with_replay.settlement_lines,
-        )
-
-
-@st.composite
-def vericom_configs(draw):
-    """Any valid vericom config: either trust mode, with no attack or any of the three."""
-    cfg = draw(st.one_of(honest_configs(), forging_configs(), dropping_configs()))
-    if cfg.attack == "dropping":
-        return cfg
-    return replace(cfg, trust_mode=draw(st.sampled_from(["trusted", "untrusted"])))
+        with mock.patch.object(simulation, "charge_monitors") as charge:
+            run = execute(cfg)
+        charge.assert_not_called()
+        counters = {(bn.window_inbound, bn.window_forwarded) for bn in run.graph.nodes.values()}
+        assert counters == {(0, 0)}
 
 
 def run_outputs(run):
@@ -798,7 +774,7 @@ class TestVerdictSharing:
             (valid, bad_endorsements, REASON_BAD_ENDORSEMENT),
         ):
             epoch.memo[block_key], epoch.memo[endorsed_key] = block_verdict, endorsement_verdict
-            run._endorsed_delivered(epoch, endorsed, run.auditors[0], run.queue.now, 0)
+            run._endorsed_delivered(epoch, endorsed, run.auditors[0], run.queue.now)
             report = run.metrics.reports[-1]
             assert (report.kind, report.item_digest, report.reason) == (
                 "audit", endorsed.digest, reason
@@ -812,7 +788,7 @@ class TestVerdictSharing:
         txs = run.ledgers[0][run.epoch.alloc.validators[0].display].blocks[0].transactions
         block = make_block(outsider.keypair, "", txs, 0, run.backend)
         endorsed = endorse_block(block, [v.keypair for v in run.validators[:3]], run.backend)
-        run._endorsed_delivered(run.epoch, endorsed, run.auditors[0], run.queue.now, 0)
+        run._endorsed_delivered(run.epoch, endorsed, run.auditors[0], run.queue.now)
         report = run.metrics.reports[-1]
         assert (report.item_digest, report.reason) == (endorsed.digest, REASON_RANGE_MISMATCH)
         assert ("set", outsider.public.raw, msch(endorsed.digest)) not in run.epoch.memo

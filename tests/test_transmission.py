@@ -9,6 +9,7 @@ from hashcast.transmission import (
     ROUTING_TABLE_BASE_BYTES,
     TopologyError,
     build_backbone,
+    charge_monitors,
     compute_routes,
     evaluate_window,
     join_network,
@@ -286,11 +287,20 @@ class TestMonitoring:
             graph.nodes[dropper].drop_all = True
         return graph
 
+    def test_routing_charges_nothing(self):
+        for dropper in (None, 1):
+            graph = self._loaded_graph(dropper)
+            result = route_multicast(graph, 0, {"dst": 0.5})
+            assert result.charged == [(0, 1), (1, 0 if dropper else 1)]
+            counters = [(bn.window_inbound, bn.window_forwarded) for bn in graph.nodes.values()]
+            assert counters == [(0, 0)] * 3
+
     def test_honest_nodes_never_flagged(self):
         graph = self._loaded_graph()
         for _ in range(50):
             result = route_multicast(graph, 0, {"dst": 0.5})
             assert len(result.deliveries) == 1
+            charge_monitors(graph, result.charged)
         assert [graph.nodes[i].window_inbound for i in graph.ids] == [50, 50, 0]
         assert evaluate_window(graph) == []
 
@@ -298,6 +308,7 @@ class TestMonitoring:
         graph = self._loaded_graph(dropper=1)
         result = route_multicast(graph, 0, {"dst": 0.5})
         assert result.lost == ["dst"]
+        charge_monitors(graph, result.charged)
         assert evaluate_window(graph) == [1]
 
     def test_quiet_window_flags_nobody(self):
@@ -306,7 +317,7 @@ class TestMonitoring:
 
     def test_reconstruction_restores_delivery(self):
         graph = self._loaded_graph(dropper=1)
-        route_multicast(graph, 0, {"dst": 0.5})
+        charge_monitors(graph, route_multicast(graph, 0, {"dst": 0.5}).charged)
         flagged = evaluate_window(graph)
         rebuilt = reconstruct_backbone(graph, set(flagged), link_delay=2.5, capacity=10)
         assert set(rebuilt.nodes) == {0, 2}
