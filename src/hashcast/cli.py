@@ -4,7 +4,7 @@
 log, the ledger dump, and a human-readable summary.  `hashcast sweep`
 expands a sweep spec into a deterministic series of runs and writes one CSV
 row per run.  Log verbosity comes from the HASHCAST_LOG environment
-variable (DEBUG/INFO/WARNING/ERROR).
+variable: one of `LOG_LEVELS`, in any case; any other value means WARNING.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .ledger import export_ledger_lines
 from .simulation import MetricsReport, RunError, execute
 
 log = logging.getLogger("hashcast")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 CSV_HEADER = (
     "mode,num_iot_nodes,num_backbone,num_validators,n,m,seed,"
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     level = os.environ.get("HASHCAST_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    logging.basicConfig(level=level if level in LOG_LEVELS else "WARNING")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -320,7 +320,7 @@ class VericomRun(_RunBase):
     def __init__(self, config: ScenarioConfig):
         super().__init__(config)
         self.graph: BackboneGraph = self._build_graph()
-        self.access: dict[tuple[int, int], float] = self._draw_access_delays()
+        self.access: list[list[float]] = self._draw_access_delays()  # [node_id][bn_id]
         self.home: dict[str, int] = {}
         # (origin, destination displays) -> plan; dropped by _join_all
         self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
@@ -351,32 +351,38 @@ class VericomRun(_RunBase):
                 graph.nodes[bn_id].drop_all = True
         return graph
 
-    def _draw_access_delays(self) -> dict[tuple[int, int], float]:
-        """Access-link delays, one per (node, backbone) pair.
+    def _draw_access_delays(self) -> list[list[float]]:
+        """Access-link delays: `access[node_id][bn_id]`, one row per identity.
 
-        Each delay is derived from its own hash so a pair's delay never
-        depends on how many other pairs exist; growing the backbone leaves
-        the delays every node already measured unchanged.
+        The delay of a pair is `min + (max - min) * u`, where `u` is the
+        first 8 bytes, big-endian, of SHA-256(`{seed}:access:{node}:{bn}`)
+        over 2**64.  Each row hashes its `{seed}:access:{node}:` prefix once
+        and copies that state per backbone node, so every delay is still its
+        own pair's hash and never depends on how many other pairs exist;
+        growing the backbone leaves the delays every node already measured
+        unchanged.  Rows are in node-id order, the auditor's last.
         """
         config = self.config
-        span = config.access_delay_max_ms - config.access_delay_min_ms
-        delays = {}
+        low = config.access_delay_min_ms
+        span = config.access_delay_max_ms - low
+        suffixes = [str(bn_id).encode() for bn_id in range(config.num_backbone)]
+        from_bytes, rows = int.from_bytes, []
         for ident in self.identities:
-            for bn_id in range(config.num_backbone):
-                h = hashlib.sha256(
-                    f"{config.seed}:access:{ident.node_id}:{bn_id}".encode()
-                ).digest()
-                unit = int.from_bytes(h[:8], "big") / 2**64
-                delays[(ident.node_id, bn_id)] = config.access_delay_min_ms + span * unit
-        return delays
+            prefix = hashlib.sha256(f"{config.seed}:access:{ident.node_id}:".encode())
+            row = []
+            for suffix in suffixes:
+                h = prefix.copy()
+                h.update(suffix)
+                row.append(low + span * (from_bytes(h.digest()[:8], "big") / 2**64))
+            rows.append(row)
+        return rows
 
     def _join_all(self) -> None:
         self.home = {}
         self.plans.clear()
         for ident in self.identities:
-            delays = {
-                bn_id: self.access[(ident.node_id, bn_id)] for bn_id in self.graph.nodes
-            }
+            row = self.access[ident.node_id]
+            delays = {bn_id: row[bn_id] for bn_id in self.graph.nodes}
             attached = join_network(ident.display, ident.role, delays, self.graph)
             if attached is None:
                 self.metrics.isolated.append(ident.display)
@@ -454,7 +460,7 @@ class VericomRun(_RunBase):
             self.metrics.routing_failures += 1
             return False
         send_time = self.queue.now
-        arrive = send_time + self.access[(ident.node_id, bn_id)]
+        arrive = send_time + self.access[ident.node_id][bn_id]
         self.queue.push(arrive, handler, epoch, item, bn_id, send_time)
         return True
 
@@ -492,7 +498,7 @@ class VericomRun(_RunBase):
             for display in displays:
                 home = self.home.get(display)
                 if home is not None:
-                    destinations[display] = self.access[(self.by_display[display].node_id, home)]
+                    destinations[display] = self.access[self.by_display[display].node_id][home]
             result = self.plans[key] = route_multicast(self.graph, bn_id, destinations)
         if self.config.trust_mode == "untrusted":
             charge_monitors(self.graph, result.charged)

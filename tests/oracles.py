@@ -4,11 +4,12 @@ These deliberately avoid the library's own code paths: weights come from
 character arithmetic instead of the table, repeat counts from prefix scans,
 shortest paths from Floyd-Warshall instead of per-source Dijkstra, a flood's
 first arrivals from Dijkstra instead of replaying its hop events,
-base-62 digests from one `divmod` per symbol instead of the pair table, and
-transaction and block bytes from the README's "Serialization" section, one
-length-prefixed field at a time, instead of the library's one-join encoders
-and head and tail builders.  The ledger scans walk whole chains, which
-the library itself never does.
+base-62 digests from one `divmod` per symbol instead of the pair table,
+access delays from one hash of each whole pair string instead of a copied
+per-node prefix, and transaction and block bytes from the README's
+"Serialization" section, one length-prefixed field at a time, instead of
+the library's one-join encoders and head and tail builders.  The ledger
+scans walk whole chains, which the library itself never does.
 """
 
 import hashlib
@@ -100,6 +101,12 @@ def base62_digest(content):
         value, idx = divmod(value, 62)
         symbols.append(BASE62[idx])
     return "".join(symbols)
+
+
+def access_delay(seed, node_id, bn_id, low, high):
+    """The README's access delay of one pair, hashing its whole pair string at once."""
+    h = hashlib.sha256(f"{seed}:access:{node_id}:{bn_id}".encode()).digest()
+    return low + (high - low) * (int.from_bytes(h[:8], "big") / 2**64)
 
 
 def _wire_field(data):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,6 +180,46 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: attack 'fake-transaction' excludes 4 of 7 range owners")
         assert "leaving 3" in err and "3n+2m = 5" in err
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("debug", "DEBUG"),
+            ("Info", "INFO"),
+            ("WARNING", "WARNING"),
+            ("error", "ERROR"),
+            ("CRITICAL", "CRITICAL"),
+            ("basic_format", "WARNING"),
+            ("warn", "WARNING"),
+            ("notset", "WARNING"),
+            ("", "WARNING"),
+        ],
+    )
+    def test_log_level_names(self, tmp_path, monkeypatch, value, expected):
+        seen = []
+
+        def record(level):  # checks `level` as basicConfig does: ValueError if unknown
+            seen.append(logging.Logger("probe", level).level)
+
+        monkeypatch.setattr(cli.logging, "basicConfig", record)
+        monkeypatch.setenv("HASHCAST_LOG", value)
+        config = write_json(tmp_path / "c.json", {"num_iot_nodes": 15, "tx_count": 10})
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 0
+        assert seen == [getattr(logging, expected)]
+
+    def test_unknown_log_level_runs_at_warning(self, tmp_path):
+        # a fresh interpreter: basicConfig sets the level only on a root logger with no handlers
+        config = write_json(tmp_path / "c.json", {"num_iot_nodes": 15, "tx_count": 10})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, HASHCAST_LOG="basic_format", PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "hashcast", "run", "-c", config, "-o", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out" / "runs.csv").exists()
 
     def test_run_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def stuck(config):

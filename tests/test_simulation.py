@@ -27,7 +27,12 @@ from hashcast.verification import (
     VerificationOutcome,
     endorse_block,
 )
-from oracles import ring_first_arrivals, scan_chain_integrity, scan_range_discipline
+from oracles import (
+    access_delay,
+    ring_first_arrivals,
+    scan_chain_integrity,
+    scan_range_discipline,
+)
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -66,6 +71,31 @@ class TestDeterminism:
         r1, _ = run_scenario(small_config(seed=1))
         r2, _ = run_scenario(small_config(seed=2))
         assert r1.delay_samples != r2.delay_samples
+
+
+class TestAccessDelays:
+    @pytest.mark.parametrize("low, high", [(1.0, 2.0), (0.5, 30.0), (4.0, 4.0)])
+    def test_every_delay_hashes_its_own_pair(self, low, high):
+        cfg = small_config(seed=11, access_delay_min_ms=low, access_delay_max_ms=high)
+        run = VericomRun(cfg)
+        assert run.identities[-1].role == "auditor"
+        assert run.identities[-1].node_id == cfg.num_iot_nodes
+        assert len(run.access) == len(run.identities)
+        for ident in run.identities:
+            expected = [
+                access_delay(cfg.seed, ident.node_id, bn_id, low, high)
+                for bn_id in range(cfg.num_backbone)
+            ]
+            assert run.access[ident.node_id] == expected
+        if low == high:
+            assert {d for row in run.access for d in row} == {low}
+
+    def test_growing_the_backbone_keeps_measured_delays(self):
+        small = VericomRun(small_config(num_backbone=5)).access
+        large = VericomRun(small_config(num_backbone=9)).access
+        assert len(small) == len(large)
+        assert all(len(row) == 9 for row in large)
+        assert [row[:5] for row in large] == small
 
 
 class TestHonestRuns:
