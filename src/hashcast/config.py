@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .verification import SetParams
@@ -25,13 +26,41 @@ class ConfigError(ValueError):
 
 # The JSON types a field of each declared type accepts, and their name in
 # errors.  `type(...) in` rejects booleans where a number is required, and a
-# float field also takes a JSON integer.
+# float field also takes a JSON integer.  A tuple field takes a list whose
+# every item is of the listed types.
 _JSON_TYPES = {
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "bool": ((bool,), "a boolean"),
+    "tuple[int, ...]": ((int,), "a list of integers"),
+    "tuple[str, ...]": ((str,), "a list of strings"),
+    "ScenarioConfig": ((dict,), "a JSON object"),
 }
+
+
+def _typed_fields(cls, data: dict, noun: str) -> dict:
+    """`data` with lists as tuples, once every key is a field of `cls` holding its type.
+
+    Any other key or value is a ConfigError naming the key; `noun` names
+    the file kind in the unknown-key error.
+    """
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(declared))
+    if unknown:
+        raise ConfigError(f"unknown {noun} key: {unknown[0]}")
+    typed = dict(data)
+    for key, value in data.items():
+        types, what = _JSON_TYPES[declared[key]]
+        if declared[key].startswith("tuple["):
+            ok = type(value) in (list, tuple) and all(type(v) in types for v in value)
+        else:
+            ok = type(value) in types
+        if not ok:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if type(value) is list:
+            typed[key] = tuple(value)
+    return typed
 
 
 @dataclass(frozen=True)
@@ -91,8 +120,8 @@ class ScenarioConfig:
             "access_delay_min_ms",
             "access_delay_max_ms",
         ):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive")
+            if not 0 < getattr(self, key) < math.inf:  # NaN fails both comparisons
+                raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.access_delay_max_ms < self.access_delay_min_ms:
             raise ConfigError("access_delay_max_ms must be >= access_delay_min_ms")
         try:
@@ -176,41 +205,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config key: {unknown[0]}")
-        for f in dataclasses.fields(cls):
-            if f.name in data and f.type in _JSON_TYPES:
-                types, noun = _JSON_TYPES[f.type]
-                if type(data[f.name]) not in types:
-                    raise ConfigError(f"{f.name} must be {noun}, got {data[f.name]!r}")
-        return cls(**dict(data, adversary_ids=_int_tuple(data, "adversary_ids")))
-
-
-def _as_tuple(data: dict, key: str, default: tuple) -> tuple:
-    """The JSON list under `key` as a tuple; any other value is a ConfigError naming `key`."""
-    value = data.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return tuple(value)
-
-
-def _int_tuple(data: dict, key: str) -> tuple[int, ...]:
-    """The JSON list of integers under `key` as a tuple; else a ConfigError naming `key`."""
-    value = _as_tuple(data, key, ())
-    bad = [v for v in value if type(v) is not int]
-    if bad:
-        raise ConfigError(f"{key} must hold integers, got {bad}")
-    return value
-
-
-def _int(data: dict, key: str, default: int) -> int:
-    """The JSON integer under `key`; else a ConfigError naming `key`."""
-    value = data.get(key, default)
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+        return cls(**_typed_fields(cls, data, "config"))
 
 
 SWEEP_PARAMETERS = ("num_iot_nodes", "num_backbone", "num_validators")
@@ -257,42 +252,27 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        known = {"base", "parameter", "values", "modes", "repetitions", "seed_base"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown sweep key: {unknown[0]}")
+        typed = _typed_fields(cls, data, "sweep")
         if "base" not in data or "parameter" not in data or "values" not in data:
             raise ConfigError("sweep spec requires base, parameter, and values")
-        if not isinstance(data["base"], dict):
-            raise ConfigError(f"base must be a JSON object, got {data['base']!r}")
-        base = ScenarioConfig.from_dict(data["base"])
-        return cls(
-            base=base,
-            parameter=data["parameter"],
-            values=_int_tuple(data, "values"),
-            modes=_as_tuple(data, "modes", ("vericom",)),
-            repetitions=_int(data, "repetitions", 1),
-            seed_base=_int(data, "seed_base", 1),
-        )
+        return cls(**dict(typed, base=ScenarioConfig.from_dict(data["base"])))
+
+
+def _load(path: str, noun: str) -> dict:
+    """The JSON object in the file at `path`; `noun` names the file kind in errors."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: {noun} must be a JSON object")
+    return data
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return ScenarioConfig.from_dict(data)
+    return ScenarioConfig.from_dict(_load(path, "config"))
 
 
 def load_sweep(path: str) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: sweep spec must be a JSON object")
-    return SweepSpec.from_dict(data)
+    return SweepSpec.from_dict(_load(path, "sweep spec"))

@@ -45,7 +45,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 ALPHABET_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
@@ -212,7 +212,6 @@ class Transaction:
     sender: PublicKey
     payload: bytes
     signature: bytes
-    previous_id: Optional[str] = None
     id: str = ""
 
     def __hash__(self) -> int:
@@ -250,66 +249,65 @@ _TX_KIND = FORMAT_TAG + _field(b"tx")
 _TXSIGN_KIND = FORMAT_TAG + _field(b"txsign")
 _HEADER_KIND = FORMAT_TAG + _field(b"blkhdr")
 
+# The last field of both transaction encodings: a reserved parent field,
+# always empty.  Its 4-byte length prefix is in every transaction size, id,
+# signature and block digest, so dropping it would change every recorded
+# output; that waits for the re-record path of ROADMAP item 2.
+_RESERVED_FIELD = _length(0)
 
-def transaction_signing_bytes(
-    sender: PublicKey, payload: bytes, previous_id: Optional[str]
-) -> bytes:
+
+def transaction_signing_bytes(sender: PublicKey, payload: bytes) -> bytes:
     """Bytes a sender signs: everything except the id and the credential."""
-    raw, prev = sender.raw, (previous_id or "").encode("ascii")
     return b"".join((
         _TXSIGN_KIND,
-        _length(len(raw)), raw,
+        _length(len(sender.raw)), sender.raw,
         _length(len(payload)), payload,
-        _length(len(prev)), prev,
+        _RESERVED_FIELD,
     ))  # fmt: skip
 
 
 def _transaction_parts(
-    tx_id: str, sender: PublicKey, signature: bytes, payload: bytes, previous_id: Optional[str]
+    tx_id: str, sender: PublicKey, signature: bytes, payload: bytes
 ) -> tuple[bytes, ...]:
-    """A transaction's encoding in pieces: the fields `tx`, id, credential, payload, previous id."""
-    tid, prev = tx_id.encode("ascii"), (previous_id or "").encode("ascii")
+    """A transaction's encoding in pieces: the fields `tx`, id, credential, payload, reserved."""
+    tid = tx_id.encode("ascii")
     lead, padding = credential_parts(sender, len(signature))
     return (
         _TX_KIND, _length(len(tid)), tid,
         _CREDENTIAL_LENGTH, lead, signature, padding,
         _length(len(payload)), payload,
-        _length(len(prev)), prev,
+        _RESERVED_FIELD,
     )  # fmt: skip
 
 
 def serialize_transaction(tx: Transaction) -> bytes:
-    return b"".join(_transaction_parts(tx.id, tx.sender, tx.signature, tx.payload, tx.previous_id))
+    return b"".join(_transaction_parts(tx.id, tx.sender, tx.signature, tx.payload))
 
 
-# Serialized size of a transaction with an empty id, payload and previous
-# id: every other field has a fixed size.
+# Serialized size of a transaction with an empty id and payload: every other
+# field has a fixed size.
 _TX_FIXED_BYTES = len(serialize_transaction(Transaction(PublicKey(b"", ""), b"", b"")))
 
 
 def transaction_size(tx: Transaction) -> int:
     """`len(serialize_transaction(tx))`, without serializing."""
-    return _TX_FIXED_BYTES + len(tx.id) + len(tx.payload) + len(tx.previous_id or "")
+    return _TX_FIXED_BYTES + len(tx.id) + len(tx.payload)
 
 
-def _id_of(sender: PublicKey, signature: bytes, payload: bytes, prev: Optional[str]) -> str:
+def _id_of(sender: PublicKey, signature: bytes, payload: bytes) -> str:
     """The id rule: the digest of a transaction's encoding with an empty id."""
-    return digest(b"".join(_transaction_parts("", sender, signature, payload, prev)))
+    return digest(b"".join(_transaction_parts("", sender, signature, payload)))
 
 
 def transaction_id(tx: Transaction) -> str:
     """The id `tx`'s content gives, computed afresh; `Transaction.content_id` caches it."""
-    return _id_of(tx.sender, tx.signature, tx.payload, tx.previous_id)
+    return _id_of(tx.sender, tx.signature, tx.payload)
 
 
-def create_transaction(
-    keypair: KeyPair, payload: bytes, backend, previous_id: Optional[str] = None
-) -> Transaction:
-    signature = backend.sign(
-        keypair.secret, transaction_signing_bytes(keypair.public, payload, previous_id)
-    )
-    tx_id = _id_of(keypair.public, signature, payload, previous_id)
-    tx = Transaction(keypair.public, payload, signature, previous_id, tx_id)
+def create_transaction(keypair: KeyPair, payload: bytes, backend) -> Transaction:
+    signature = backend.sign(keypair.secret, transaction_signing_bytes(keypair.public, payload))
+    tx_id = _id_of(keypair.public, signature, payload)
+    tx = Transaction(keypair.public, payload, signature, tx_id)
     object.__setattr__(tx, "content_id", tx_id)  # derived from this same content just above
     return tx
 
@@ -348,7 +346,7 @@ def serialize_body(transactions: Sequence[Transaction]) -> bytes:
     """A block body: its transactions serialized in order."""
     parts: list[bytes] = []
     for tx in transactions:
-        parts += _transaction_parts(tx.id, tx.sender, tx.signature, tx.payload, tx.previous_id)
+        parts += _transaction_parts(tx.id, tx.sender, tx.signature, tx.payload)
     return b"".join(parts)
 
 

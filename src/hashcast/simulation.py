@@ -321,6 +321,8 @@ class VericomRun(_RunBase):
         super().__init__(config)
         self.graph: BackboneGraph = self._build_graph()
         self.access: list[list[float]] = self._draw_access_delays()  # [node_id][bn_id]
+        # each row's backbone ids in ascending (delay, id) order: the join order
+        self.nearest = [sorted(range(len(row)), key=row.__getitem__) for row in self.access]
         self.home: dict[str, int] = {}
         # (origin, destination displays) -> plan; dropped by _join_all
         self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
@@ -381,9 +383,8 @@ class VericomRun(_RunBase):
         self.home = {}
         self.plans.clear()
         for ident in self.identities:
-            row = self.access[ident.node_id]
-            delays = {bn_id: row[bn_id] for bn_id in self.graph.nodes}
-            attached = join_network(ident.display, ident.role, delays, self.graph)
+            nearest = self.nearest[ident.node_id]
+            attached = join_network(ident.display, ident.role, nearest, self.graph)
             if attached is None:
                 self.metrics.isolated.append(ident.display)
                 self.log(f"node.{ident.node_id}", "isolated", ident.display[:8])
@@ -733,7 +734,7 @@ class VericomRun(_RunBase):
         block = grind_block(
             generator.keypair,
             epoch.tips[generator.display],
-            [Transaction(sender, payload, signature, None, transaction_id(fake_tx))],
+            [Transaction(sender, payload, signature, transaction_id(fake_tx))],
             epoch.alloc,
             self.backend,
         )

@@ -139,20 +139,18 @@ def compute_routes(graph: BackboneGraph) -> None:
 def join_network(
     display: str,
     role: str,
-    delays: dict[int, float],
+    nearest: Sequence[int],
     graph: BackboneGraph,
 ) -> Optional[int]:
-    """Attach to the reachable backbone node with minimum delay and free room.
+    """Attach to the first node of `nearest` still in `graph` with free room.
 
-    Candidates are tried in ascending (delay, id) order; returns the id of
-    the accepting node, or None if every node rejected (the node is isolated).
+    `nearest` ranks the backbone ids by the joining node's access delay,
+    in ascending (delay, id) order; returns the id of the accepting node, or
+    None if every node rejected (the node is isolated).
     """
-    order = sorted(
-        ((delay, node_id) for node_id, delay in delays.items() if node_id in graph.nodes)
-    )
-    for _, node_id in order:
-        bn = graph.nodes[node_id]
-        if len(bn.attached) < bn.capacity:
+    for node_id in nearest:
+        bn = graph.nodes.get(node_id)
+        if bn is not None and len(bn.attached) < bn.capacity:
             bn.attached[display] = role
             return node_id
     return None

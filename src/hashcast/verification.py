@@ -16,8 +16,7 @@ reads one verdict.  `verify_transaction` and `verify_block` take a
 `signatures` map that holds each transaction's signature verdict, keyed on
 the whole transaction: a key is hashed by its id alone but compared field
 by field, so a copy that differs in any field gets its own entry and is
-checked afresh.  The parent check against `known_transactions` runs on
-every call.
+checked afresh.
 The later checks take the verdicts their callers hold as plain arguments:
 `verify_endorsements` the block's verifier set, and `audit_endorsed_block`
 the auditor's verdict on the endorsed copy.
@@ -43,7 +42,6 @@ from .weights import RangeAllocation
 
 REASON_BAD_SIGNATURE = "bad-signature"
 REASON_ID_MISMATCH = "id-mismatch"
-REASON_MISSING_PREVIOUS = "missing-previous-tx"
 REASON_RANGE_MISMATCH = "range-mismatch"
 REASON_BAD_ENDORSEMENT = "bad-endorsement"
 
@@ -181,10 +179,9 @@ def expected_verifier_set(
 def verify_transaction(
     tx: Transaction,
     backend,
-    known_transactions: Container[str] = frozenset(),
     signatures: Optional[MutableMapping[Transaction, bool]] = None,
 ) -> VerificationOutcome:
-    """Check the sender signature, that the id is the content's, and a chained payload's parent.
+    """Check the sender signature and that the id is the content's.
 
     With `signatures`, the signature verdict is read from it, or checked and
     stored there on a miss.  A transaction whose id is not its content's
@@ -193,7 +190,7 @@ def verify_transaction(
     """
     ok = None if signatures is None else signatures.get(tx)
     if ok is None:
-        signing = transaction_signing_bytes(tx.sender, tx.payload, tx.previous_id)
+        signing = transaction_signing_bytes(tx.sender, tx.payload)
         ok = backend.verify(tx.sender, signing, tx.signature)
         if ok and tx.id != tx.content_id:
             return VerificationOutcome.invalid(REASON_ID_MISMATCH)
@@ -201,8 +198,6 @@ def verify_transaction(
             signatures[tx] = ok
     if not ok:
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
-    if tx.previous_id is not None and tx.previous_id not in known_transactions:
-        return VerificationOutcome.invalid(REASON_MISSING_PREVIOUS)
     return _VALID
 
 
@@ -217,12 +212,10 @@ def verify_block(
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
     if alloc.range_of(msch(block.digest)).raw != block.generator.raw:
         return VerificationOutcome.invalid(REASON_RANGE_MISMATCH)
-    seen_here = set()
     for tx in block.transactions:
-        outcome = verify_transaction(tx, backend, seen_here, signatures)
+        outcome = verify_transaction(tx, backend, signatures)
         if not outcome.ok:
             return outcome
-        seen_here.add(tx.id)
     return VerificationOutcome.valid()
 
 

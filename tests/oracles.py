@@ -123,13 +123,13 @@ def transaction_wire_bytes(tx, tx_id=None):
     """A transaction's bytes as the README lays them out, with `tx_id` (default its own id)."""
     tx_id = tx.id if tx_id is None else tx_id
     credential = _wire_credential(tx.sender.raw, tx.signature)
-    fields = (b"tx", tx_id.encode(), credential, tx.payload, (tx.previous_id or "").encode())
+    fields = (b"tx", tx_id.encode(), credential, tx.payload, b"")
     return b"\x01" + b"".join(map(_wire_field, fields))
 
 
 def transaction_signing_wire_bytes(tx):
     """The bytes a sender signs, as the README lays them out."""
-    fields = (b"txsign", tx.sender.raw, tx.payload, (tx.previous_id or "").encode())
+    fields = (b"txsign", tx.sender.raw, tx.payload, b"")
     return b"\x01" + b"".join(map(_wire_field, fields))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -303,6 +304,59 @@ class TestRunCommand:
 
     def test_float_key_takes_json_integer(self):
         assert ScenarioConfig.from_dict({"link_delay_ms": 2}).link_delay_ms == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "key", ["link_delay_ms", "monitor_window_ms", "access_delay_min_ms", "access_delay_max_ms"]
+    )
+    def test_non_finite_float_is_one_error_line(self, tmp_path, capsys, key, value):
+        data = {"num_iot_nodes": 12, "tx_count": 6, "block_size": 2, key: value}
+        config = write_json(tmp_path / "c.json", data)  # json writes NaN and Infinity
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+        with pytest.raises(ConfigError, match=key):
+            ScenarioConfig(**data)  # a config built in code is checked too
+
+
+# Every JSON type a test value can have, and the declared field types that
+# accept it: a float field also takes an integer, and no number field takes
+# a boolean.
+JSON_SAMPLES = [
+    ("x", {"str"}),
+    (1, {"int", "float"}),
+    (1.5, {"float"}),
+    (True, {"bool"}),
+    (None, set()),
+    ([1], {"tuple[int, ...]"}),
+    (["x"], {"tuple[str, ...]"}),
+    ({}, {"ScenarioConfig"}),
+]
+SWEEP_REQUIRED = {"base": {}, "parameter": "num_iot_nodes", "values": [12]}
+
+
+class TestFieldTypes:
+    """Both config files are read by one rule: each field takes JSON of its declared type."""
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(cls, f) for cls in (ScenarioConfig, SweepSpec) for f in dataclasses.fields(cls)],
+        ids=lambda v: getattr(v, "__name__", getattr(v, "name", None)),
+    )
+    def test_wrong_type_is_one_error_naming_the_field(self, tmp_path, capsys, cls, field):
+        required = SWEEP_REQUIRED if cls is SweepSpec else {}
+        wrong = [value for value, accepted in JSON_SAMPLES if field.type not in accepted]
+        assert len(wrong) < len(JSON_SAMPLES)  # some sample has the field's declared type
+        for value in wrong:
+            with pytest.raises(ConfigError) as caught:
+                cls.from_dict(dict(required, **{field.name: value}))
+            assert str(caught.value).startswith(f"{field.name} must be ")
+        path = write_json(tmp_path / "f.json", dict(required, **{field.name: wrong[0]}))
+        command = ["sweep", "-s"] if cls is SweepSpec else ["run", "-c"]
+        assert main(command + [path, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field.name} must be ") and err.count("\n") == 1
 
 
 # Expected sha256 of each output file.  Any change to a run's outputs is a

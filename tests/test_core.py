@@ -149,7 +149,6 @@ class TestTransactionSerialization:
                 dataclasses.replace(tx, payload=payload + b"x"),
                 dataclasses.replace(tx, signature=tx.signature[:-1] + b"\x00"),
                 dataclasses.replace(tx, sender=other.public),
-                dataclasses.replace(tx, previous_id=digest(b"parent")),
             ]
             for mutant in mutants:
                 assert transaction_id(mutant) != tx.id
@@ -157,13 +156,12 @@ class TestTransactionSerialization:
     @given(
         backend=st.sampled_from([SimulatedSigner(), Ed25519Signer()]),
         payload=st.binary(max_size=600),
-        parent=st.one_of(st.none(), st.binary(max_size=16).map(digest)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_created_id_is_the_id_rule(self, backend, payload, parent):
+    def test_created_id_is_the_id_rule(self, backend, payload):
         kp = backend.keypair(b"sender")
-        tx = create_transaction(kp, payload, backend, parent)
-        assert (tx.sender, tx.payload, tx.previous_id) == (kp.public, payload, parent)
+        tx = create_transaction(kp, payload, backend)
+        assert (tx.sender, tx.payload) == (kp.public, payload)
         assert tx.id == transaction_id(tx)
         # the rule itself: the digest of the serialization with an empty id
         assert tx.id == digest(serialize_transaction(dataclasses.replace(tx, id="")))
@@ -182,11 +180,9 @@ class TestReferenceEncoders:
 
     def _transactions(self, backend):
         kp = backend.keypair(b"reference")
-        parent = digest(b"parent")
         return [
-            create_transaction(kp, random.Random(size).randbytes(size), backend, previous_id)
+            create_transaction(kp, random.Random(size).randbytes(size), backend)
             for size in self.SIZES
-            for previous_id in (None, parent)
         ]
 
     def test_each_encoder_matches_the_field_rule(self, any_backend):
@@ -194,8 +190,10 @@ class TestReferenceEncoders:
             wire = transaction_wire_bytes(tx)
             assert serialize_transaction(tx) == wire
             assert transaction_size(tx) == len(wire)
-            signing = transaction_signing_bytes(tx.sender, tx.payload, tx.previous_id)
+            signing = transaction_signing_bytes(tx.sender, tx.payload)
             assert signing == transaction_signing_wire_bytes(tx)
+            last_fields = len(tx.payload).to_bytes(4, "big") + tx.payload + bytes(4)
+            assert wire.endswith(last_fields) and signing.endswith(last_fields)  # reserved, empty
             assert any_backend.verify(tx.sender, signing, tx.signature)
             assert transaction_id(tx) == tx.id == base62_digest(transaction_wire_bytes(tx, ""))
 
@@ -208,7 +206,7 @@ class TestReferenceEncoders:
 class TestWireSizes:
     @given(
         backend=st.sampled_from([SimulatedSigner(), Ed25519Signer()]),
-        txs=st.lists(st.tuples(st.binary(max_size=600), st.booleans()), max_size=50),
+        txs=st.lists(st.binary(max_size=600), max_size=50),
         chained=st.booleans(),
         endorsers=st.integers(0, 5),
         nonce=st.integers(0, 2**64 - 1),
@@ -218,8 +216,7 @@ class TestWireSizes:
         kps = make_keypairs(backend, 6, "size")
         parent = digest(b"parent")
         transactions = [
-            create_transaction(kps[i % 6], payload, backend, parent if linked else None)
-            for i, (payload, linked) in enumerate(txs)
+            create_transaction(kps[i % 6], payload, backend) for i, payload in enumerate(txs)
         ]
         for tx in transactions:
             assert transaction_size(tx) == len(serialize_transaction(tx))

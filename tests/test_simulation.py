@@ -87,6 +87,8 @@ class TestAccessDelays:
                 for bn_id in range(cfg.num_backbone)
             ]
             assert run.access[ident.node_id] == expected
+            ranked = sorted((delay, bn_id) for bn_id, delay in enumerate(expected))
+            assert run.nearest[ident.node_id] == [bn_id for _, bn_id in ranked]
         if low == high:
             assert {d for row in run.access for d in row} == {low}
 

@@ -22,7 +22,7 @@ from oracles import floyd_warshall
 
 
 def attach(graph, bn_id, display, role="validator"):
-    assert join_network(display, role, {bn_id: 1.0}, graph) == bn_id
+    assert join_network(display, role, [bn_id], graph) == bn_id
 
 
 def random_connected_graph(rng, count, capacity=50):
@@ -182,22 +182,22 @@ class TestComputeRoutes:
 class TestJoins:
     def test_capacity_fallback(self):
         graph = build_backbone([(0, 1), (1, 1)], [(0, 1, 1.0)])
-        first = join_network("a", "validator", {0: 1.0, 1: 2.0}, graph)
-        second = join_network("b", "validator", {0: 1.0, 1: 2.0}, graph)
+        first = join_network("a", "validator", [0, 1], graph)
+        second = join_network("b", "validator", [0, 1], graph)
         assert first == 0
         assert second == 1  # first choice full, falls to second
 
     def test_zero_capacity_isolates(self):
         graph = build_backbone([(0, 0), (1, 0)], [(0, 1, 1.0)])
-        assert join_network("a", "validator", {0: 1.0, 1: 2.0}, graph) is None
+        assert join_network("a", "validator", [0, 1], graph) is None
 
     def test_pigeonhole_two_hundred_nodes(self):
         rng = random.Random(2)
         graph = random_connected_graph(rng, 20, capacity=10)
         attached = 0
         for i in range(200):
-            delays = {bn: rng.uniform(1.0, 2.0) for bn in graph.ids}
-            if join_network(f"n{i}", "validator", delays, graph) is not None:
+            nearest = rng.sample(graph.ids, len(graph.ids))
+            if join_network(f"n{i}", "validator", nearest, graph) is not None:
                 attached += 1
         assert attached == 200
         for bn in graph.nodes.values():
@@ -205,7 +205,13 @@ class TestJoins:
 
     def test_prefers_minimum_delay(self):
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
-        assert join_network("a", "validator", {0: 3.0, 1: 0.5}, graph) == 1
+        assert join_network("a", "validator", [1, 0], graph) == 1
+
+    def test_skips_nodes_a_rebuild_removed(self):
+        graph = build_backbone([(0, 5), (1, 5), (2, 5)], [(0, 1, 1.0), (1, 2, 1.0)])
+        rebuilt = reconstruct_backbone(graph, {2}, 1.0, 5)
+        assert join_network("a", "validator", [2, 1, 0], rebuilt) == 1
+        assert join_network("b", "validator", [2], rebuilt) is None
 
 
 class TestMulticast:

@@ -24,7 +24,6 @@ from hashcast.verification import (
     REASON_BAD_ENDORSEMENT,
     REASON_BAD_SIGNATURE,
     REASON_ID_MISMATCH,
-    REASON_MISSING_PREVIOUS,
     REASON_RANGE_MISMATCH,
     SetParams,
     VerificationOutcome,
@@ -263,18 +262,6 @@ class TestVerifyTransaction:
         # its id is no longer its content's either, but the signature is checked first
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
 
-    def test_missing_previous(self, backend):
-        kp = backend.keypair(b"s")
-        tx = create_transaction(kp, b"data", backend, previous_id=digest(b"gone"))
-        outcome = verify_transaction(tx, backend)
-        assert not outcome.ok and outcome.reason == REASON_MISSING_PREVIOUS
-
-    def test_present_previous(self, backend):
-        kp = backend.keypair(b"s")
-        parent = create_transaction(kp, b"one", backend)
-        child = create_transaction(kp, b"two", backend, previous_id=parent.id)
-        assert verify_transaction(child, backend, {parent.id}).ok
-
 
 class TestSharedSignatureVerdicts:
     def test_copy_with_same_id_and_signature_is_checked_afresh(self, backend):
@@ -288,15 +275,6 @@ class TestSharedSignatureVerdicts:
         outcome = verify_transaction(forged, backend, signatures=signatures)
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
         assert signatures == {tx: True, forged: False}
-
-    def test_parent_is_checked_on_every_call(self, backend):
-        kp = backend.keypair(b"s")
-        parent = create_transaction(kp, b"one", backend)
-        child = create_transaction(kp, b"two", backend, previous_id=parent.id)
-        signatures = {}
-        assert verify_transaction(child, backend, {parent.id}, signatures).ok
-        outcome = verify_transaction(child, backend, frozenset(), signatures)
-        assert not outcome.ok and outcome.reason == REASON_MISSING_PREVIOUS
 
     def test_block_with_swapped_transaction_is_checked_afresh(self, backend):
         kps = make_keypairs(backend, 2, "sw")
@@ -319,8 +297,8 @@ class TestTransactionIds:
     def _signed(self, backend, tx_id):
         """A correctly signed transaction, built by hand with the id `tx_id`."""
         kp, payload = backend.keypair(b"ids"), b"hand-built"
-        signature = backend.sign(kp.secret, transaction_signing_bytes(kp.public, payload, None))
-        return Transaction(kp.public, payload, signature, None, tx_id)
+        signature = backend.sign(kp.secret, transaction_signing_bytes(kp.public, payload))
+        return Transaction(kp.public, payload, signature, tx_id)
 
     def test_hand_built_transaction_is_judged_by_its_content(self, any_backend):
         unnamed = self._signed(any_backend, "")
@@ -367,7 +345,7 @@ class TestHashContract:
         tx = create_transaction(kp, b"x", any_backend)
         twin_key = PublicKey(bytes(bytearray(kp.public.raw)), "".join(kp.public.display))
         twin = Transaction(
-            twin_key, bytes(bytearray(tx.payload)), bytes(bytearray(tx.signature)), None, tx.id
+            twin_key, bytes(bytearray(tx.payload)), bytes(bytearray(tx.signature)), tx.id
         )
         assert twin_key is not kp.public and twin is not tx
         assert twin_key == kp.public and hash(twin_key) == hash(kp.public)
@@ -421,14 +399,6 @@ class TestVerifyBlock:
         broken = dataclasses.replace(block, signature=b"\x00" * 32)
         outcome = verify_block(broken, alloc, backend)
         assert not outcome.ok and outcome.reason == REASON_BAD_SIGNATURE
-
-    def test_chained_transactions_within_block(self, backend):
-        kps, alloc, by_display = self._setup(backend)
-        generator = by_display[alloc.validators[0].display]
-        parent = create_transaction(kps[3], b"one", backend)
-        child = create_transaction(kps[3], b"two", backend, previous_id=parent.id)
-        block = grind_block(generator, "", [parent, child], alloc, backend)
-        assert verify_block(block, alloc, backend).ok
 
 
 class TestEndorsementFlow:
