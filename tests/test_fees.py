@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hashcast.fees import (
-    Payment,
     TrafficAccounting,
     compute_tmf,
     split_equal,
@@ -49,76 +48,26 @@ class TestSplitEqual:
 class TestSettlement:
     def test_exact_payments_split_between_backbones(self):
         ta = TrafficAccounting(tf=Fraction(1, 2))
-        lengths = {"v1": 4, "v2": 6, "v3": 10}
-        payments = [
-            Payment(payer=v, amount=compute_tmf(ta.tf, l), epoch=0)
-            for v, l in lengths.items()
-        ]
-        settlement = ta.settle_epoch(payments, lengths, [0, 1], epoch=0)
-        assert settlement.penalties == ()
-        total = compute_tmf(ta.tf, 20)
-        assert settlement.payouts[0] == settlement.payouts[1] == total / 2
-        assert sum(settlement.payouts.values()) == total
-
-    def test_underpayer_penalized(self):
-        ta = TrafficAccounting(tf=Fraction(1))
-        lengths = {"v1": 5, "v2": 5}
-        payments = [Payment(payer="v1", amount=Fraction(5), epoch=0)]  # v2 pays 0
-        settlement = ta.settle_epoch(payments, lengths, [0, 1], epoch=0)
-        assert settlement.penalties == ("v2",)
-        assert settlement.arrears["v2"] == Fraction(5)
-
-    def test_arrears_cleared_on_later_payment(self):
-        ta = TrafficAccounting(tf=Fraction(1))
-        assert ta.settle_epoch([], {"v1": 3}, [0], epoch=0).penalties == ("v1",)
-        # penalized validator holds no range in epoch 1 but pays its debt
-        settlement = ta.settle_epoch(
-            [Payment(payer="v1", amount=Fraction(3), epoch=1)], {}, [0], epoch=1
-        )
-        assert settlement.penalties == ()
-
-    def test_partial_arrears_payment_stays_penalized(self):
-        ta = TrafficAccounting(tf=Fraction(1))
-        ta.settle_epoch([], {"v1": 4}, [0], epoch=0)
-        settlement = ta.settle_epoch(
-            [Payment(payer="v1", amount=Fraction(1), epoch=1)], {}, [0], epoch=1
-        )
-        assert settlement.penalties == ("v1",)
-        assert settlement.arrears["v1"] == Fraction(3)
-
-    def test_unknown_payer_rejected_and_logged(self):
-        ta = TrafficAccounting(tf=Fraction(1))
-        settlement = ta.settle_epoch(
-            [Payment(payer="ghost", amount=Fraction(2), epoch=0)],
-            {"v1": 1},
-            [0],
-            epoch=0,
-        )
-        assert len(settlement.rejected) == 1
-        assert settlement.rejected[0].payer == "ghost"
-        # rejected funds never enter the payout pool
-        assert sum(settlement.payouts.values()) == 0
+        lines = ta.settle_epoch({"v1": 4, "v2": 6, "v3": 10}, [0, 1], epoch=0)
+        assert "  backbone 0 payout 5.000" in lines
+        assert "  backbone 1 payout 5.000" in lines
 
     def test_conservation_per_epoch(self):
         ta = TrafficAccounting(tf=Fraction(3, 10))
         lengths = {"v1": 7, "v2": 11, "v3": 13}
-        payments = [
-            Payment(payer=v, amount=compute_tmf(ta.tf, l), epoch=0)
-            for v, l in lengths.items()
-        ]
-        settlement = ta.settle_epoch(payments, lengths, [0, 1, 2], epoch=0)
-        assert sum(settlement.payouts.values()) == sum(p.amount for p in payments)
-        assert ta.total_collected == ta.total_distributed
-
-    def test_negative_payment_rejected(self):
-        with pytest.raises(ValueError):
-            Payment(payer="v1", amount=Fraction(-1), epoch=0)
+        lines = ta.settle_epoch(lengths, [0, 1, 2], epoch=0)
+        fees = [Fraction(l.split()[3]) for l in lines if l.startswith("  validator")]
+        payouts = [Fraction(l.split()[-1]) for l in lines if l.startswith("  backbone")]
+        assert fees == [compute_tmf(ta.tf, n) for n in (7, 11, 13)]
+        assert sum(payouts) == sum(fees) == compute_tmf(ta.tf, 31)
+        assert len(payouts) == 3
 
     def test_settlement_lines_render(self):
         ta = TrafficAccounting(tf=Fraction(1))
-        settlement = ta.settle_epoch(
-            [Payment(payer="v1", amount=Fraction(2), epoch=0)], {"v1": 2}, [0], epoch=0
-        )
-        text = "\n".join(settlement.lines())
-        assert "settlement epoch 0" in text
-        assert "penalties: none" in text
+        lines = ta.settle_epoch({"v1": 2}, [0], epoch=0)
+        assert lines == [
+            "settlement epoch 0",
+            "  validator v1.. expected 2.000 paid 2.000",
+            "  backbone 0 payout 2.000",
+            "  penalties: none",
+        ]
