@@ -22,7 +22,7 @@ from .core import (
     digest,
     msch,
 )
-from .simulation import MetricsReport, run_scenario
+from .simulation import MetricsReport, execute
 from .verification import SetParams, VerificationOutcome
 from .weights import RangeAllocation, build_allocation, kwm
 
@@ -48,10 +48,10 @@ __all__ = [
     "build_allocation",
     "create_transaction",
     "digest",
+    "execute",
     "kwm",
     "load_config",
     "load_sweep",
     "msch",
-    "run_scenario",
     "__version__",
 ]

@@ -211,6 +211,11 @@ class ScenarioConfig:
 SWEEP_PARAMETERS = ("num_iot_nodes", "num_backbone", "num_validators")
 
 
+def _check_parameter(parameter: str) -> None:
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"swept parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     base: ScenarioConfig
@@ -221,10 +226,7 @@ class SweepSpec:
     seed_base: int = 1
 
     def __post_init__(self):
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ConfigError(
-                f"swept parameter must be one of {SWEEP_PARAMETERS}, got {self.parameter!r}"
-            )
+        _check_parameter(self.parameter)
         for key in ("values", "modes"):
             if not getattr(self, key):
                 raise ConfigError(f"sweep {key} must not be empty")
@@ -256,11 +258,12 @@ class SweepSpec:
         if "base" not in data or "parameter" not in data or "values" not in data:
             raise ConfigError("sweep spec requires base, parameter, and values")
         parameter, values = typed["parameter"], typed["values"]
+        _check_parameter(parameter)  # before the base keys, one of which it names
         for key in ("mode", "seed", parameter):
             if key in data["base"]:
                 raise ConfigError(f"base must not set {key}: the sweep sets it in every run")
         # The base is checked with the first swept value, since it may not set its own.
-        first = {parameter: values[0]} if parameter in SWEEP_PARAMETERS and values else {}
+        first = {parameter: values[0]} if values else {}
         base = ScenarioConfig.from_dict(dict(data["base"], **first))
         return cls(**dict(typed, base=base))
 

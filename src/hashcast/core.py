@@ -5,33 +5,25 @@ the 1-byte format tag, followed by its fields in declared order, each encoded
 as a 4-byte big-endian length prefix plus the raw bytes.  The public key and
 signature of a transaction, block header, or endorsement are packed together
 into one fixed-size 459-byte credential blob, so byte accounting is identical
-for every signature backend.  Each encoder builds its bytes in one
-`b"".join` over module-level kind prefixes and `struct`-packed lengths, and a
-block body joins every transaction's pieces at once (`serialize_body`).
+for every signature backend.
 
-A block is a head (`block_head`: tag, kind, signed header, generator's
-credential) followed by a tail (`block_tail`: length-prefixed body,
-endorsement count, endorsements).  Only the nonce and signature in the head
-change between grind tries, so a grind hashes the bytes before them
-(`head_parts`) once and, per try, signs, copies that SHA-256 state, feeds it
-the rest and reads the first digest symbol alone (`msch_index`).
-`transaction_size` and `block_size` give wire sizes by arithmetic, without
-building any bytes.
+A block is a head (tag, kind, signed header, generator's credential)
+followed by a tail (`block_tail`: length-prefixed body, endorsement count,
+endorsements).  Only the nonce and signature in the head change between
+grind tries, so `head_parts` splits the head around them.
+`transaction_size` and `block_size` give wire sizes by arithmetic.
 
 All types in this module are immutable values; they can be shared freely
-between concurrent readers.  A `Block` computes its digest from its own
-content the first time `Block.digest` is read and keeps it; no caller can
-supply one, so the cached value always matches the content.  A copy of a
-block computes its own.  Two functions set it instead, each from
-the same content: `ledger.grind_block` encodes the SHA-256 of the winning
-head and tail (`base62_digest`), and the endorsed copy made by
-`verification.endorse_block` keeps the digest of the block it endorses
-because `block_digest` covers no endorsement.  `block_digest` is the uncached
-computation behind it.  `Transaction.content_id` (uncached: `transaction_id`)
-works the same way, set by `create_transaction` from the content it has just
-hashed.  Both are set with `object.__setattr__`: writing through `__dict__`
-would move the instance's attributes out of inline storage and slow every
-later read of them.
+between concurrent readers.  `Block.digest` and `Transaction.content_id` are
+computed from the value's own content on first read and kept (`block_digest`
+and `transaction_id` are the uncached rules); no caller can supply one, so
+the cached value always matches the content, and a copy computes its own.
+Only code that has just hashed the same content sets one:
+`create_transaction`, `ledger.grind_block` (the winning hash) and
+`verification.endorse_block` (`block_digest` covers no endorsement).  They
+use `object.__setattr__`: writing through `__dict__` would move the
+instance's attributes out of inline storage and slow every later read of
+them.
 
 `PublicKey` hashes as its raw key and `Transaction` as its id, in constant
 time, where the generated hash rebuilds nested field tuples on every call.
@@ -357,12 +349,6 @@ def head_parts(generator: PublicKey, header: bytes, sig_length: int) -> tuple[by
     return prefix, _CREDENTIAL_LENGTH + lead, padding
 
 
-def block_head(generator: PublicKey, signed: bytes, signature: bytes) -> bytes:
-    """A block's bytes before its body; `signature` is the generator's over `signed`."""
-    prefix, lead, padding = head_parts(generator, signed[:-NONCE_BYTES], len(signature))
-    return prefix + signed[-NONCE_BYTES:] + lead + signature + padding
-
-
 def block_tail(body: bytes, endorsements: Sequence[Endorsement] = ()) -> bytes:
     """A block's bytes from its body on; `body` is `serialize_body(transactions)`."""
     parts = [_length(len(body)), body, _length(len(endorsements))]
@@ -371,7 +357,10 @@ def block_tail(body: bytes, endorsements: Sequence[Endorsement] = ()) -> bytes:
 
 
 def _head(block: Block) -> bytes:
-    return block_head(block.generator, block_header_bytes(block), block.signature)
+    """A block's bytes before its body."""
+    header = unsigned_header(block.generator, block.previous_digest, block.transactions)
+    prefix, lead, padding = head_parts(block.generator, header, len(block.signature))
+    return prefix + block.nonce.to_bytes(NONCE_BYTES, "big") + lead + block.signature + padding
 
 
 def serialize_block(block: Block) -> bytes:

@@ -75,25 +75,22 @@ class PendingPool:
     def __init__(self, owner: PublicKey, alloc: RangeAllocation):
         self.owner = owner
         self.alloc = alloc
-        self._by_id: dict[str, Transaction] = {}
-        self._order: list[str] = []
+        self._txs: dict[str, Transaction] = {}  # by id, in arrival order
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._txs)
 
     def add(self, tx: Transaction) -> bool:
         """Accept a verified transaction if it falls in the owner's range."""
         if self.alloc.range_of(msch(tx.id)).raw != self.owner.raw:
             return False
-        if tx.id in self._by_id:
+        if tx.id in self._txs:
             return False
-        self._by_id[tx.id] = tx
-        self._order.append(tx.id)
+        self._txs[tx.id] = tx
         return True
 
     def take(self, count: int) -> list[Transaction]:
-        taken, self._order = self._order[:count], self._order[count:]
-        return [self._by_id.pop(tx_id) for tx_id in taken]
+        return [self._txs.pop(tx_id) for tx_id in list(self._txs)[:count]]
 
 
 class Ledger:
@@ -161,13 +158,11 @@ def grind_block(
 ) -> Block:
     """Try nonces until the block digest starts inside the signer's own range.
 
-    The header without its nonce, the SHA-256 state of the head's prefix
-    (`head_parts`) and the tail (`block_tail`) are built once per block.  A
-    try signs the header with its nonce through `backend.sign`, feeds a copy
-    of that state the nonce, lead, signature, padding and tail, and reads the
-    first digest symbol alone (`msch_index`).  Only the winning nonce is
-    built into a `Block`, through `make_block`; the block keeps the winning
-    hash as its digest (`base62_digest`), so its content is not hashed again.
+    Only the nonce and signature change between tries, so the head's prefix
+    (`head_parts`) is hashed once per block and a try hashes only what
+    follows it and reads the first digest symbol alone (`msch_index`).  The
+    winning block keeps that hash as its digest, so its content is not
+    hashed again.
     """
     own_range = alloc.range_for(keypair.public)
     start, end = own_range.start, own_range.end

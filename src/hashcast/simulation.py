@@ -72,7 +72,7 @@ from .weights import RangeAllocation, build_allocation
 # Fixed model constants: the paper's evaluation never varies any of them.
 REGISTRATION_WINDOW_MS = 100.0  # each epoch opens with this registration window
 TX_INTERVAL_MS = 1.0  # one transaction is injected per interval after the window
-EPOCH_MARGIN_MS = 200.0  # slack after the last injection for the flush and settlement
+EPOCH_MARGIN_MS = 200.0  # least slack after the last injection for the flush and settlement
 VERIFY_COST_MS = 0.1  # modelled processing time of one verification
 TRAFFIC_FEE = Fraction(1, 2)  # the fee a range owner pays per block in its ledger
 
@@ -182,19 +182,22 @@ class _RunBase:
     """The run path both modes share: epochs, traffic, pools, ledgers, blocks.
 
     Every epoch lasts `epoch_ms`: the registration window, one interval per
-    transaction of the busiest epoch, and the margin.  `run` works out each
-    epoch's start and window end once and passes them to the subclass's
-    `_schedule_epoch`, which calls `_schedule_traffic` and schedules the
-    event that calls `_open_epoch`.  A subclass also provides `_send_tx` for
-    a fresh transaction and `_send_block` for a freshly cut block, which
-    records the block as its owner's tip once it is sent.
+    transaction of the busiest epoch, and `margin_ms`.  The margin is at
+    least twice the subclass's `_transit_ms`, the longest a transaction can
+    take from its sender to a pool, so the flush half a margin before the
+    epoch ends comes after every transaction of the epoch is pooled.  A
+    subclass also provides `_schedule_epoch`, which calls `_schedule_traffic`
+    and schedules the event that calls `_open_epoch`, `_send_tx` for a fresh
+    transaction and `_send_block` for a freshly cut block, which records the
+    block as its owner's tip once it is sent.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         # epoch 0 takes the remainder of tx_count, so it is the busiest
         busiest = config.txs_in_epoch(0)
-        self.epoch_ms = REGISTRATION_WINDOW_MS + busiest * TX_INTERVAL_MS + EPOCH_MARGIN_MS
+        self.margin_ms = max(EPOCH_MARGIN_MS, 2 * self._transit_ms())
+        self.epoch_ms = REGISTRATION_WINDOW_MS + busiest * TX_INTERVAL_MS + self.margin_ms
         self.backend = SimulatedSigner()
         self.queue = EventQueue()
         self.metrics = MetricsReport()
@@ -256,7 +259,7 @@ class _RunBase:
         for k in range(self.config.txs_in_epoch(epoch)):
             self.queue.push(window_end + (k + 1) * TX_INTERVAL_MS, self._inject_tx)
         epoch_end = start + self.epoch_ms
-        self.queue.push(epoch_end - EPOCH_MARGIN_MS / 2, self._flush_pools)
+        self.queue.push(epoch_end - self.margin_ms / 2, self._flush_pools)
 
     def _open_epoch(self, epoch: int, alloc: RangeAllocation, params, actor: str) -> None:
         """Publish the epoch's record: every range owner gets a fresh pool, ledger and tip."""
@@ -408,6 +411,12 @@ class VericomRun(_RunBase):
         self.routing_dump = transmission.routing_table_text(lowest)
         return self.metrics
 
+    def _transit_ms(self) -> float:
+        """Both access legs and the longest simple backbone path; a rebuild
+        only adds bridges of `link_delay_ms`, so no later path is longer."""
+        config = self.config
+        return 2 * config.access_delay_max_ms + (config.num_backbone - 1) * config.link_delay_ms
+
     def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         config = self.config
         self.queue.push(start, self._begin_epoch, epoch, window_end)
@@ -418,10 +427,10 @@ class VericomRun(_RunBase):
         self.queue.push(window_end, self._finalize_allocation, epoch)
         self._schedule_traffic(epoch, start, window_end)
         epoch_end = start + self.epoch_ms
-        self.queue.push(epoch_end - EPOCH_MARGIN_MS / 10, self._settle, epoch)
+        self.queue.push(epoch_end - self.margin_ms / 10, self._settle, epoch)
         if config.trust_mode == "untrusted":
             window = config.monitor_window_ms
-            last = epoch_end - EPOCH_MARGIN_MS / 4
+            last = epoch_end - self.margin_ms / 4
             for w in range(1, max(1, int(self.epoch_ms // window)) + 1):
                 # Ticks past `last` are clamped onto it; only the first one can act.
                 at = min(start + w * window, last)
@@ -583,19 +592,14 @@ class VericomRun(_RunBase):
     def _once(self, epoch: Epoch, key: tuple, compute, *args):
         """`compute(*args)` on the first call for `key` under `epoch`'s allocation; kept after.
 
-        The keys are `("block", digest)` for a `verify_block` verdict,
-        `("validators", symbol)` for the displays of a transaction's
-        validator set, `("set", generator raw key, symbol)` for a block's
-        verifier set and `("endorsed", digest, endorsements)` for a
-        `verify_endorsements` verdict, where `symbol` is the item digest's
-        first one.  Each value reads only its key and the allocation: set
-        selection reads only the generator and the first symbol, a block
-        digest covers everything `verify_block` reads and the generator,
-        and an endorsed copy keeps its block's digest, so the verifiers and
-        the auditor share a verdict.  Each record keeps its own memo, so a
-        copy in flight across an allocation is still judged under the one it
-        was sent under.  Callers pass `compute` and its arguments rather than
-        a closure, so a hit builds nothing but the key.
+        A key holds everything its value reads besides the allocation: set
+        selection reads only the generator and the digest's first symbol, a
+        block digest covers everything `verify_block` reads, and an endorsed
+        copy keeps its block's digest, so the verifiers and the auditor share
+        a verdict.  Each record keeps its own memo, so a copy in flight across
+        an allocation is still judged under the one it was sent under.
+        Callers pass `compute` and its arguments, not a closure, so a hit
+        builds nothing but the key.
         """
         value = epoch.memo.get(key)
         if value is None:
@@ -746,16 +750,14 @@ class BaselineRun(_RunBase):
     """Conventional broadcast mode: flood everything, everyone verifies.
 
     The nodes form a ring laid on a seeded shuffle, and each ring link gets
-    one seeded delay.  An item's originator verifies it and sends it to its
-    ring neighbours.  A node that gets an item for the first time verifies
-    it, pools it if it owns a pool (a full pool cuts a block, which floods
-    first) and sends it on along `onward[node][sender]`, its ring links but
-    the one it came over; a repeated copy is dropped.  A flood over N nodes
-    thus costs N + 1 copies and N verifications, all charged by `_originate`.
-
-    A flood's hop events share one record, `(item, is_tx, send_time, seen)`,
-    and one handler, `_hop` (`_receive` bound once in `__init__`); each looks
-    up `queue.push` as it runs.  `pool_at` holds each node's pool, or None.
+    one seeded delay.  Every node verifies the first copy of an item it gets
+    and passes it on over its other ring link; a repeated copy is dropped.
+    So a flood over N nodes costs N + 1 copies and N verifications, all
+    charged by `_originate`.  A range owner pools a transaction before
+    passing it on, so a block its full pool cuts floods first.  A flood's
+    hop events share one record, `(item, is_tx, send_time, seen)`, and one
+    handler, `_hop` (`_receive` bound once); each looks up `queue.push` as
+    it runs, since a caller may rebind it after the run is built.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -774,8 +776,12 @@ class BaselineRun(_RunBase):
             {nb: [link for link in links if link[0] != nb] for nb, _ in links}
             for links in self.links
         ]
-        self.pool_at: list[Optional[PendingPool]] = []
+        self.pool_at: list[Optional[PendingPool]] = []  # each node's pool, or None
         self._hop = self._receive
+
+    def _transit_ms(self) -> float:
+        """The nearer way round the ring to the farthest node."""
+        return (self.config.num_iot_nodes // 2) * self.config.access_delay_max_ms
 
     def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         self.queue.push(window_end, self._allocate, epoch)
@@ -824,9 +830,3 @@ def execute(config: ScenarioConfig):
     run = BaselineRun(config) if config.mode == "baseline" else VericomRun(config)
     run.run()
     return run
-
-
-def run_scenario(config: ScenarioConfig) -> tuple[MetricsReport, list[str]]:
-    """Run one scenario to completion; returns the report and event log."""
-    run = execute(config)
-    return run.metrics, run.log_lines

@@ -160,19 +160,12 @@ def select_verifier_set(
     return NodeSet(main=alloc.validators[candidate], members=tuple(members), relocated=relocated)
 
 
-def validator_set_for_block(
-    block: Block, alloc: RangeAllocation, params: SetParams
-) -> NodeSet:
-    """The validator set a block came from: wings around its generator."""
-    center = alloc.position_of(block.generator)
-    members = ring_members(alloc, center, params.n)
-    return NodeSet(main=block.generator, members=tuple(members))
-
-
 def expected_verifier_set(
     block: Block, alloc: RangeAllocation, params: SetParams
 ) -> NodeSet:
-    vset = validator_set_for_block(block, alloc, params)
+    """A block's verifier set; its validator set is the wings around its generator."""
+    members = ring_members(alloc, alloc.position_of(block.generator), params.n)
+    vset = NodeSet(main=block.generator, members=tuple(members))
     return select_verifier_set(block.digest, alloc, params, vset)
 
 

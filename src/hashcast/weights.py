@@ -18,33 +18,12 @@ from typing import Iterable, Sequence
 
 from .core import ALPHABET, ALPHABET_INDEX, PublicKey
 
-# Character weights: a-z -> 0..25, A-Z -> 26..51, 0-9 -> 52..61.
-WEIGHT_DICTIONARY: dict[str, int] = {}
-for _i, _ch in enumerate("abcdefghijklmnopqrstuvwxyz"):
-    WEIGHT_DICTIONARY[_ch] = _i
-for _i, _ch in enumerate("ABCDEFGHIJKLMNOPQRSTUVWXYZ"):
-    WEIGHT_DICTIONARY[_ch] = 26 + _i
-for _i, _ch in enumerate("0123456789"):
-    WEIGHT_DICTIONARY[_ch] = 52 + _i
+# Character weights: a-z -> 0..25, A-Z -> 26..51, 0-9 -> 52..61 (the
+# alphabet with its digits moved to the end).
+WEIGHT_DICTIONARY = {ch: i for i, ch in enumerate(ALPHABET[10:] + ALPHABET[:10])}
 
 # Repeated occurrences of a symbol are attenuated by this factor per repeat.
 REPEAT_ATTENUATION = Fraction(1, 5)
-
-
-def char_weight(symbol: str) -> int:
-    if symbol not in WEIGHT_DICTIONARY:
-        raise ValueError(f"symbol {symbol!r} is not in the alphabet")
-    return WEIGHT_DICTIONARY[symbol]
-
-
-def final_weight(symbol: str, repeats: int) -> Fraction:
-    """Weight of one occurrence given how many occurrences came before it."""
-    if repeats < 0:
-        raise ValueError("repeat count must be non-negative")
-    w = Fraction(char_weight(symbol))
-    if repeats == 0:
-        return w
-    return w * REPEAT_ATTENUATION**repeats
 
 
 @lru_cache(maxsize=65536)
@@ -59,7 +38,7 @@ def kwm(d: str) -> Fraction:
     total = Fraction(0)
     for symbol in d:
         repeats = seen.get(symbol, 0)
-        total += final_weight(symbol, repeats)
+        total += WEIGHT_DICTIONARY[symbol] * REPEAT_ATTENUATION**repeats
         seen[symbol] = repeats + 1
     return total
 
@@ -89,13 +68,6 @@ class ValidationRange:
     def __post_init__(self):
         if not (0 <= self.start <= self.end <= 61):
             raise ValueError("validation range outside the alphabet")
-
-    def covers(self, symbol: str) -> bool:
-        return self.start <= ALPHABET_INDEX[symbol] <= self.end
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start + 1
 
 
 @dataclass(frozen=True)

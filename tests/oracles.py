@@ -93,6 +93,11 @@ def ring_first_arrivals(links, origin):
 BASE62 = "0123456789" + string.ascii_lowercase + string.ascii_uppercase
 
 
+def in_range(rng, symbol):
+    """Whether `symbol`'s alphabet index lies in the inclusive validation range `rng`."""
+    return rng.start <= BASE62.index(symbol) <= rng.end
+
+
 def base62_digest(content):
     """SHA-256 value as 32 base-62 symbols, least significant first, one per divmod."""
     value = int.from_bytes(hashlib.sha256(content).digest(), "big")
@@ -151,7 +156,7 @@ def block_wire_bytes(block, endorsements):
 def scan_range_discipline(ledgers, alloc):
     """Every block digest's first symbol lies inside its ledger owner's range."""
     return all(
-        alloc.range_for(ledger.owner).covers(block.digest[0])
+        in_range(alloc.range_for(ledger.owner), block.digest[0])
         for ledger in ledgers
         for block in ledger.blocks
     )

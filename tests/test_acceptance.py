@@ -24,7 +24,7 @@ from hashcast.core import (
     make_block,
     serialize_block,
 )
-from hashcast.simulation import TRAFFIC_FEE, execute, run_scenario
+from hashcast.simulation import TRAFFIC_FEE, execute
 from hashcast.verification import (
     SetParams,
     endorse_block,
@@ -53,7 +53,7 @@ def _run_sweep(preset):
     started = time.perf_counter()
     results = {}
     for label, config in spec.expand():
-        report, _ = run_scenario(config)
+        report = execute(config).metrics
         results[(config.mode, getattr(config, spec.parameter))] = report
     return Timed(results, time.perf_counter() - started)
 
@@ -172,7 +172,7 @@ def test_criterion_07_allocation_properties():
     for count in range(1, 63):
         for _ in range(200):
             alloc = build_allocation(rng.sample(pool, count))
-            sizes = [r.size for r in alloc.ranges]
+            sizes = [r.end - r.start + 1 for r in alloc.ranges]
             assert sum(sizes) == 62
             expected = [62 // count + (62 % count if i == 0 else 0) for i in range(count)]
             assert sizes == expected

@@ -506,6 +506,14 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: base must not set {key}") and err.count("\n") == 1
 
+    def test_unknown_parameter_is_named_before_the_base_keys(self, tmp_path, capsys):
+        data = {"base": {"tx_count": 5}, "parameter": "tx_count", "values": [1]}
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["sweep", "-s", spec, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: swept parameter must be one of") and err.count("\n") == 1
+        assert "'tx_count'" in err
+
     def test_base_is_checked_with_the_first_swept_value(self):
         # 50 validators need more than the default 30 nodes the base would have
         data = {"base": {"num_validators": 50}, "parameter": "num_iot_nodes", "values": [100]}

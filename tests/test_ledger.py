@@ -30,7 +30,7 @@ from hashcast.verification import (
 )
 from hashcast.weights import build_allocation
 from conftest import audit, endorsement_verdict, make_keypairs
-from oracles import scan_chain_integrity, scan_range_discipline
+from oracles import in_range, scan_chain_integrity, scan_range_discipline
 
 
 def setup_ring(backend, count=10, tag="lg"):
@@ -48,7 +48,7 @@ def txs_for_owner(backend, alloc, owner, count, tag="t"):
     sender = backend.keypair(b"tx-sender")
     while len(out) < count:
         tx = create_transaction(sender, f"{tag}:{i}".encode(), backend)
-        if rng_owner.covers(msch(tx.id)):
+        if in_range(rng_owner, msch(tx.id)):
             out.append(tx)
         i += 1
     return out
@@ -86,13 +86,13 @@ class TestFinalizeAllocation:
         for kp in make_keypairs(backend, 10, "fa"):
             assert vrd.register_interest(kp.public, 10.0).accepted
         alloc = vrd.finalize_allocation(100.0)
-        assert [r.size for r in alloc.ranges] == [8] + [6] * 9
+        assert [r.end - r.start + 1 for r in alloc.ranges] == [8] + [6] * 9
 
     def test_single_registrant(self, backend):
         vrd = RangeDistributor(window_end_ms=100.0)
         vrd.register_interest(backend.keypair(b"solo").public, 10.0)
         alloc = vrd.finalize_allocation(100.0)
-        assert alloc.ranges[0].size == 62
+        assert (alloc.ranges[0].start, alloc.ranges[0].end) == (0, 61)
 
     def test_replay_is_identical(self, backend):
         keypairs = make_keypairs(backend, 7, "rep")
@@ -158,7 +158,7 @@ class TestCommit:
         assert block is not None
         assert len(block.transactions) == 5
         assert block.previous_digest == ""
-        assert alloc.range_for(owner_kp.public).covers(msch(block_digest(block)))
+        assert in_range(alloc.range_for(owner_kp.public), msch(block_digest(block)))
         assert len(pool) == 0
 
     def test_insufficient_pool_waits(self, backend):
@@ -188,7 +188,7 @@ class TestCommit:
         nonce = 0
         while True:
             naive = make_block(owner_kp, previous_digest, txs, nonce, backend)
-            if own_range.covers(msch(block_digest(naive))):
+            if in_range(own_range, msch(block_digest(naive))):
                 return naive
             nonce += 1
 

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,6 +27,19 @@ def load_perfbench(path, monkeypatch):
 def test_every_export_resolves():
     missing = [name for name in hashcast.__all__ if not hasattr(hashcast, name)]
     assert missing == []
+
+
+def test_a_run_loads_no_cryptography(tmp_path):
+    # `cryptography` is a test dependency: only `Ed25519Signer` imports it
+    script = (
+        "import sys; from hashcast.cli import main; "
+        f"main(['run', '-c', {str(ROOT / 'presets' / 'attack-b.json')!r}, '-o', {str(tmp_path)!r}]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cryptography'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"  # after the run's own summary
 
 
 def test_readme_lists_every_config_key():

@@ -32,7 +32,6 @@ from hashcast.verification import (
     select_validator_set,
     select_verifier_set,
     tally_endorsement,
-    validator_set_for_block,
     verifier_offset,
     verify_block,
     verify_endorsements,
@@ -40,6 +39,7 @@ from hashcast.verification import (
 )
 from hashcast.weights import allocate_ranges, build_allocation
 from conftest import audit, endorsement_verdict, make_keypairs
+from oracles import in_range
 
 
 def ring_allocation(backend, count, tag="vr"):
@@ -376,7 +376,7 @@ class TestVerifyBlock:
         foreign = alloc.range_for(other)
         for nonce in range(100_000):
             block = make_block(generator, "", [tx], nonce, backend)
-            if foreign.covers(msch(block_digest(block))):
+            if in_range(foreign, msch(block_digest(block))):
                 break
         outcome = verify_block(block, alloc, backend)
         assert not outcome.ok and outcome.reason == REASON_RANGE_MISMATCH
@@ -536,10 +536,14 @@ class TestValidatorSetForBlock:
         generator = by_display[alloc.validators[4].display]
         tx = create_transaction(kps[0], b"x", backend)
         block = grind_block(generator, "", [tx], alloc, backend)
-        vset = validator_set_for_block(block, alloc, params)
-        positions = sorted(alloc.position_of(pk) for pk in vset.members)
-        assert positions == [2, 3, 4, 5, 6]
-        assert vset.main == generator.public
+        # the digest lands in the generator's range, so the set is relocated
+        # verifier_offset(params) past the generator, clear of its wings 2..6
+        verifiers = expected_verifier_set(block, alloc, params)
+        main = (4 + verifier_offset(params)) % 10
+        assert verifiers.relocated and alloc.position_of(verifiers.main) == main
+        positions = {alloc.position_of(pk) for pk in verifiers.members}
+        assert positions == {(main + off) % 10 for off in (-1, 0, 1)}
+        assert positions.isdisjoint(range(2, 7))
 
 
 def test_main_validator_frequency_tracks_range_sizes(backend):
@@ -552,5 +556,5 @@ def test_main_validator_frequency_tracks_range_sizes(backend):
     for _ in range(10_000):
         counts[alloc.owner_index(msch(digest(rng.randbytes(16))))] += 1
     for count, rng_ in zip(counts, alloc.ranges):
-        expected = 10_000 * rng_.size / 62
+        expected = 10_000 * (rng_.end - rng_.start + 1) / 62
         assert abs(count - expected) / expected < 0.05

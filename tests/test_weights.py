@@ -11,8 +11,6 @@ from hashcast.weights import (
     WEIGHT_DICTIONARY,
     allocate_ranges,
     build_allocation,
-    char_weight,
-    final_weight,
     kwm,
     order_validators,
 )
@@ -29,30 +27,22 @@ class TestCharWeight:
         [("a", 0), ("z", 25), ("A", 26), ("Z", 51), ("0", 52), ("9", 61)],
     )
     def test_table_anchors(self, symbol, weight):
-        assert char_weight(symbol) == weight
+        assert WEIGHT_DICTIONARY[symbol] == weight
 
     def test_weights_are_permutation(self):
         assert sorted(WEIGHT_DICTIONARY.values()) == list(range(62))
         assert len(WEIGHT_DICTIONARY) == 62
 
-    def test_unknown_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            char_weight("!")
-
 
 class TestFinalWeight:
     def test_no_repeat(self):
-        assert final_weight("b", 0) == 1
+        assert kwm("b") == 1
 
     def test_single_repeat(self):
-        assert final_weight("b", 1) == Fraction(1, 5)
+        assert kwm("bb") - kwm("b") == Fraction(1, 5)
 
     def test_zero_weight_annihilates(self):
-        assert final_weight("a", 5) == 0
-
-    def test_negative_repeats_rejected(self):
-        with pytest.raises(ValueError):
-            final_weight("b", -1)
+        assert kwm("aaaaaa") == 0
 
 
 class TestKwm:
@@ -145,22 +135,22 @@ class TestAllocateRanges:
     def test_ten_validators_split(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 10, "ten")]
         alloc = build_allocation(pks)
-        assert [r.size for r in alloc.ranges] == [8, 6, 6, 6, 6, 6, 6, 6, 6, 6]
+        assert [r.end - r.start + 1 for r in alloc.ranges] == [8, 6, 6, 6, 6, 6, 6, 6, 6, 6]
 
     def test_sixty_two_validators_all_one(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 62, "all")]
         alloc = build_allocation(pks)
-        assert [r.size for r in alloc.ranges] == [1] * 62
+        assert [r.end - r.start + 1 for r in alloc.ranges] == [1] * 62
 
     def test_four_validators_split(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 4, "four")]
         alloc = build_allocation(pks)
-        assert [r.size for r in alloc.ranges] == [17, 15, 15, 15]
+        assert [r.end - r.start + 1 for r in alloc.ranges] == [17, 15, 15, 15]
 
     def test_single_validator_owns_alphabet(self, backend):
         pk = backend.keypair(b"solo").public
         alloc = build_allocation([pk])
-        assert alloc.ranges[0].size == 62
+        assert (alloc.ranges[0].start, alloc.ranges[0].end) == (0, 61)
         for symbol in ALPHABET:
             assert alloc.range_of(symbol) == pk
 
@@ -175,7 +165,7 @@ class TestAllocateRanges:
         pks = [kp.public for kp in make_keypairs(backend, 62, "cover")]
         for count in range(1, 63):
             alloc = build_allocation(pks[:count])
-            assert sum(r.size for r in alloc.ranges) == 62
+            assert sum(r.end - r.start + 1 for r in alloc.ranges) == 62
             covered = []
             for rng_ in alloc.ranges:
                 covered.extend(range(rng_.start, rng_.end + 1))
