@@ -99,9 +99,12 @@ class MetricsReport:
     endorsed_blocks: int = 0
     isolated: list[str] = field(default_factory=list)
     reports: list[MisbehaviorReport] = field(default_factory=list)
-    detected: bool = False
     detection_time_ms: Optional[float] = None
     excluded: list[str] = field(default_factory=list)
+
+    @property
+    def detected(self) -> bool:
+        return self.detection_time_ms is not None
 
     @property
     def verify_time_ms(self) -> float:
@@ -230,12 +233,8 @@ class _RunBase:
             self.identities.append(Identity(node_id=total, keypair=kp, role="auditor"))
         for ident in self.identities:
             self.by_display[ident.display] = ident
-        self.sender_ids = [i.node_id for i in self.identities if i.role != "auditor"]
+        self.owners = self.identities[: config.ring_size]
         self.auditors = [i.display for i in self.identities if i.role == "auditor"]
-
-    @property
-    def validators(self) -> list[Identity]:
-        return [i for i in self.identities if i.role == "validator"]
 
     def make_payload(self) -> bytes:
         return self.rng_payload.randbytes(self.config.payload_size)
@@ -275,7 +274,7 @@ class _RunBase:
     # -- transactions and blocks ----------------------------------------
 
     def _inject_tx(self) -> None:
-        sender_id = self.rng_schedule.choice(self.sender_ids)
+        sender_id = self.rng_schedule.choice(range(self.config.num_iot_nodes))
         ident = self.identities[sender_id]
         tx = create_transaction(ident.keypair, self.make_payload(), self.backend)
         self.metrics.injected_tx += 1
@@ -330,7 +329,6 @@ class VericomRun(_RunBase):
         self.plans: dict[tuple[int, tuple[str, ...]], MulticastResult] = {}
         self.excluded_bns: set[int] = set()
         self.dishonest: frozenset[bytes] = frozenset()  # raw keys of colluding verifiers
-        self.malicious_generator: Optional[Identity] = None
         self.accounting = TrafficAccounting(TRAFFIC_FEE)
         self.closed_epochs: list[tuple[int, list[int]]] = []  # (epoch, backbone ids)
         self.vrd: Optional[RangeDistributor] = None  # set by _begin_epoch
@@ -353,7 +351,7 @@ class VericomRun(_RunBase):
         graph = build_backbone(specs, links)
         if config.attack == "dropping":
             for bn_id in config.adversary_ids:
-                graph.nodes[bn_id].drop_all = True
+                graph[bn_id].drop_all = True
         return graph
 
     def _draw_access_delays(self) -> list[list[float]]:
@@ -394,7 +392,7 @@ class VericomRun(_RunBase):
             else:
                 self.home[ident.display] = attached
         compute_routes(self.graph)
-        table_size = max(routing_table_bytes(bn) for bn in self.graph.nodes.values())
+        table_size = max(routing_table_bytes(bn) for bn in self.graph.values())
         self.metrics.routing_table_bytes = max(
             self.metrics.routing_table_bytes, table_size
         )
@@ -403,7 +401,7 @@ class VericomRun(_RunBase):
 
     def run(self) -> MetricsReport:
         self._join_all()
-        lowest = self.graph.nodes[min(self.graph.nodes)]
+        lowest = self.graph[min(self.graph)]
         super().run()
         for epoch, backbone_ids in self.closed_epochs:
             lengths = {d: ledger.ledger_length for d, ledger in self.ledgers[epoch].items()}
@@ -420,9 +418,8 @@ class VericomRun(_RunBase):
     def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         config = self.config
         self.queue.push(start, self._begin_epoch, epoch, window_end)
-        active = self.validators[: config.ring_size]
-        for i, ident in enumerate(active):
-            at = start + REGISTRATION_WINDOW_MS * (i + 1) / (len(active) + 2)
+        for i, ident in enumerate(self.owners):
+            at = start + REGISTRATION_WINDOW_MS * (i + 1) / (len(self.owners) + 2)
             self.queue.push(at, self._register, ident)
         self.queue.push(window_end, self._finalize_allocation, epoch)
         self._schedule_traffic(epoch, start, window_end)
@@ -481,7 +478,7 @@ class VericomRun(_RunBase):
         self._uplink(ident, self._tx_at_backbone, self.epoch, tx)
 
     def _tx_at_backbone(self, epoch: Epoch, tx: Transaction, bn_id: int, send_time: float) -> None:
-        if bn_id not in self.graph.nodes:
+        if bn_id not in self.graph:
             self.metrics.lost_items += 1
             return
         displays = self._once(
@@ -498,11 +495,12 @@ class VericomRun(_RunBase):
 
         Every multicast is charged here, from a fresh or a reused plan alike:
         its bytes, routing failures and losses and, in untrusted mode, where
-        a monitoring window reads them, its monitor counts.  Schedules
-        `handler` once per delivery and returns the number of deliveries.
-        A plan depends only on `bn_id`, `displays` and what `_join_all` sets
-        up, so it is kept in `plans` until the next `_join_all`.  `queue.push`
-        is read per call: a caller may rebind it after the run is built.
+        a monitoring window reads them, its monitor counts.  A destination
+        attached nowhere is a missing route.  Schedules `handler` once per
+        delivery and returns the number of deliveries.  A plan depends only
+        on `bn_id`, `displays` and what `_join_all` sets up, so it is kept in
+        `plans` until the next `_join_all`.  `queue.push` is read per call: a
+        caller may rebind it after the run is built.
         """
         key = (bn_id, tuple(displays))
         result = self.plans.get(key)
@@ -513,6 +511,7 @@ class VericomRun(_RunBase):
                 if home is not None:
                     destinations[display] = self.access[self.by_display[display].node_id][home]
             result = self.plans[key] = route_multicast(self.graph, bn_id, destinations)
+            result.missing_route += [d for d in displays if d not in destinations]
         if self.config.trust_mode == "untrusted":
             charge_monitors(self.graph, result.charged)
         metrics, deliveries = self.metrics, result.deliveries
@@ -545,10 +544,9 @@ class VericomRun(_RunBase):
             self.metrics.lost_items += len(block.transactions)
 
     def _block_at_backbone(self, epoch: Epoch, block, bn_id: int, send_time: float) -> None:
-        if bn_id not in self.graph.nodes:
+        if bn_id not in self.graph:
             self.metrics.lost_items += 1
             return
-        epoch.votes[block.digest] = {}
         self.metrics.verify_ops += self._multicast(
             epoch,
             bn_id,
@@ -562,9 +560,7 @@ class VericomRun(_RunBase):
     def _block_delivered(self, epoch: Epoch, block, display: str, send_time: float) -> None:
         self.metrics.delay_samples.append(self.queue.now - send_time)
         d = block.digest
-        votes = epoch.votes[d]
-        if display in votes:
-            return
+        votes = epoch.votes.setdefault(d, {})
         ident = self.by_display[display]
         if ident.public.raw in self.dishonest:
             outcome = VerificationOutcome.valid()
@@ -580,7 +576,7 @@ class VericomRun(_RunBase):
             (self.by_display[pk.display].keypair, votes[pk.display])
             for pk in verifier_set.members
         ]
-        endorsed, report = tally_endorsement(block, verdicts, self.backend, self.dishonest)
+        endorsed, report = tally_endorsement(block, verdicts, self.backend)
         if report is not None:
             self._record_report(report)
             return
@@ -629,7 +625,6 @@ class VericomRun(_RunBase):
 
     def _detected(self) -> None:
         if not self.metrics.detected:
-            self.metrics.detected = True
             self.metrics.detection_time_ms = self.queue.now
 
     def _record_report(self, report: MisbehaviorReport) -> None:
@@ -642,7 +637,7 @@ class VericomRun(_RunBase):
         self.log("sim", "misbehavior-report", f"{report.kind} {report.item_digest} [{accused}]")
 
     def _broadcast_endorsed(self, epoch: Epoch, endorsed, bn_id: int, send_time: float) -> None:
-        if bn_id not in self.graph.nodes:
+        if bn_id not in self.graph:
             self.metrics.lost_items += 1
             return
         self.log(f"bn.{bn_id}", "broadcast-endorsed", endorsed.digest)
@@ -675,12 +670,11 @@ class VericomRun(_RunBase):
                 kind = "append" if outcome.ok else f"append-rejected:{outcome.reason}"
                 self.log(f"node.{self.by_display[display].node_id}", kind, endorsed.digest)
         if display in self.auditors:
-            ident = self.by_display[display]
             self.metrics.audit_ops += 1
             outcome = self._verify_block(epoch, endorsed)
             if outcome.ok:
                 outcome = self._verify_endorsements(epoch, endorsed)
-            report = audit_endorsed_block(endorsed, ident.public, outcome)
+            report = audit_endorsed_block(endorsed, outcome)
             if report is not None:
                 self.log("auditor", "audit-failed", f"{report.item_digest} {report.reason}")
                 self._record_report(report)
@@ -690,7 +684,7 @@ class VericomRun(_RunBase):
     def _settle(self, epoch: int) -> None:
         """Record the epoch's backbone; `run` bills the epoch after the queue drains,
         so a block appended after this event is billed too."""
-        self.closed_epochs.append((epoch, list(self.graph.nodes)))
+        self.closed_epochs.append((epoch, list(self.graph)))
         # A fixed penalty count: the log format is recorded output, and
         # changing it waits for the re-record path of ROADMAP item 2.
         self.log("ta", "settlement", f"epoch={epoch} penalties=0")
@@ -703,7 +697,7 @@ class VericomRun(_RunBase):
             self.log("monitor", "flagged", f"bn.{bn_id} window={window}")
         self._detected()
         self.excluded_bns.update(flagged)
-        live = len(self.graph.nodes) - len(flagged)
+        live = len(self.graph) - len(flagged)
         self.graph = reconstruct_backbone(
             self.graph, self.excluded_bns, self.config.link_delay_ms, self.config.capacity(live)
         )
@@ -716,17 +710,17 @@ class VericomRun(_RunBase):
         """At epoch 0's window end, schedule a forging generator's block."""
         config = self.config
         if config.attack in ("false-verification", "fake-transaction") and epoch == 0:
-            self.malicious_generator = self.identities[config.adversary_ids[0]]
+            generator = self.identities[config.adversary_ids[0]]
             at = self.queue.now + 5 * TX_INTERVAL_MS + TX_INTERVAL_MS / 2
-            self.queue.push(at, self._inject_forged_block)
+            self.queue.push(at, self._inject_forged_block, generator)
 
-    def _inject_forged_block(self) -> None:
+    def _inject_forged_block(self, generator: Identity) -> None:
         """Grind a block holding a badly signed tx and let its verifiers collude.
 
         Under false-verification only the main verifier colludes, so its wing
         mates reject the block; under fake-transaction every verifier does.
         """
-        generator, epoch = self.malicious_generator, self.epoch
+        epoch = self.epoch
         sender, signature = self.identities[-1].public, b"\x00" * 32
         payload = b"forged:" + self.rng_payload.randbytes(self.config.payload_size)
         fake_tx = Transaction(sender, payload, signature)
@@ -788,7 +782,7 @@ class BaselineRun(_RunBase):
         self._schedule_traffic(epoch, start, window_end)
 
     def _allocate(self, epoch: int) -> None:
-        alloc = build_allocation(i.public for i in self.validators[: self.config.ring_size])
+        alloc = build_allocation(i.public for i in self.owners)
         self._open_epoch(epoch, alloc, None, "sim")
         self.pool_at = [self.epoch.pools.get(i.display) for i in self.identities]
 

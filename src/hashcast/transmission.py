@@ -10,10 +10,12 @@ copies and monitor counts and changes nothing, so a caller can reuse a plan
 until the next round of joins.
 
 In untrusted mode the caller charges each multicast's monitor counts through
-`charge_monitors`: every backbone node counts the copies that reach it with
-onward destinations and the copies it forwards.  A node that forwarded fewer
-than it received over a monitoring window is flagged, and the backbone is
-rebuilt without the flagged nodes.
+`charge_monitors`: every backbone node counts each copy that reaches it with
+destinations, onward or attached to it, and the copies it passes on, one per
+onward link and one per local delivery.  A node that passed on fewer than it
+received over a monitoring window is flagged, and the backbone is rebuilt
+without the flagged nodes.  A destination attached nowhere, or that a node on
+its path neither holds nor routes, is a missing route: a routing failure.
 """
 
 from __future__ import annotations
@@ -54,21 +56,8 @@ class BackboneNode:
         self.drop_all = False
 
 
-class BackboneGraph:
-    def __init__(self, nodes: dict[int, BackboneNode]):
-        self.nodes = nodes
-
-    @property
-    def ids(self) -> list[int]:
-        return sorted(self.nodes)
-
-    def links(self) -> list[tuple[int, int, float]]:
-        out = []
-        for a in self.ids:
-            for b, delay in sorted(self.nodes[a].neighbors.items()):
-                if a < b:
-                    out.append((a, b, delay))
-        return out
+# The backbone is its node map: backbone id -> node.
+BackboneGraph = dict[int, BackboneNode]
 
 
 def build_backbone(
@@ -84,11 +73,9 @@ def build_backbone(
             raise TopologyError(f"link ({a}, {b}) must have positive delay")
         nodes[a].neighbors[b] = delay
         nodes[b].neighbors[a] = delay
-    graph = BackboneGraph(nodes)
-    if len(nodes) > 1:
-        if len(_reachable(graph, graph.ids[0], set())) < len(nodes):
-            raise TopologyError("backbone graph is not connected")
-    return graph
+    if nodes and len(_reachable(nodes, min(nodes), set())) < len(nodes):
+        raise TopologyError("backbone graph is not connected")
+    return nodes
 
 
 def _reachable(graph: BackboneGraph, start: int, seen: set[int]) -> set[int]:
@@ -97,7 +84,7 @@ def _reachable(graph: BackboneGraph, start: int, seen: set[int]) -> set[int]:
     stack = [start]
     while stack:
         cur = stack.pop()
-        for nb in graph.nodes[cur].neighbors:
+        for nb in graph[cur].neighbors:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
@@ -116,11 +103,11 @@ def compute_routes(graph: BackboneGraph) -> None:
     """
     homes = sorted(
         (display, node_id)
-        for node_id in graph.ids
-        for display, role in graph.nodes[node_id].attached.items()
+        for node_id in graph
+        for display, role in graph[node_id].attached.items()
         if role in ROUTABLE_ROLES
     )
-    for src in graph.ids:
+    for src in graph:
         first_hop: dict[int, int] = {}
         heap = [(0.0, src, src)]
         while heap:
@@ -128,12 +115,12 @@ def compute_routes(graph: BackboneGraph) -> None:
             if cur in first_hop:
                 continue
             first_hop[cur] = hop
-            for nb, delay in graph.nodes[cur].neighbors.items():
+            for nb, delay in graph[cur].neighbors.items():
                 if nb not in first_hop:
                     heapq.heappush(heap, (cost + delay, nb if cur == src else hop, nb))
-        if len(first_hop) < len(graph.nodes):
+        if len(first_hop) < len(graph):
             raise RoutingError(f"backbone node {src} reaches only {len(first_hop)} nodes")
-        graph.nodes[src].routes = {display: first_hop[home] for display, home in homes}
+        graph[src].routes = {display: first_hop[home] for display, home in homes}
 
 
 def join_network(
@@ -149,7 +136,7 @@ def join_network(
     None if every node rejected (the node is isolated).
     """
     for node_id in nearest:
-        bn = graph.nodes.get(node_id)
+        bn = graph.get(node_id)
         if bn is not None and len(bn.attached) < bn.capacity:
             bn.attached[display] = role
             return node_id
@@ -167,8 +154,8 @@ class MulticastResult:
     link_transmissions: int = 0
     lost: list[str] = field(default_factory=list)
     missing_route: list[str] = field(default_factory=list)
-    # (node id, copies forwarded) per copy a node took in with onward
-    # destinations: the monitor counts `charge_monitors` adds
+    # (node id, copies passed on) per copy a node took in with onward or
+    # local destinations: the monitor counts `charge_monitors` adds
     charged: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -189,12 +176,12 @@ def route_multicast(
     listed in `charged`, for the caller to charge.
     """
     result = MulticastResult()
-    nodes, deliveries, missing = graph.nodes, result.deliveries, result.missing_route
+    deliveries, missing = result.deliveries, result.missing_route
     # (node, arrived_delay, dest subset), visited breadth-first: the loop
     # also walks the entries appended to `pending` while it runs.
     pending = [(origin, 0.0, sorted(destinations))]
     for node_id, delay_so_far, dests in pending:
-        node = nodes[node_id]
+        node = graph[node_id]
         attached, routes = node.attached, node.routes
         onward: dict[int, list[str]] = {}
         local: list[str] = []
@@ -207,8 +194,8 @@ def route_multicast(
                     missing.append(display)
                 else:
                     onward.setdefault(nxt, []).append(display)
-        if onward:
-            result.charged.append((node_id, 0 if node.drop_all else len(onward)))
+        if onward or local:
+            result.charged.append((node_id, 0 if node.drop_all else len(onward) + len(local)))
         if node.drop_all:
             result.lost.extend(local)
             for subset in onward.values():
@@ -224,10 +211,9 @@ def route_multicast(
 
 
 def charge_monitors(graph: BackboneGraph, charged: Sequence[tuple[int, int]]) -> None:
-    """Count each (node id, copies forwarded) entry as one inbound copy at that node."""
-    nodes = graph.nodes
+    """Count each (node id, copies passed on) entry as one inbound copy at that node."""
     for node_id, forwarded in charged:
-        node = nodes[node_id]
+        node = graph[node_id]
         node.window_inbound += 1
         node.window_forwarded += forwarded
 
@@ -235,12 +221,12 @@ def charge_monitors(graph: BackboneGraph, charged: Sequence[tuple[int, int]]) ->
 def evaluate_window(graph: BackboneGraph) -> list[int]:
     """Close a monitoring window and flag the nodes that under-forwarded.
 
-    Returns, in id order, the nodes that forwarded fewer copies than they
+    Returns, in id order, the nodes that passed on fewer copies than they
     received during the window, and resets every node's counters.
     """
     flagged = []
-    for node_id in graph.ids:
-        node = graph.nodes[node_id]
+    for node_id in sorted(graph):
+        node = graph[node_id]
         if node.window_forwarded < node.window_inbound:
             flagged.append(node_id)
         node.window_inbound = 0
@@ -259,23 +245,23 @@ def reconstruct_backbone(
     previous bridge end, so the components' lowest ids form a chain.
     Attachments are dropped; callers re-run joins over the new graph.
     """
-    nodes = {i: BackboneNode(i, capacity) for i in graph.ids if i not in excluded}
+    nodes = {i: BackboneNode(i, capacity) for i in sorted(graph) if i not in excluded}
     if not nodes:
         raise TopologyError("cannot reconstruct an empty backbone")
-    for a, b, delay in graph.links():
-        if a in nodes and b in nodes:
-            nodes[a].neighbors[b] = nodes[b].neighbors[a] = delay
-    rebuilt = BackboneGraph(nodes)
+    for a in nodes:
+        for b, delay in sorted(graph[a].neighbors.items()):
+            if a < b and b in nodes:
+                nodes[a].neighbors[b] = nodes[b].neighbors[a] = delay
     reached: set[int] = set()
     end = None  # the previous bridge end
-    for node_id in rebuilt.ids:
+    for node_id in nodes:
         if node_id in reached:
             continue
         if end is not None:
             nodes[end].neighbors[node_id] = nodes[node_id].neighbors[end] = link_delay
-        _reachable(rebuilt, node_id, reached)
+        _reachable(nodes, node_id, reached)
         end = node_id
-    return rebuilt
+    return nodes
 
 
 def routing_table_bytes(bn: BackboneNode) -> int:

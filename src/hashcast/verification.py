@@ -18,15 +18,19 @@ the whole transaction: a key is hashed by its id alone but compared field
 by field, so a copy that differs in any field gets its own entry and is
 checked afresh.
 The later checks take the verdicts their callers hold as plain arguments:
-`verify_endorsements` the block's verifier set, and `audit_endorsed_block`
-the auditor's verdict on the endorsed copy.
+`verify_endorsements` the block's verifier set, `tally_endorsement` every
+member's vote, and `audit_endorsed_block` the auditor's verdict on the
+endorsed copy.  Accusations come from those verdicts alone: a rejected block
+accuses its generator and every member that voted it valid, since honest
+members all read one shared verdict, and a failed audit accuses the
+generator and every endorser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, MutableMapping, Optional, Sequence
+from typing import MutableMapping, Optional, Sequence
 
 from .core import (
     Block,
@@ -116,7 +120,6 @@ class MisbehaviorReport:
     item_digest: str
     reason: str
     accused: tuple[PublicKey, ...]
-    reporters: tuple[PublicKey, ...]
 
 
 def ring_members(alloc: RangeAllocation, center: int, wing: int) -> list[PublicKey]:
@@ -251,36 +254,28 @@ def tally_endorsement(
     block: Block,
     verdicts: Sequence[tuple[KeyPair, VerificationOutcome]],
     backend,
-    dishonest: Container[bytes] = frozenset(),
 ) -> tuple[Optional[Block], Optional[MisbehaviorReport]]:
     """Endorse or accuse once every verifier-set member has voted.
 
     `verdicts` holds one vote per member, in verifier-set order.  The block
-    is endorsed only if every vote is valid; otherwise the rejectors emit a
-    report naming the generator and every member listed in `dishonest` (raw
-    keys) that voted valid, with the first rejector's reason.
+    is endorsed only if every vote is valid; otherwise the report names the
+    generator and every member that voted valid, with the first rejector's
+    reason.
     """
-    rejectors = [kp.public for kp, outcome in verdicts if not outcome.ok]
-    if not rejectors:
-        return endorse_block(block, [kp for kp, _ in verdicts], backend), None
     reasons = [outcome.reason for _, outcome in verdicts if not outcome.ok]
-    false_claimers = [
-        kp.public
-        for kp, outcome in verdicts
-        if outcome.ok and kp.public.raw in dishonest
-    ]
-    report = MisbehaviorReport(
+    if not reasons:
+        return endorse_block(block, [kp for kp, _ in verdicts], backend), None
+    false_claimers = [kp.public for kp, outcome in verdicts if outcome.ok]
+    return None, MisbehaviorReport(
         kind="block-rejected",
         item_digest=block.digest,
         reason=reasons[0],
         accused=tuple([block.generator] + false_claimers),
-        reporters=tuple(rejectors),
     )
-    return None, report
 
 
 def audit_endorsed_block(
-    block: Block, auditor: PublicKey, outcome: VerificationOutcome
+    block: Block, outcome: VerificationOutcome
 ) -> Optional[MisbehaviorReport]:
     """The auditor's report on an endorsed block it judged `outcome`, or None if valid.
 
@@ -296,5 +291,4 @@ def audit_endorsed_block(
         item_digest=block.digest,
         reason=outcome.reason,
         accused=accused,
-        reporters=(auditor,),
     )

@@ -30,9 +30,9 @@ def endorsement_verdict(block, alloc, params, backend):
     return verify_endorsements(block, expected_verifier_set(block, alloc, params), backend)
 
 
-def audit(endorsed, alloc, params, backend, auditor):
+def audit(endorsed, alloc, params, backend):
     """The auditor's verdict and report: the block first, its endorsements once it passes."""
     outcome = verify_block(endorsed, alloc, backend)
     if outcome.ok:
         outcome = endorsement_verdict(endorsed, alloc, params, backend)
-    return outcome, audit_endorsed_block(endorsed, auditor, outcome)
+    return outcome, audit_endorsed_block(endorsed, outcome)

@@ -54,12 +54,22 @@ def linear_fit_r_squared(xs, ys):
     return 1.0 - ss_res / ss_tot
 
 
+def links(graph):
+    """A backbone graph's links as (a, b, delay) with a < b, ascending."""
+    return [
+        (a, b, delay)
+        for a in sorted(graph)
+        for b, delay in sorted(graph[a].neighbors.items())
+        if a < b
+    ]
+
+
 def floyd_warshall(graph):
     """All-pairs minimum delays of a backbone graph, by Floyd-Warshall over its links."""
-    ids = graph.ids
+    ids = sorted(graph)
     inf = float("inf")
     dist = {a: {b: (0.0 if a == b else inf) for b in ids} for a in ids}
-    for a, b, delay in graph.links():
+    for a, b, delay in links(graph):
         dist[a][b] = min(dist[a][b], delay)
         dist[b][a] = min(dist[b][a], delay)
     for k in ids:

@@ -361,8 +361,7 @@ class TestAudit:
         endorsed = endorse_block(
             block, [by_display[pk.display] for pk in verifier_set.members], backend
         )
-        auditor = backend.keypair(b"aud").public
-        outcome, report = audit(endorsed, alloc, params, backend, auditor)
+        outcome, report = audit(endorsed, alloc, params, backend)
         assert outcome.ok and report is None
 
     def test_colluding_fake_block_reported(self, backend):
@@ -376,8 +375,7 @@ class TestAudit:
         endorsed = endorse_block(
             block, [by_display[pk.display] for pk in verifier_set.members], backend
         )
-        auditor = backend.keypair(b"aud").public
-        outcome, report = audit(endorsed, alloc, params, backend, auditor)
+        outcome, report = audit(endorsed, alloc, params, backend)
         assert not outcome.ok
         assert report is not None
         assert len(report.accused) == 4  # one generator + 2m+1 endorsers

@@ -219,7 +219,7 @@ class TestAttacks:
         assert run.metrics.detected
         report = run.metrics.reports[0]
         assert report.kind == "block-rejected"
-        assert len(report.reporters) == 2  # the two honest verifiers
+        assert len(report.accused) == 2  # the generator and the lying main verifier
         # the forged block never went out as endorsed
         forged = report.item_digest
         assert not any(
@@ -328,7 +328,7 @@ class TestUnattachedSender:
             seed=3,
         )
         run = execute(cfg)
-        generator = run.malicious_generator.display
+        generator = run.identities[cfg.adversary_ids[0]].display
         assert generator in run.metrics.isolated
         assert run.epoch.tips[generator] == ""  # the unsent block is not a tip
         assert run.metrics.routing_failures >= 1
@@ -387,12 +387,39 @@ class TestUnattachedSender:
             monitor_window_ms=5.0,
             attack="dropping",
             adversary_ids=(0,),
-            seed=43672,
+            seed=123,
         )
         run = execute(cfg)
         broadcasts = [l for l in run.log_lines if "broadcast-endorsed" in l]
         assert len(broadcasts) < run.metrics.endorsed_blocks
         assert run.metrics.routing_failures >= 1
+
+
+    def test_copies_owed_to_unattached_members_are_routing_failures(self):
+        # five backbone nodes of capacity 1 leave 8 of 13 identities
+        # unattached: a send from one of them, and every copy a multicast
+        # owes one of them, is a routing failure
+        cfg = ScenarioConfig(
+            num_iot_nodes=12, num_validators=10, num_backbone=5, backbone_capacity=1, tx_count=20
+        )
+        unsent, owed = [], []
+
+        class Recording(VericomRun):
+            def _uplink(self, ident, handler, epoch, item):
+                sent = super()._uplink(ident, handler, epoch, item)
+                unsent.append(not sent)
+                return sent
+
+            def _multicast(self, epoch, bn_id, displays, *rest):
+                owed.append(sum(display not in self.home for display in displays))
+                return super()._multicast(epoch, bn_id, displays, *rest)
+
+        run = Recording(cfg)
+        run.run()
+        assert len(run.metrics.isolated) == 8
+        assert sum(owed) > 0
+        assert run.metrics.routing_failures == sum(unsent) + sum(owed)
+        assert run.metrics.lost_items == 0
 
 
 class TestRebuildCapacity:
@@ -415,7 +442,7 @@ class TestRebuildCapacity:
         )
         run = execute(cfg)
         assert run.excluded_bns == {1}
-        assert all(bn.capacity == 11 for bn in run.graph.nodes.values())
+        assert all(bn.capacity == 11 for bn in run.graph.values())
         assert run.metrics.isolated == []
         assert run.metrics.routing_failures == 0
         assert run.metrics.committed_tx == 27
@@ -566,6 +593,20 @@ class TestWholeRunProperties:
             + per_block * metrics.blocks_committed
         )
 
+    @given(st.one_of(honest_configs(), forging_configs()), st.sampled_from(["trusted", "untrusted"]))
+    @settings(max_examples=40, deadline=None)
+    def test_verify_ops_count_set_deliveries_in_any_trust_mode(self, cfg, trust_mode):
+        # auto capacity attaches everyone, so every sent item reaches its
+        # whole set; a forged block is verified like any other sent block
+        run = execute(replace(cfg, trust_mode=trust_mode))
+        metrics = run.metrics
+        assert metrics.isolated == []
+        forged = sum("commit-forged-block" in line for line in run.log_lines)
+        assert metrics.verify_ops == (
+            (2 * cfg.n + 1) * metrics.injected_tx
+            + (2 * cfg.m + 1) * (metrics.blocks_committed + forged)
+        )
+
     @given(honest_configs())
     @settings(max_examples=40, deadline=None)
     def test_baseline_run_invariants(self, cfg):
@@ -640,10 +681,11 @@ class TestWholeRunProperties:
     @settings(max_examples=40, deadline=None)
     def test_forging_run_reports(self, cfg):
         run, records = run_keeping_records(cfg)
-        generator = run.malicious_generator.display
+        forger = run.identities[cfg.adversary_ids[0]]
+        generator = forger.display
         (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
         # the forged block is cut under epoch 0's allocation
-        key = ("set", run.malicious_generator.public.raw, msch(forged))
+        key = ("set", forger.public.raw, msch(forged))
         expected = [pk.display for pk in records[0].memo[key].members]
         reports = [(r.kind, [pk.display for pk in r.accused]) for r in run.metrics.reports]
         if cfg.attack == "false-verification" and cfg.m >= 1:
@@ -715,7 +757,7 @@ def window_counters(run):
 
     def close(graph):
         closes.append(
-            {i: (bn.window_inbound, bn.window_forwarded) for i, bn in graph.nodes.items()}
+            {i: (bn.window_inbound, bn.window_forwarded) for i, bn in graph.items()}
         )
         return evaluate_window(graph)
 
@@ -752,7 +794,7 @@ class TestPlanReuse:
         with mock.patch.object(simulation, "charge_monitors") as charge:
             run = execute(cfg)
         charge.assert_not_called()
-        counters = {(bn.window_inbound, bn.window_forwarded) for bn in run.graph.nodes.values()}
+        counters = {(bn.window_inbound, bn.window_forwarded) for bn in run.graph.values()}
         assert counters == {(0, 0)}
 
 
@@ -833,7 +875,7 @@ class TestVerdictSharing:
         outsider = next(i for i in run.identities if i.role == "node")
         txs = run.ledgers[0][run.epoch.alloc.validators[0].display].blocks[0].transactions
         block = make_block(outsider.keypair, "", txs, 0, run.backend)
-        endorsed = endorse_block(block, [v.keypair for v in run.validators[:3]], run.backend)
+        endorsed = endorse_block(block, [v.keypair for v in run.owners[:3]], run.backend)
         run._endorsed_delivered(run.epoch, endorsed, run.auditors[0], run.queue.now)
         report = run.metrics.reports[-1]
         assert (report.item_digest, report.reason) == (endorsed.digest, REASON_RANGE_MISMATCH)
@@ -910,7 +952,7 @@ class TestEpochBoundary:
         assert len(run.ledgers) == 3
         assert not [line for line in run.log_lines if "audit-failed" in line]
         accused = {pk.raw for report in run.metrics.reports for pk in report.accused}
-        assert accused == {run.malicious_generator.public.raw} | run.dishonest
+        assert accused == {run.identities[cfg.adversary_ids[0]].public.raw} | run.dishonest
 
     def test_late_copy_lands_in_the_ledger_of_its_epoch(self):
         # some endorsed copies reach their generator after the next allocation;
@@ -969,7 +1011,7 @@ class TestLongDelays:
     @settings(max_examples=60, deadline=None)
     def test_only_forgers_are_accused_and_chains_hold(self, cfg):
         run, records = run_keeping_records(cfg)  # a RunError fails here
-        forger = run.malicious_generator
+        forger = run.identities[cfg.adversary_ids[0]] if cfg.adversary_ids else None
         allowed = run.dishonest | ({forger.public.raw} if forger else set())
         for report in run.metrics.reports:
             assert {pk.raw for pk in report.accused} <= allowed
@@ -1107,17 +1149,12 @@ class TestMonitoringBlindSpot:
     def test_the_dropper_is_a_leaf_that_only_delivers(self):
         run = VericomRun(leaf_dropper_config())
         run._join_all()
-        assert run.graph.nodes[4].neighbors.keys() == {0}
-        assert list(run.graph.nodes[4].attached) == run.auditors
-        # the auditor sends nothing, so no copy leaves backbone node 4
-        assert run.auditors[0] not in {run.identities[i].display for i in run.sender_ids}
+        assert run.graph[4].neighbors.keys() == {0}
+        assert list(run.graph[4].attached) == run.auditors
+        # the auditor sends nothing (senders are nodes 0..N-1), so no copy
+        # leaves backbone node 4
+        assert run.by_display[run.auditors[0]].node_id not in range(run.config.num_iot_nodes)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 9 (monitoring that catches every loss): a node counts a copy as "
-        "inbound only when it has onward destinations, so a dropper holding only local "
-        "deliveries is never flagged",
-    )
     def test_a_dropper_that_only_delivers_is_flagged_and_excluded(self):
         run = execute(leaf_dropper_config())
         assert run.metrics.lost_items > 0
@@ -1158,7 +1195,7 @@ class TestRingCap:
         assert len(run.epoch.alloc.validators) == 62
         assert run.metrics.committed_tx == 30
         # all 80 validator keys remain routable destinations
-        bn = run.graph.nodes[min(run.graph.nodes)]
+        bn = run.graph[min(run.graph)]
         validator_routes = [
             d for d in bn.routes if run.by_display[d].role == "validator"
         ]

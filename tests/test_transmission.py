@@ -18,7 +18,7 @@ from hashcast.transmission import (
     routing_table_bytes,
     routing_table_text,
 )
-from oracles import floyd_warshall
+from oracles import floyd_warshall, links
 
 
 def attach(graph, bn_id, display, role="validator"):
@@ -42,8 +42,8 @@ def random_connected_graph(rng, count, capacity=50):
 class TestBuildBackbone:
     def test_two_nodes_one_link(self):
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
-        assert graph.ids == [0, 1]
-        assert graph.nodes[0].neighbors[1] == 1.0
+        assert sorted(graph) == [0, 1]
+        assert graph[0].neighbors[1] == 1.0
 
     def test_disconnected_rejected(self):
         with pytest.raises(TopologyError):
@@ -57,7 +57,7 @@ class TestBuildBackbone:
 
     def test_twenty_node_random_topology(self):
         graph = random_connected_graph(random.Random(4), 20)
-        assert len(graph.ids) == 20
+        assert len(graph) == 20
 
     def test_chain_has_linear_diameter(self):
         count = 12
@@ -68,7 +68,7 @@ class TestBuildBackbone:
         assert floyd_warshall(graph)[0][count - 1] == count - 1
         attach(graph, count - 1, "far")
         compute_routes(graph)
-        assert [graph.nodes[i].routes["far"] for i in range(count - 1)] == list(range(1, count))
+        assert [graph[i].routes["far"] for i in range(count - 1)] == list(range(1, count))
 
 
 class TestComputeRoutes:
@@ -83,7 +83,7 @@ class TestComputeRoutes:
         attach(graph, 3, "VN.3")
         attach(graph, 4, "VN.4")
         compute_routes(graph)
-        table = graph.nodes[1].routes
+        table = graph[1].routes
         assert table["VN.4"] == 4
         assert table["VN.2"] == 2
         assert table["VN.3"] == 2
@@ -95,7 +95,7 @@ class TestComputeRoutes:
         )
         attach(graph, 2, "dest")
         compute_routes(graph)
-        assert graph.nodes[0].routes["dest"] == 1
+        assert graph[0].routes["dest"] == 1
         assert floyd_warshall(graph)[0][2] == 2.0
 
     def test_matches_all_pairs_oracle(self):
@@ -106,9 +106,9 @@ class TestComputeRoutes:
         for i in range(20):
             attach(graph, rng.randrange(20), f"node-{i}")
         compute_routes(graph)
-        homes = {d: bn for bn in graph.ids for d in graph.nodes[bn].attached}
-        for src in graph.ids:
-            node = graph.nodes[src]
+        homes = {d: bn for bn in graph for d in graph[bn].attached}
+        for src in sorted(graph):
+            node = graph[src]
             for display, nxt in node.routes.items():
                 home = homes[display]
                 if home == src:
@@ -124,7 +124,7 @@ class TestComputeRoutes:
         )
         attach(graph, 3, "dest")
         compute_routes(graph)
-        assert graph.nodes[0].routes["dest"] == 1
+        assert graph[0].routes["dest"] == 1
 
     @given(
         st.integers(2, 9).flatmap(
@@ -153,9 +153,9 @@ class TestComputeRoutes:
             attach(graph, i, f"d{i}")
         compute_routes(graph)
         oracle = floyd_warshall(graph)
-        for src in graph.ids:
-            node = graph.nodes[src]
-            for home in graph.ids:
+        for src in sorted(graph):
+            node = graph[src]
+            for home in sorted(graph):
                 if home == src:
                     assert node.routes[f"d{home}"] == src
                     continue
@@ -172,11 +172,11 @@ class TestComputeRoutes:
         attach(graph, 1, "b")
         compute_routes(graph)
         # "b" re-attaches to the other backbone node
-        del graph.nodes[1].attached["b"]
+        del graph[1].attached["b"]
         attach(graph, 0, "b")
         compute_routes(graph)
-        assert graph.nodes[1].routes["b"] == 0
-        assert graph.nodes[1].routes["a"] == 0
+        assert graph[1].routes["b"] == 0
+        assert graph[1].routes["a"] == 0
 
 
 class TestJoins:
@@ -196,11 +196,11 @@ class TestJoins:
         graph = random_connected_graph(rng, 20, capacity=10)
         attached = 0
         for i in range(200):
-            nearest = rng.sample(graph.ids, len(graph.ids))
+            nearest = rng.sample(sorted(graph), len(graph))
             if join_network(f"n{i}", "validator", nearest, graph) is not None:
                 attached += 1
         assert attached == 200
-        for bn in graph.nodes.values():
+        for bn in graph.values():
             assert len(bn.attached) <= bn.capacity
 
     def test_prefers_minimum_delay(self):
@@ -269,9 +269,9 @@ class TestMulticast:
                 attach(graph, rng.randrange(12), f"d{i}")
             compute_routes(graph)
             result = route_multicast(graph, 0, {f"d{i}": 0.2 for i in range(8)})
-            edges = len(graph.links())
-            flood = 2 * edges - (len(graph.ids) - 1)
-            assert result.link_transmissions <= len(graph.ids) - 1 <= flood
+            edges = len(links(graph))
+            flood = 2 * edges - (len(graph) - 1)
+            assert result.link_transmissions <= len(graph) - 1 <= flood
 
     def test_missing_route_reported(self):
         graph = self._graph()
@@ -290,15 +290,17 @@ class TestMonitoring:
         attach(graph, 2, "dst")
         compute_routes(graph)
         if dropper is not None:
-            graph.nodes[dropper].drop_all = True
+            graph[dropper].drop_all = True
         return graph
 
     def test_routing_charges_nothing(self):
         for dropper in (None, 1):
             graph = self._loaded_graph(dropper)
             result = route_multicast(graph, 0, {"dst": 0.5})
-            assert result.charged == [(0, 1), (1, 0 if dropper else 1)]
-            counters = [(bn.window_inbound, bn.window_forwarded) for bn in graph.nodes.values()]
+            # the dropper's copy never reaches node 2, which delivers locally
+            expected = [(0, 1), (1, 0)] if dropper else [(0, 1), (1, 1), (2, 1)]
+            assert result.charged == expected
+            counters = [(bn.window_inbound, bn.window_forwarded) for bn in graph.values()]
             assert counters == [(0, 0)] * 3
 
     def test_honest_nodes_never_flagged(self):
@@ -307,7 +309,7 @@ class TestMonitoring:
             result = route_multicast(graph, 0, {"dst": 0.5})
             assert len(result.deliveries) == 1
             charge_monitors(graph, result.charged)
-        assert [graph.nodes[i].window_inbound for i in graph.ids] == [50, 50, 0]
+        assert [graph[i].window_inbound for i in sorted(graph)] == [50, 50, 50]
         assert evaluate_window(graph) == []
 
     def test_dropper_flagged_within_one_window(self):
@@ -316,6 +318,13 @@ class TestMonitoring:
         assert result.lost == ["dst"]
         charge_monitors(graph, result.charged)
         assert evaluate_window(graph) == [1]
+
+    def test_dropper_that_only_delivers_is_flagged(self):
+        graph = self._loaded_graph(dropper=2)
+        result = route_multicast(graph, 0, {"dst": 0.5})
+        assert result.lost == ["dst"]
+        charge_monitors(graph, result.charged)
+        assert evaluate_window(graph) == [2]
 
     def test_quiet_window_flags_nobody(self):
         graph = self._loaded_graph(dropper=1)
@@ -326,9 +335,9 @@ class TestMonitoring:
         charge_monitors(graph, route_multicast(graph, 0, {"dst": 0.5}).charged)
         flagged = evaluate_window(graph)
         rebuilt = reconstruct_backbone(graph, set(flagged), link_delay=2.5, capacity=10)
-        assert set(rebuilt.nodes) == {0, 2}
+        assert set(rebuilt) == {0, 2}
         # components reconnected deterministically, with the given link delay
-        assert rebuilt.nodes[0].neighbors[2] == rebuilt.nodes[2].neighbors[0] == 2.5
+        assert rebuilt[0].neighbors[2] == rebuilt[2].neighbors[0] == 2.5
         attach(rebuilt, 0, "src")
         attach(rebuilt, 2, "dst")
         compute_routes(rebuilt)
@@ -346,9 +355,9 @@ class TestMonitoring:
             [(i, 5) for i in range(7)], [(i - 1, i, 1.0) for i in range(1, 7)]
         )
         rebuilt = reconstruct_backbone(graph, {2, 4}, link_delay=2.5, capacity=7)
-        assert rebuilt.links() == [(0, 1, 1.0), (0, 3, 2.5), (3, 5, 2.5), (5, 6, 1.0)]
-        assert [bn.capacity for bn in rebuilt.nodes.values()] == [7] * 5
-        assert all(not bn.attached for bn in rebuilt.nodes.values())
+        assert links(rebuilt) == [(0, 1, 1.0), (0, 3, 2.5), (3, 5, 2.5), (5, 6, 1.0)]
+        assert [bn.capacity for bn in rebuilt.values()] == [7] * 5
+        assert all(not bn.attached for bn in rebuilt.values())
 
 
 class TestRoutingTableAccounting:
@@ -357,7 +366,7 @@ class TestRoutingTableAccounting:
         for i in range(4):
             attach(graph, i % 2, f"v{i}")
         compute_routes(graph)
-        bn = graph.nodes[0]
+        bn = graph[0]
         assert routing_table_bytes(bn) == ROUTING_TABLE_BASE_BYTES + 4 * ROUTING_ENTRY_BYTES
 
     def test_plain_nodes_excluded_from_tables(self):
@@ -365,13 +374,13 @@ class TestRoutingTableAccounting:
         attach(graph, 0, "v0", role="validator")
         attach(graph, 1, "plain", role="node")
         compute_routes(graph)
-        assert "v0" in graph.nodes[1].routes
-        assert "plain" not in graph.nodes[0].routes
+        assert "v0" in graph[1].routes
+        assert "plain" not in graph[0].routes
 
     def test_table_dump_format(self):
         graph = build_backbone([(0, 5), (1, 5)], [(0, 1, 1.0)])
         attach(graph, 1, "validator-key-1234")
         compute_routes(graph)
-        text = routing_table_text(graph.nodes[0])
+        text = routing_table_text(graph[0])
         assert "next hop" in text
         assert "validator-ke" in text
