@@ -112,8 +112,8 @@ class ScenarioConfig:
             raise ConfigError("num_validators cannot exceed num_iot_nodes")
         if self.backbone_capacity < 0:
             raise ConfigError("backbone_capacity must be non-negative (0 = auto)")
-        if self.payload_size < 0:
-            raise ConfigError("payload_size must be non-negative")
+        if self.payload_size < 16:  # a sender's transactions differ only in their payloads
+            raise ConfigError(f"payload_size must be at least 16, got {self.payload_size}")
         for key in (
             "link_delay_ms",
             "monitor_window_ms",

@@ -1,16 +1,13 @@
-"""Per-validator ledgers, the registration window, and block commitment.
+"""Per-validator pools and ledgers, and block commitment.
 
-Each validator keeps its own chain of blocks whose digests start inside its
-validation range.  Range allocation is published by a registration actor
-deployed in the genesis block: interested validators register during a fixed
-window, and at the window's end the descending-weight allocation is computed
-once and becomes the epoch's routing and selection authority.
+Each range owner of an epoch's allocation pools the verified transactions
+whose digests fall in its range and keeps its own chain of blocks, whose
+digests it grinds into that range.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -24,49 +21,16 @@ from .core import (
     block_tail,
     head_parts,
     make_block,
-    msch,
     msch_index,
     serialize_body,
     unsigned_header,
 )
 from .verification import VerificationOutcome
-from .weights import RangeAllocation, build_allocation
+from .weights import RangeAllocation
 
 # Safety valve for digest grinding; at most 62 range slots exist, so the
 # expected tries are tiny and this bound is never hit in practice.
 MAX_COMMIT_TRIES = 200_000
-
-
-@dataclass(frozen=True)
-class RegistrationResult:
-    accepted: bool
-    reason: Optional[str] = None  # "late" | "duplicate" | "excluded"
-
-
-class RangeDistributor:
-    """Genesis-block actor that collects registrations and publishes ranges."""
-
-    def __init__(self, window_end_ms: float, excluded: frozenset[str] = frozenset()):
-        self.window_end_ms = window_end_ms
-        self.excluded = excluded
-        self.registrations: dict[str, PublicKey] = {}
-
-    def register_interest(self, pk: PublicKey, now: float) -> RegistrationResult:
-        if now > self.window_end_ms:
-            return RegistrationResult(accepted=False, reason="late")
-        if pk.display in self.registrations:
-            return RegistrationResult(accepted=False, reason="duplicate")
-        if pk.display in self.excluded:
-            return RegistrationResult(accepted=False, reason="excluded")
-        self.registrations[pk.display] = pk
-        return RegistrationResult(accepted=True)
-
-    def finalize_allocation(self, now: float) -> RangeAllocation:
-        if now < self.window_end_ms:
-            raise ValueError("registration window is still open")
-        if not self.registrations:
-            raise ValueError("no registrations: cannot allocate ranges")
-        return build_allocation(self.registrations.values())
 
 
 class PendingPool:
@@ -82,7 +46,7 @@ class PendingPool:
 
     def add(self, tx: Transaction) -> bool:
         """Accept a verified transaction if it falls in the owner's range."""
-        if self.alloc.range_of(msch(tx.id)).raw != self.owner.raw:
+        if self.alloc.range_of(tx.id).raw != self.owner.raw:
             return False
         if tx.id in self._txs:
             return False

@@ -30,7 +30,6 @@ from .core import (
     Transaction,
     block_size,
     create_transaction,
-    msch,
     transaction_id,
     transaction_size,
 )
@@ -38,7 +37,6 @@ from .fees import TrafficAccounting
 from .ledger import (
     Ledger,
     PendingPool,
-    RangeDistributor,
     commit_transactions,
     grind_block,
 )
@@ -331,7 +329,7 @@ class VericomRun(_RunBase):
         self.dishonest: frozenset[bytes] = frozenset()  # raw keys of colluding verifiers
         self.accounting = TrafficAccounting(TRAFFIC_FEE)
         self.closed_epochs: list[tuple[int, list[int]]] = []  # (epoch, backbone ids)
-        self.vrd: Optional[RangeDistributor] = None  # set by _begin_epoch
+        self.barred: frozenset[str] = frozenset()  # displays refused a range; set by _begin_epoch
 
     # -- setup ---------------------------------------------------------
 
@@ -387,7 +385,8 @@ class VericomRun(_RunBase):
             nearest = self.nearest[ident.node_id]
             attached = join_network(ident.display, ident.role, nearest, self.graph)
             if attached is None:
-                self.metrics.isolated.append(ident.display)
+                if ident.display not in self.metrics.isolated:
+                    self.metrics.isolated.append(ident.display)
                 self.log(f"node.{ident.node_id}", "isolated", ident.display[:8])
             else:
                 self.home[ident.display] = attached
@@ -417,7 +416,7 @@ class VericomRun(_RunBase):
 
     def _schedule_epoch(self, epoch: int, start: float, window_end: float) -> None:
         config = self.config
-        self.queue.push(start, self._begin_epoch, epoch, window_end)
+        self.queue.push(start, self._begin_epoch, epoch)
         for i, ident in enumerate(self.owners):
             at = start + REGISTRATION_WINDOW_MS * (i + 1) / (len(self.owners) + 2)
             self.queue.push(at, self._register, ident)
@@ -435,24 +434,24 @@ class VericomRun(_RunBase):
                 if at == last:
                     break
 
-    def _begin_epoch(self, epoch: int, window_end: float) -> None:
-        excluded = frozenset(self.metrics.excluded)
-        self.vrd = RangeDistributor(window_end_ms=window_end, excluded=excluded)
+    def _begin_epoch(self, epoch: int) -> None:
+        """Open the registration window; owners excluded so far are refused a range."""
+        self.barred = frozenset(self.metrics.excluded)
         self.log("sim", "epoch-start", str(epoch))
 
     def _register(self, ident: Identity) -> None:
-        result = self.vrd.register_interest(ident.public, self.queue.now)
-        status = "accepted" if result.accepted else f"rejected-{result.reason}"
+        status = "rejected-excluded" if ident.display in self.barred else "accepted"
         self.log(f"node.{ident.node_id}", "register", f"{ident.display[:8]} {status}")
 
     def _finalize_allocation(self, epoch: int) -> None:
+        """At the window's end, allocate the ranges over the owners not barred."""
+        registered = [i.public for i in self.owners if i.display not in self.barred]
         try:
-            alloc = self.vrd.finalize_allocation(self.queue.now)
+            alloc = build_allocation(registered)
             params = SetParams(self.config.n, self.config.m, len(alloc.validators))
         except ValueError as exc:
-            registered = len(self.vrd.registrations)
             raise RunError(
-                f"epoch {epoch}: {registered} validators registered after exclusions: {exc}"
+                f"epoch {epoch}: {len(registered)} validators registered after exclusions: {exc}"
             ) from exc
         self._open_epoch(epoch, alloc, params, "vrd")
         self._arm_attack(epoch)
@@ -483,7 +482,7 @@ class VericomRun(_RunBase):
             return
         displays = self._once(
             epoch,
-            ("validators", msch(tx.id)),
+            ("validators", epoch.alloc.owner_index(tx.id)),
             _validator_displays, tx.id, epoch.alloc, epoch.params,
         )  # fmt: skip
         self.metrics.verify_ops += self._multicast(
@@ -589,7 +588,7 @@ class VericomRun(_RunBase):
         """`compute(*args)` on the first call for `key` under `epoch`'s allocation; kept after.
 
         A key holds everything its value reads besides the allocation: set
-        selection reads only the generator and the digest's first symbol, a
+        selection reads only the generator and the digest owner's position, a
         block digest covers everything `verify_block` reads, and an endorsed
         copy keeps its block's digest, so the verifiers and the auditor share
         a verdict.  Each record keeps its own memo, so a copy in flight across
@@ -612,7 +611,7 @@ class VericomRun(_RunBase):
     def _verifier_set(self, epoch: Epoch, block: Block) -> NodeSet:
         return self._once(
             epoch,
-            ("set", block.generator.raw, msch(block.digest)),
+            ("set", block.generator.raw, epoch.alloc.owner_index(block.digest)),
             expected_verifier_set, block, epoch.alloc, epoch.params,
         )  # fmt: skip
 

@@ -39,7 +39,6 @@ from .core import (
     Transaction,
     block_header_bytes,
     endorsement_for,
-    msch,
     transaction_signing_bytes,
 )
 from .weights import RangeAllocation
@@ -134,7 +133,7 @@ def select_validator_set(
     d: str, alloc: RangeAllocation, params: SetParams
 ) -> NodeSet:
     """Main validator = range owner of the digest's first symbol, plus wings."""
-    center = alloc.owner_index(msch(d))
+    center = alloc.owner_index(d)
     members = ring_members(alloc, center, params.n)
     return NodeSet(main=alloc.validators[center], members=tuple(members))
 
@@ -151,7 +150,7 @@ def select_verifier_set(
 ) -> NodeSet:
     """Verifier set for a block digest, never overlapping the validator set."""
     validator_keys = vset.member_keys
-    candidate = alloc.owner_index(msch(d))
+    candidate = alloc.owner_index(d)
     members = ring_members(alloc, candidate, params.m)
     relocated = not validator_keys.isdisjoint(pk.raw for pk in members)
     if relocated:
@@ -206,7 +205,7 @@ def verify_block(
     """Header signature, generator range ownership, then every transaction."""
     if not backend.verify(block.generator, block_header_bytes(block), block.signature):
         return VerificationOutcome.invalid(REASON_BAD_SIGNATURE)
-    if alloc.range_of(msch(block.digest)).raw != block.generator.raw:
+    if alloc.range_of(block.digest).raw != block.generator.raw:
         return VerificationOutcome.invalid(REASON_RANGE_MISMATCH)
     for tx in block.transactions:
         outcome = verify_transaction(tx, backend, signatures)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .core import ALPHABET, ALPHABET_INDEX, PublicKey
+from .core import ALPHABET, ALPHABET_INDEX, PublicKey, msch
 
 # Character weights: a-z -> 0..25, A-Z -> 26..51, 0-9 -> 52..61 (the
 # alphabet with its digits moved to the end).
@@ -81,7 +81,6 @@ class RangeAllocation:
     """
 
     validators: tuple[PublicKey, ...]
-    kwms: tuple[Fraction, ...]
     ranges: tuple[ValidationRange, ...]
     _owners: dict[str, int] = field(init=False, repr=False, compare=False)
     _positions: dict[bytes, int] = field(init=False, repr=False, compare=False)
@@ -100,11 +99,17 @@ class RangeAllocation:
         object.__setattr__(self, "_owners", owners)
         object.__setattr__(self, "_positions", positions)
 
-    def owner_index(self, symbol: str) -> int:
-        return self._owners[symbol]
+    def owner_index(self, d: str) -> int:
+        """Ring position of the owner of digest `d`: the range holding its first symbol.
 
-    def range_of(self, symbol: str) -> PublicKey:
-        return self.validators[self.owner_index(symbol)]
+        The only place a digest is mapped to its owner; a one-symbol string
+        is a digest whose first symbol is itself.
+        """
+        return self._owners[msch(d)]
+
+    def range_of(self, d: str) -> PublicKey:
+        """The owner of digest `d` (see `owner_index`)."""
+        return self.validators[self.owner_index(d)]
 
     def position_of(self, pk: PublicKey) -> int:
         pos = self._positions.get(pk.raw)
@@ -118,11 +123,9 @@ class RangeAllocation:
     def table(self) -> str:
         """Human-readable allocation table for run logs."""
         lines = ["position  key            kwm          range"]
-        for i, (pk, value, rng) in enumerate(
-            zip(self.validators, self.kwms, self.ranges)
-        ):
+        for i, (pk, rng) in enumerate(zip(self.validators, self.ranges)):
             lines.append(
-                f"{i:<9} {pk.display[:12]}.. {float(value):<12.4f} "
+                f"{i:<9} {pk.display[:12]}.. {float(kwm(pk.display)):<12.4f} "
                 f"{ALPHABET[rng.start]}..{ALPHABET[rng.end]}"
             )
         return "\n".join(lines)
@@ -147,11 +150,7 @@ def allocate_ranges(ordered: Sequence[PublicKey]) -> RangeAllocation:
         size = base + (remainder if i == 0 else 0)
         ranges.append(ValidationRange(start=cursor, end=cursor + size - 1))
         cursor += size
-    return RangeAllocation(
-        validators=tuple(ordered),
-        kwms=tuple(kwm(pk.display) for pk in ordered),
-        ranges=tuple(ranges),
-    )
+    return RangeAllocation(validators=tuple(ordered), ranges=tuple(ranges))
 
 
 def build_allocation(pks: Iterable[PublicKey]) -> RangeAllocation:

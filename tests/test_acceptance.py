@@ -181,7 +181,8 @@ def test_criterion_07_allocation_properties():
                 assert rng_.start == cursor
                 cursor = rng_.end + 1
             assert cursor == 62
-            assert all(a >= b for a, b in zip(alloc.kwms, alloc.kwms[1:]))
+            kwms = [kwm(pk.display) for pk in alloc.validators]
+            assert all(a >= b for a, b in zip(kwms, kwms[1:]))
             if count == 10:
                 assert sizes == [8] + [6] * 9
     elapsed = time.perf_counter() - started

@@ -55,6 +55,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="tx_count"):
             load_config(path)
 
+    def test_short_payload_rejected(self):
+        # a sender's transactions differ only in their payloads, so a short
+        # payload repeats an id
+        for size in (0, 1, 15):
+            with pytest.raises(ConfigError, match="payload_size must be at least 16"):
+                ScenarioConfig(payload_size=size)
+        assert ScenarioConfig(payload_size=16).payload_size == 16
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json", encoding="utf-8")

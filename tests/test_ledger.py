@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashcast.config import ScenarioConfig
 from hashcast.core import (
     ALPHABET,
     SimulatedSigner,
@@ -16,11 +17,11 @@ from hashcast.core import (
 from hashcast.ledger import (
     Ledger,
     PendingPool,
-    RangeDistributor,
     commit_transactions,
     export_ledger_lines,
     grind_block,
 )
+from hashcast.simulation import RunError, VericomRun
 from hashcast.verification import (
     REASON_BAD_ENDORSEMENT,
     SetParams,
@@ -54,66 +55,60 @@ def txs_for_owner(backend, alloc, owner, count, tag="t"):
     return out
 
 
+def registration_window(barred=()):
+    """A run with epoch 0's registration window open; owners in `barred` were excluded."""
+    run = VericomRun(ScenarioConfig(num_iot_nodes=12, num_validators=10, tx_count=10))
+    run.metrics.excluded.extend(run.owners[i].display for i in barred)
+    run._begin_epoch(0)
+    return run
+
+
+def register_status(run, ident):
+    run._register(ident)
+    line = run.log_lines[-1]
+    assert line.split()[1:4] == [f"node.{ident.node_id}", "register", ident.display[:8]]
+    return line.split()[-1]
+
+
 class TestRegistration:
-    def test_mid_window_accepted(self, backend):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        pk = backend.keypair(b"r1").public
-        assert vrd.register_interest(pk, 50.0).accepted
+    def test_mid_window_accepted(self):
+        run = registration_window()
+        assert [register_status(run, ident) for ident in run.owners] == ["accepted"] * 10
 
-    def test_late_rejected(self, backend):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        pk = backend.keypair(b"r1").public
-        result = vrd.register_interest(pk, 100.001)
-        assert not result.accepted and result.reason == "late"
-
-    def test_duplicate_rejected(self, backend):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        pk = backend.keypair(b"r1").public
-        assert vrd.register_interest(pk, 10.0).accepted
-        result = vrd.register_interest(pk, 20.0)
-        assert not result.accepted and result.reason == "duplicate"
-
-    def test_excluded_rejected(self, backend):
-        pk = backend.keypair(b"r1").public
-        vrd = RangeDistributor(window_end_ms=100.0, excluded=frozenset({pk.display}))
-        result = vrd.register_interest(pk, 10.0)
-        assert not result.accepted and result.reason == "excluded"
+    def test_excluded_rejected(self):
+        run = registration_window(barred=(3,))
+        assert register_status(run, run.owners[3]) == "rejected-excluded"
+        assert register_status(run, run.owners[4]) == "accepted"
+        run._finalize_allocation(0)
+        with pytest.raises(ValueError):
+            run.epoch.alloc.position_of(run.owners[3].public)
 
 
 class TestFinalizeAllocation:
-    def test_ten_registrants_split(self, backend):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        for kp in make_keypairs(backend, 10, "fa"):
-            assert vrd.register_interest(kp.public, 10.0).accepted
-        alloc = vrd.finalize_allocation(100.0)
-        assert [r.end - r.start + 1 for r in alloc.ranges] == [8] + [6] * 9
+    def test_ten_registrants_split(self):
+        run = registration_window()
+        run._finalize_allocation(0)
+        assert run.epoch.alloc == build_allocation(ident.public for ident in run.owners)
+        assert [r.end - r.start + 1 for r in run.epoch.alloc.ranges] == [8] + [6] * 9
 
-    def test_single_registrant(self, backend):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        vrd.register_interest(backend.keypair(b"solo").public, 10.0)
-        alloc = vrd.finalize_allocation(100.0)
-        assert (alloc.ranges[0].start, alloc.ranges[0].end) == (0, 61)
+    def test_single_registrant(self):
+        # a lone owner would own the whole alphabet, but no wing fits in its ring
+        run = registration_window(barred=range(1, 10))
+        with pytest.raises(RunError, match="epoch 0: 1 validators registered after exclusions"):
+            run._finalize_allocation(0)
 
-    def test_replay_is_identical(self, backend):
-        keypairs = make_keypairs(backend, 7, "rep")
+    def test_replay_is_identical(self):
         allocations = []
         for _ in range(2):
-            vrd = RangeDistributor(window_end_ms=100.0)
-            for kp in keypairs:
-                vrd.register_interest(kp.public, 10.0)
-            allocations.append(vrd.finalize_allocation(100.0))
+            run = registration_window(barred=(0,))
+            run._finalize_allocation(0)
+            allocations.append(run.epoch.alloc)
         assert allocations[0] == allocations[1]
 
     def test_zero_registrations_halts(self):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        with pytest.raises(ValueError):
-            vrd.finalize_allocation(100.0)
-
-    def test_early_finalize_rejected(self, backend):
-        vrd = RangeDistributor(window_end_ms=100.0)
-        vrd.register_interest(backend.keypair(b"x").public, 10.0)
-        with pytest.raises(ValueError):
-            vrd.finalize_allocation(50.0)
+        run = registration_window(barred=range(10))
+        with pytest.raises(RunError, match="epoch 0: 0 validators registered after exclusions"):
+            run._finalize_allocation(0)
 
 
 class TestPendingPool:

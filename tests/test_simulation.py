@@ -447,6 +447,37 @@ class TestRebuildCapacity:
         assert run.metrics.routing_failures == 0
         assert run.metrics.committed_tx == 27
 
+    def test_a_node_isolated_at_every_join_counts_once(self):
+        # capacity 7 strands 3 nodes at the first join and 10 at the join after
+        # the rebuild; the 10 left unattached are the only isolated nodes
+        cfg = replace(load_config(str(PRESETS / "attack-c.json")), backbone_capacity=7)
+        run = execute(cfg)
+        assert run.excluded_bns == {1}
+        assert sum(line.split()[2] == "isolated" for line in run.log_lines) == 13
+        unattached = [i.display for i in run.identities if i.display not in run.home]
+        assert sorted(run.metrics.isolated) == sorted(unattached)
+        assert len(run.metrics.isolated) == 10
+
+
+class TestDistinctTransactions:
+    @pytest.mark.parametrize("block_size", [1, 10])
+    def test_the_least_payload_keeps_every_transaction_apart(self, block_size):
+        # one sender's transactions differ only in their payloads: with
+        # payload_size 0 these runs held 10 distinct ids
+        cfg = ScenarioConfig(
+            num_iot_nodes=10, num_validators=10, n=2, m=0, tx_count=200,
+            payload_size=16, block_size=block_size,
+        )  # fmt: skip
+        run = execute(cfg)
+        ids = [
+            tx.id
+            for ledgers in run.ledgers.values()
+            for ledger in ledgers.values()
+            for block in ledger.blocks
+            for tx in block.transactions
+        ]
+        assert run.metrics.committed_tx == len(set(ids)) == 200
+
 
 @st.composite
 def honest_configs(draw):
@@ -685,7 +716,7 @@ class TestWholeRunProperties:
         generator = forger.display
         (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
         # the forged block is cut under epoch 0's allocation
-        key = ("set", forger.public.raw, msch(forged))
+        key = ("set", forger.public.raw, records[0].alloc.owner_index(forged))
         expected = [pk.display for pk in records[0].memo[key].members]
         reports = [(r.kind, [pk.display for pk in r.accused]) for r in run.metrics.reports]
         if cfg.attack == "false-verification" and cfg.m >= 1:
@@ -879,7 +910,8 @@ class TestVerdictSharing:
         run._endorsed_delivered(run.epoch, endorsed, run.auditors[0], run.queue.now)
         report = run.metrics.reports[-1]
         assert (report.item_digest, report.reason) == (endorsed.digest, REASON_RANGE_MISMATCH)
-        assert ("set", outsider.public.raw, msch(endorsed.digest)) not in run.epoch.memo
+        key = ("set", outsider.public.raw, run.epoch.alloc.owner_index(endorsed.digest))
+        assert key not in run.epoch.memo
 
 
 def count_calls(monkeypatch, fn):
@@ -1087,11 +1119,11 @@ class TestHostWorkCounts:
     def test_each_set_derived_once_per_key(self, monkeypatch):
         validator_sets = count_calls(monkeypatch, verification.select_validator_set)
         verifier_sets = count_calls(monkeypatch, verification.select_verifier_set)
-        run = execute(small_config(epochs=2, tx_count=300, block_size=1))
+        run, records = run_keeping_records(small_config(epochs=2, tx_count=300, block_size=1))
         # the calls keep their allocations alive, so no two share an id
-        validator_keys = [(id(alloc), msch(d)) for d, alloc, _ in validator_sets]
+        validator_keys = [(id(alloc), alloc.owner_index(d)) for d, alloc, _ in validator_sets]
         verifier_keys = [
-            (id(alloc), vset.main.raw, msch(d)) for d, alloc, _, vset in verifier_sets
+            (id(alloc), vset.main.raw, alloc.owner_index(d)) for d, alloc, _, vset in verifier_sets
         ]
         assert len(set(validator_keys)) == len(validator_keys)
         assert len(set(verifier_keys)) == len(verifier_keys)
@@ -1110,9 +1142,10 @@ class TestHostWorkCounts:
             for block in ledger.blocks
         ]
         assert len(blocks) == run.metrics.blocks_committed
-        assert len(validator_sets) == len({(e, msch(tx_id)) for tx_id, e in epoch_of.items()})
+        owner = {e: record.alloc.owner_index for e, record in records.items()}
+        assert len(validator_sets) == len({(e, owner[e](tx_id)) for tx_id, e in epoch_of.items()})
         assert len(verifier_sets) == len(
-            {(e, block.generator.raw, msch(block.digest)) for e, block in blocks}
+            {(e, block.generator.raw, owner[e](block.digest)) for e, block in blocks}
         )
         assert len(validator_sets) < run.metrics.injected_tx
         assert len(verifier_sets) < run.metrics.blocks_committed

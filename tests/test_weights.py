@@ -248,6 +248,18 @@ class TestLookupTables:
             with pytest.raises(ValueError):
                 alloc.position_of(stranger)
 
+    def test_a_digest_is_owned_by_its_first_symbols_owner(self, backend):
+        rng = random.Random(13)
+        kps = make_keypairs(backend, 62, "lt")
+        for count in (1, 4, 10, 62):
+            alloc = build_allocation(kp.public for kp in kps[:count])
+            for symbol in ALPHABET:
+                d = symbol + "".join(rng.choices(ALPHABET, k=42))
+                assert alloc.owner_index(d) == alloc.owner_index(d[0])
+                assert alloc.range_of(d) == alloc.range_of(d[0])
+            with pytest.raises(ValueError):
+                alloc.owner_index("")
+
 
 def test_allocation_table_renders(backend):
     pks = [kp.public for kp in make_keypairs(backend, 3, "tbl")]
