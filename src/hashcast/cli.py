@@ -78,15 +78,12 @@ def summary_text(config: ScenarioConfig, run) -> str:
         f"isolated={len(report.isolated)} penalties=[] "
         f"excluded={report.excluded}",
     ]
-    for table in run.allocation_tables:
-        lines.append("")
-        lines.append(table)
+    for record in run.epochs:
+        lines += ["", record.alloc.table()]
     if run.routing_dump:
-        lines.append("")
-        lines.append(run.routing_dump)
+        lines += ["", run.routing_dump]
     if run.settlement_lines:
-        lines.append("")
-        lines.extend(run.settlement_lines)
+        lines += ["", *run.settlement_lines]
     return "\n".join(lines) + "\n"
 
 
@@ -119,9 +116,7 @@ def cmd_run(args) -> int:
     )
     (out / "events.log").write_text("\n".join(run.log_lines) + "\n", encoding="utf-8")
     (out / "summary.txt").write_text(summary_text(config, run), encoding="utf-8")
-    ledgers = []
-    for epoch_ledgers in run.ledgers.values():
-        ledgers.extend(epoch_ledgers.values())
+    ledgers = [ledger for record in run.epochs for ledger in record.ledgers.values()]
     (out / "ledgers.txt").write_text(
         "\n".join(export_ledger_lines(ledgers)) + "\n", encoding="utf-8"
     )

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .verification import SetParams
+from .weights import SLOTS
 
 MODES = ("vericom", "baseline")
 TOPOLOGIES = ("random-connected", "chain", "star")
@@ -124,10 +125,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if self.access_delay_max_ms < self.access_delay_min_ms:
             raise ConfigError("access_delay_max_ms must be >= access_delay_min_ms")
-        try:
-            SetParams(n=self.n, m=self.m, num_validators=self.ring_size)
-        except ValueError as exc:
-            raise ConfigError(f"set parameters are inadmissible: {exc}") from exc
+        if self.mode == "vericom":  # the baseline forms no sets
+            try:
+                SetParams(n=self.n, m=self.m, num_validators=self.ring_size)
+            except ValueError as exc:
+                raise ConfigError(f"set parameters are inadmissible: {exc}") from exc
         self._validate_attack()
 
     def _validate_attack(self) -> None:
@@ -190,7 +192,7 @@ class ScenarioConfig:
         Validator-role nodes beyond the cap stay in the verifier pool's
         routing tables but do not register for a range.
         """
-        return min(self.num_validators, 62)
+        return min(self.num_validators, SLOTS)
 
     def capacity(self, live_backbone: int) -> int:
         """Attachments per backbone node while `live_backbone` nodes are up."""
@@ -262,8 +264,11 @@ class SweepSpec:
         for key in ("mode", "seed", parameter):
             if key in data["base"]:
                 raise ConfigError(f"base must not set {key}: the sweep sets it in every run")
-        # The base is checked with the first swept value, since it may not set its own.
-        first = {parameter: values[0]} if values else {}
+        # The base is checked in the first mode with the first swept value: it may not set them.
+        modes = typed.get("modes", cls.modes)
+        first = {"mode": modes[0]} if modes else {}
+        if values:
+            first[parameter] = values[0]
         base = ScenarioConfig.from_dict(dict(data["base"], **first))
         return cls(**dict(typed, base=base))
 

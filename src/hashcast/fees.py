@@ -14,13 +14,6 @@ from typing import Sequence
 CURRENCY_QUANTUM = Fraction(1, 1000)
 
 
-def compute_tmf(tf: Fraction, ledger_length: int) -> Fraction:
-    """Traffic management fee owed for an epoch: fee-per-block times blocks."""
-    if tf < 0 or ledger_length < 0:
-        raise ValueError("fee inputs must be non-negative")
-    return Fraction(tf) * ledger_length
-
-
 def split_equal(total: Fraction, ids: Sequence[int]) -> dict[int, Fraction]:
     """Split `total` equally over ids; the sub-quantum remainder goes to the
     lowest id so the shares always sum back to the total exactly."""
@@ -42,15 +35,13 @@ class TrafficAccounting:
     def settle_epoch(
         self, ledger_lengths: dict[str, int], backbone_ids: Sequence[int], epoch: int
     ) -> list[str]:
-        """Bill each range owner its fee and split the total over the backbone.
+        """Bill each range owner `tf` per block in its ledger; split the total over the backbone.
 
-        Returns the epoch's settlement report.  Every owner pays exactly its
-        fee, so `paid` repeats `expected` and no one is ever penalized; the
-        report keeps both columns and the `penalties: none` line because its
-        format is recorded output; changing it waits for the re-record path of
-        ROADMAP item 2.
+        Returns the epoch's report.  Its `paid` column repeats `expected` and its
+        `penalties: none` line is fixed: the format is recorded output, and
+        changing it waits for the re-record path of ROADMAP item 2.
         """
-        fees = {payer: compute_tmf(self.tf, n) for payer, n in sorted(ledger_lengths.items())}
+        fees = {payer: self.tf * n for payer, n in sorted(ledger_lengths.items())}
         payouts = split_equal(sum(fees.values(), Fraction(0)), backbone_ids)
         out = [f"settlement epoch {epoch}"]
         for payer, fee in fees.items():

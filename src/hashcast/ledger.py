@@ -58,37 +58,35 @@ class PendingPool:
 
 
 class Ledger:
+    """One range owner's chain under one allocation: `head_digest` is the last block
+    appended, `tip` the last one its owner sent, which its next block links to."""
+
     def __init__(self, owner: PublicKey):
         self.owner = owner
         self.blocks: list[Block] = []
-        self._digests: set[str] = set()
+        self.tip = ""
 
     @property
     def head_digest(self) -> str:
         return self.blocks[-1].digest if self.blocks else ""
 
-    @property
-    def ledger_length(self) -> int:
-        return len(self.blocks)
-
     def append_block(
         self, block: Block, endorsement_verdict: VerificationOutcome
     ) -> VerificationOutcome:
-        """Append iff the block is new, links to the head, and its endorsements verify.
+        """Append iff the block links to the head and its endorsements verify.
 
         `endorsement_verdict` is the caller's `verify_endorsements` verdict
         on the block, the gate for a fully endorsed block, whose
         transactions are not verified again; a broadcast-mode chain, which
         has no endorsements, passes `VerificationOutcome.valid()`.  The
-        duplicate and chain-link checks come first, so their rejections win.
+        chain-link check comes first, so its rejection wins.  A block
+        already in the chain never links to the head again, so a replay is
+        `broken-chain`.
         """
-        if block.digest in self._digests:
-            return VerificationOutcome.invalid("duplicate-block")
         if block.previous_digest != self.head_digest:
             return VerificationOutcome.invalid("broken-chain")
         if endorsement_verdict.ok:
             self.blocks.append(block)
-            self._digests.add(block.digest)
         return endorsement_verdict
 
 

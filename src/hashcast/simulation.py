@@ -164,16 +164,16 @@ class Epoch:
     A transaction is bound to the record published when it is injected and a
     block to the record it was cut under, so a copy still in flight across an
     allocation is pooled, verified, appended and audited under the one it was
-    sent under.  `tips` holds each range owner's last sent block, which its
-    next block links to; `signatures` and `memo` the shared verdicts (see
-    `VericomRun._once`); `votes` each block's verifier verdicts so far.
+    sent under.  `ledgers` holds each range owner's chain and tip, `backbone`
+    the backbone ids at settlement (vericom only), `signatures` and `memo`
+    the shared verdicts (see `VericomRun._once`), `votes` each block's votes.
     """
 
     alloc: RangeAllocation
     params: Optional[SetParams]  # None in the baseline, which forms no sets
     pools: dict[str, PendingPool]
     ledgers: dict[str, Ledger]
-    tips: dict[str, str]
+    backbone: list[int] = field(default_factory=list)
     signatures: dict[Transaction, bool] = field(default_factory=dict)
     memo: dict[tuple, object] = field(default_factory=dict)
     votes: dict[str, dict[str, VerificationOutcome]] = field(default_factory=dict)
@@ -182,15 +182,16 @@ class Epoch:
 class _RunBase:
     """The run path both modes share: epochs, traffic, pools, ledgers, blocks.
 
-    Every epoch lasts `epoch_ms`: the registration window, one interval per
-    transaction of the busiest epoch, and `margin_ms`.  The margin is at
+    The run keeps every epoch's record in `epochs`; `epoch` is the published
+    one.  Every epoch lasts `epoch_ms`: the registration window, one interval
+    per transaction of the busiest epoch, and `margin_ms`.  The margin is at
     least twice the subclass's `_transit_ms`, the longest a transaction can
     take from its sender to a pool, so the flush half a margin before the
     epoch ends comes after every transaction of the epoch is pooled.  A
     subclass also provides `_schedule_epoch`, which calls `_schedule_traffic`
     and schedules the event that calls `_open_epoch`, `_send_tx` for a fresh
-    transaction and `_send_block` for a freshly cut block, which records the
-    block as its owner's tip once it is sent.
+    transaction and `_send_block` for a freshly cut block, which makes it its
+    owner's `Ledger.tip` once it is sent.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -209,12 +210,16 @@ class _RunBase:
         self.rng_schedule = random.Random(f"{config.seed}:schedule")
         self.identities: list[Identity] = []
         self.by_display: dict[str, Identity] = {}
-        self.allocation_tables: list[str] = []
         self.settlement_lines: list[str] = []
         self.routing_dump = ""
-        self.epoch: Optional[Epoch] = None  # the published record
-        self.ledgers: dict[int, dict[str, Ledger]] = {}
+        self.epochs: list[Epoch] = []
+        self.epoch: Optional[Epoch] = None  # the published record, epochs[-1]
         self._build_population()
+
+    @property
+    def ledgers(self) -> dict[int, dict[str, Ledger]]:
+        """Each epoch's ledgers by owner display, by epoch: a view of `epochs`."""
+        return {i: record.ledgers for i, record in enumerate(self.epochs)}
 
     def log(self, actor: str, kind: str, info: str) -> None:
         self.log_lines.append(f"{self.queue.now:.6f} {actor} {kind} {info}")
@@ -244,11 +249,8 @@ class _RunBase:
             start = epoch * self.epoch_ms
             self._schedule_epoch(epoch, start, start + REGISTRATION_WINDOW_MS)
         self.queue.run()
-        committed = 0
-        for epoch_ledgers in self.ledgers.values():
-            for ledger in epoch_ledgers.values():
-                committed += sum(len(b.transactions) for b in ledger.blocks)
-        self.metrics.committed_tx = committed
+        ledgers = [ledger for record in self.epochs for ledger in record.ledgers.values()]
+        self.metrics.committed_tx = sum(len(b.transactions) for led in ledgers for b in led.blocks)
         return self.metrics
 
     def _schedule_traffic(self, epoch: int, start: float, window_end: float) -> None:
@@ -259,15 +261,12 @@ class _RunBase:
         self.queue.push(epoch_end - self.margin_ms / 2, self._flush_pools)
 
     def _open_epoch(self, epoch: int, alloc: RangeAllocation, params, actor: str) -> None:
-        """Publish the epoch's record: every range owner gets a fresh pool, ledger and tip."""
-        self.allocation_tables.append(alloc.table())
+        """Publish and keep the epoch's record: each range owner gets a fresh pool and ledger."""
         self.log(actor, "allocation", f"epoch={epoch} validators={len(alloc.validators)}")
-        record = self.epoch = Epoch(alloc, params, pools={}, ledgers={}, tips={})
-        for pk in alloc.validators:
-            record.pools[pk.display] = PendingPool(owner=pk, alloc=alloc)
-            record.ledgers[pk.display] = Ledger(owner=pk)
-            record.tips[pk.display] = ""
-        self.ledgers[epoch] = record.ledgers
+        pools = {pk.display: PendingPool(owner=pk, alloc=alloc) for pk in alloc.validators}
+        ledgers = {pk.display: Ledger(owner=pk) for pk in alloc.validators}
+        self.epoch = Epoch(alloc, params, pools, ledgers)
+        self.epochs.append(self.epoch)
 
     # -- transactions and blocks ----------------------------------------
 
@@ -287,7 +286,7 @@ class _RunBase:
             self.config.block_size,
             epoch.alloc,
             self.backend,
-            epoch.tips[display],
+            epoch.ledgers[display].tip,
             allow_partial=allow_partial,
         )
         if block is None:
@@ -328,7 +327,6 @@ class VericomRun(_RunBase):
         self.excluded_bns: set[int] = set()
         self.dishonest: frozenset[bytes] = frozenset()  # raw keys of colluding verifiers
         self.accounting = TrafficAccounting(TRAFFIC_FEE)
-        self.closed_epochs: list[tuple[int, list[int]]] = []  # (epoch, backbone ids)
         self.barred: frozenset[str] = frozenset()  # displays refused a range; set by _begin_epoch
 
     # -- setup ---------------------------------------------------------
@@ -400,12 +398,12 @@ class VericomRun(_RunBase):
 
     def run(self) -> MetricsReport:
         self._join_all()
-        lowest = self.graph[min(self.graph)]
+        # the first round's table, not the final one: recorded output (ROADMAP item 2)
+        self.routing_dump = transmission.routing_table_text(self.graph[min(self.graph)])
         super().run()
-        for epoch, backbone_ids in self.closed_epochs:
-            lengths = {d: ledger.ledger_length for d, ledger in self.ledgers[epoch].items()}
-            self.settlement_lines += self.accounting.settle_epoch(lengths, backbone_ids, epoch)
-        self.routing_dump = transmission.routing_table_text(lowest)
+        for epoch, record in enumerate(self.epochs):
+            lengths = {d: len(ledger.blocks) for d, ledger in record.ledgers.items()}
+            self.settlement_lines += self.accounting.settle_epoch(lengths, record.backbone, epoch)
         return self.metrics
 
     def _transit_ms(self) -> float:
@@ -537,7 +535,7 @@ class VericomRun(_RunBase):
 
     def _send_block(self, epoch: Epoch, ident: Identity, block: Block) -> None:
         if self._uplink(ident, self._block_at_backbone, epoch, block):
-            epoch.tips[ident.display] = block.digest
+            epoch.ledgers[ident.display].tip = block.digest
         else:
             # the block never leaves its generator, so its transactions are lost
             self.metrics.lost_items += len(block.transactions)
@@ -683,7 +681,7 @@ class VericomRun(_RunBase):
     def _settle(self, epoch: int) -> None:
         """Record the epoch's backbone; `run` bills the epoch after the queue drains,
         so a block appended after this event is billed too."""
-        self.closed_epochs.append((epoch, list(self.graph)))
+        self.epochs[epoch].backbone = list(self.graph)
         # A fixed penalty count: the log format is recorded output, and
         # changing it waits for the re-record path of ROADMAP item 2.
         self.log("ta", "settlement", f"epoch={epoch} penalties=0")
@@ -725,7 +723,7 @@ class VericomRun(_RunBase):
         fake_tx = Transaction(sender, payload, signature)
         block = grind_block(
             generator.keypair,
-            epoch.tips[generator.display],
+            epoch.ledgers[generator.display].tip,
             [Transaction(sender, payload, signature, transaction_id(fake_tx))],
             epoch.alloc,
             self.backend,
@@ -789,8 +787,9 @@ class BaselineRun(_RunBase):
         self._originate(ident.node_id, tx, True, transaction_size(tx))
 
     def _send_block(self, epoch: Epoch, ident: Identity, block: Block) -> None:
-        epoch.ledgers[ident.display].append_block(block, VerificationOutcome.valid())
-        epoch.tips[ident.display] = block.digest
+        ledger = epoch.ledgers[ident.display]
+        ledger.append_block(block, VerificationOutcome.valid())
+        ledger.tip = block.digest
         self._originate(ident.node_id, block, False, block_size(block))
 
     def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:

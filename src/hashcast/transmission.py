@@ -239,16 +239,18 @@ def reconstruct_backbone(
 ) -> BackboneGraph:
     """Rebuild the backbone without the excluded nodes.
 
-    Every survivor gets `capacity` and keeps its links to other survivors.
-    If exclusion split the backbone, one ascending sweep bridges it: the
-    lowest id not yet reached gets a new link of delay `link_delay` from the
-    previous bridge end, so the components' lowest ids form a chain.
-    Attachments are dropped; callers re-run joins over the new graph.
+    Every survivor gets `capacity` and keeps `drop_all` and its links to
+    other survivors.  If exclusion split the backbone, one ascending sweep
+    bridges it: the lowest id not yet reached gets a new link of delay
+    `link_delay` from the previous bridge end, so the components' lowest ids
+    form a chain.  Attachments are dropped; callers re-run joins over the
+    new graph.
     """
     nodes = {i: BackboneNode(i, capacity) for i in sorted(graph) if i not in excluded}
     if not nodes:
         raise TopologyError("cannot reconstruct an empty backbone")
-    for a in nodes:
+    for a, node in nodes.items():
+        node.drop_all = graph[a].drop_all
         for b, delay in sorted(graph[a].neighbors.items()):
             if a < b and b in nodes:
                 nodes[a].neighbors[b] = nodes[b].neighbors[a] = delay

@@ -22,6 +22,8 @@ from .core import ALPHABET, ALPHABET_INDEX, PublicKey, msch
 # alphabet with its digits moved to the end).
 WEIGHT_DICTIONARY = {ch: i for i, ch in enumerate(ALPHABET[10:] + ALPHABET[:10])}
 
+SLOTS = len(ALPHABET)  # range slots: a range is a span of a digest's first symbol
+
 # Repeated occurrences of a symbol are attenuated by this factor per repeat.
 REPEAT_ATTENUATION = Fraction(1, 5)
 
@@ -66,7 +68,7 @@ class ValidationRange:
     end: int
 
     def __post_init__(self):
-        if not (0 <= self.start <= self.end <= 61):
+        if not (0 <= self.start <= self.end < SLOTS):
             raise ValueError("validation range outside the alphabet")
 
 
@@ -91,7 +93,7 @@ class RangeAllocation:
             for pos, rng in enumerate(self.ranges)
             for idx in range(rng.start, rng.end + 1)
         }
-        if len(owners) != len(ALPHABET):
+        if len(owners) != SLOTS:
             raise AssertionError("ranges do not cover the alphabet")
         positions: dict[bytes, int] = {}
         for pos, pk in enumerate(self.validators):
@@ -140,10 +142,9 @@ def allocate_ranges(ordered: Sequence[PublicKey]) -> RangeAllocation:
     count = len(ordered)
     if count == 0:
         raise ValueError("cannot allocate ranges to zero validators")
-    if count > 62:
+    if count > SLOTS:
         raise ValueError("more than 62 validators is unsupported")
-    base = 62 // count
-    remainder = 62 % count
+    base, remainder = divmod(SLOTS, count)
     ranges = []
     cursor = 0
     for i in range(count):

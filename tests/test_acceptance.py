@@ -6,6 +6,7 @@ once per session and are shared by the criteria that read different metrics
 off the same runs.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -352,7 +353,7 @@ def test_criterion_11_fee_settlement():
         assert sorted(settled) == sorted(run.ledgers) == list(range(run.config.epochs))
         for epoch, ledgers in run.ledgers.items():
             fees, payouts = settled[epoch]
-            lengths = sorted(ledger.ledger_length for ledger in ledgers.values())
+            lengths = sorted(len(ledger.blocks) for ledger in ledgers.values())
             assert sorted(fees) == [TRAFFIC_FEE * n for n in lengths]
             assert sum(fees) == sum(payouts) == TRAFFIC_FEE * sum(lengths)
         blocks = sum(len(l.blocks) for ls in run.ledgers.values() for l in ls.values())
@@ -391,3 +392,79 @@ def test_criterion_12_determinism(tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     ok(12, f"byte-identical CSV and event log ({elapsed:.1f}s)")
+
+
+# The abstract's three claims, each over five seeds: Vericom's packet and
+# processing overheads are below the baseline's, its processing overhead
+# does not grow with scale, and its worst-case packet overhead grows
+# linearly with the number of range owners.
+
+
+def _replicates(preset, values):
+    """`preset` with 200 transactions per run, over `values`, at 5 seeds from its `seed_base`."""
+    spec = load_sweep(str(PRESETS / preset))
+    spec = dataclasses.replace(
+        spec, base=dataclasses.replace(spec.base, tx_count=200), values=values, repetitions=5
+    )
+    started = time.perf_counter()
+    results = {}
+    for _, config in spec.expand():
+        key = (config.mode, getattr(config, spec.parameter), config.seed)
+        results[key] = execute(config).metrics
+    return Timed(results, time.perf_counter() - started)
+
+
+@pytest.fixture(scope="session")
+def population_replicates():
+    """fig6's population sweep at 50, 100 and 200 nodes, seeds 11..15, both modes."""
+    return _replicates("fig6.json", (50, 100, 200))
+
+
+@pytest.fixture(scope="session")
+def worst_case_replicates():
+    """fig11's sweep over 10, 20, 40 and 62 range owners, seeds 5..9."""
+    return _replicates("fig11.json", (10, 20, 40, 62))
+
+
+def test_claim_packet_overhead_below_the_baseline(population_replicates):
+    """Vericom's IoT bytes are fixed by the load; the baseline's are N + 1 copies of every item."""
+    for (mode, nodes, _), report in population_replicates.payload.items():
+        assert report.committed_tx == 200
+        if mode == "vericom":
+            # 41,072.6 bytes per tx: each tx reaches 3 validators, each 1-tx block
+            # 3 verifiers, and each endorsed copy the 10 range owners and the auditor
+            assert report.packet_bytes_iot == 8_214_520
+        else:
+            # 135,476.4 / 268,296.4 / 533,936.4 bytes per tx at 50 / 100 / 200 nodes
+            assert report.packet_bytes_iot == (nodes + 1) * 531_280
+    assert population_replicates.seconds < 30.0
+    ok("A", "IoT bytes per tx 41,073 at every N, against 135,476..533,936 (5 seeds)")
+
+
+def test_claim_processing_does_not_grow_with_scale(
+    population_replicates, worst_case_replicates
+):
+    """Vericom verifies each item 3 times at any population or owner count; the baseline N times."""
+    for (mode, nodes, _), report in population_replicates.payload.items():
+        items = report.injected_tx + report.blocks_committed
+        assert report.verify_ops == (3 if mode == "vericom" else nodes) * items
+    for report in worst_case_replicates.payload.values():
+        # 2n+1 validators per tx and 2m+1 verifiers per block, n = m = 1
+        assert report.verify_ops == 3 * (report.injected_tx + report.blocks_committed)
+    ok("B", "ops per item 3 at every N and owner count; baseline N (5 seeds)")
+
+
+def test_claim_worst_case_packet_overhead_is_linear(worst_case_replicates):
+    """Every endorsed copy reaches every range owner, so bytes per tx are linear in the owners."""
+    owners = (10, 20, 40, 62)
+    results = worst_case_replicates.payload
+    fits = []
+    for seed in range(5, 10):
+        reports = [results[("vericom", v, seed)] for v in owners]
+        per_tx = [r.packet_bytes_iot / r.committed_tx for r in reports]
+        assert all(a < b for a, b in zip(per_tx, per_tx[1:]))
+        fits.append(linear_fit_r_squared(owners, per_tx))
+    # 0.9985..0.9991 over these seeds
+    assert min(fits) > 0.998
+    assert worst_case_replicates.seconds < 30.0
+    ok("C", f"IoT bytes per tx linear in 10..62 owners, R^2 >= {min(fits):.4f} (5 seeds)")

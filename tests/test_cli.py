@@ -18,7 +18,7 @@ from hashcast.config import (
     load_config,
     load_sweep,
 )
-from hashcast.simulation import RunError
+from hashcast.simulation import RunError, execute
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -49,6 +49,13 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError, match="3n\\+2m"):
             load_config(path)
+
+    def test_baseline_takes_wings_it_never_forms(self):
+        # the baseline forms no sets, so n = m = 1 over 4 range owners is no error there
+        cfg = ScenarioConfig(mode="baseline", num_iot_nodes=20, num_validators=4, n=1, m=1)
+        assert execute(cfg).metrics.committed_tx == cfg.tx_count
+        with pytest.raises(ConfigError, match="inadmissible: .*3n\\+2m = 5, got 4"):
+            dataclasses.replace(cfg, mode="vericom")
 
     def test_negative_tx_count(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"tx_count": -5})
@@ -527,6 +534,22 @@ class TestSweepCommand:
         data = {"base": {"num_validators": 50}, "parameter": "num_iot_nodes", "values": [100]}
         [(_, config)] = SweepSpec.from_dict(data).expand()
         assert (config.num_iot_nodes, config.num_validators) == (100, 50)
+
+    def test_base_is_checked_in_the_first_mode(self, tmp_path):
+        # 4 range owners cannot form n = m = 1 wings, which only vericom runs form
+        data = {
+            "base": {"num_validators": 4, "tx_count": 6},
+            "parameter": "num_iot_nodes",
+            "values": [20],
+            "modes": ["baseline"],
+        }
+        out = tmp_path / "out"
+        assert main(["sweep", "-s", write_json(tmp_path / "s.json", data), "-o", str(out)]) == 0
+        rows = (out / "runs.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].startswith("baseline,")
+        for modes in (["vericom"], ["baseline", "vericom"]):
+            with pytest.raises(ConfigError, match="inadmissible"):
+                SweepSpec.from_dict(dict(data, modes=modes))
 
     def test_header_is_stable(self):
         assert CSV_HEADER.count(",") == 16

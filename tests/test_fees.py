@@ -2,26 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hashcast.fees import (
-    TrafficAccounting,
-    compute_tmf,
-    split_equal,
-)
-
-
-class TestComputeTmf:
-    def test_direct_product(self):
-        assert compute_tmf(Fraction(1, 2), 10) == Fraction(5)
-
-    def test_no_blocks_no_fee(self):
-        assert compute_tmf(Fraction(1, 2), 0) == 0
-
-    def test_integer_fee(self):
-        assert compute_tmf(Fraction(2), 7) == 14
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            compute_tmf(Fraction(-1), 3)
+from hashcast.fees import TrafficAccounting, split_equal
 
 
 class TestSplitEqual:
@@ -58,8 +39,8 @@ class TestSettlement:
         lines = ta.settle_epoch(lengths, [0, 1, 2], epoch=0)
         fees = [Fraction(l.split()[3]) for l in lines if l.startswith("  validator")]
         payouts = [Fraction(l.split()[-1]) for l in lines if l.startswith("  backbone")]
-        assert fees == [compute_tmf(ta.tf, n) for n in (7, 11, 13)]
-        assert sum(payouts) == sum(fees) == compute_tmf(ta.tf, 31)
+        assert fees == [Fraction(3, 10) * n for n in (7, 11, 13)]
+        assert sum(payouts) == sum(fees) == Fraction(93, 10)
         assert len(payouts) == 3
 
     def test_settlement_lines_render(self):

@@ -304,7 +304,7 @@ class TestAppend:
         verdict = endorsement_verdict(endorsed, alloc, params, backend)
         ledger = Ledger(owner=owner_kp.public)
         assert ledger.append_block(endorsed, verdict).ok
-        assert ledger.ledger_length == 1
+        assert len(ledger.blocks) == 1
 
     def test_partial_endorsement_rejected(self, backend):
         endorsed, block, alloc, params, owner_kp = self._endorsed_block(backend)
@@ -312,15 +312,17 @@ class TestAppend:
         ledger = Ledger(owner=owner_kp.public)
         outcome = ledger.append_block(short, endorsement_verdict(short, alloc, params, backend))
         assert not outcome.ok and outcome.reason == "bad-endorsement"
-        assert ledger.ledger_length == 0
+        assert len(ledger.blocks) == 0
 
     def test_replay_rejected(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
         verdict = endorsement_verdict(endorsed, alloc, params, backend)
         ledger = Ledger(owner=owner_kp.public)
         assert ledger.append_block(endorsed, verdict).ok
+        # a block in the chain never links to the head again
         outcome = ledger.append_block(endorsed, verdict)
-        assert not outcome.ok and outcome.reason == "duplicate-block"
+        assert not outcome.ok and outcome.reason == "broken-chain"
+        assert ledger.blocks == [endorsed]
 
     def test_broken_chain_rejected(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
@@ -328,19 +330,19 @@ class TestAppend:
         ledger = Ledger(owner=owner_kp.public)
         outcome = ledger.append_block(unlinked, VerificationOutcome.valid())
         assert not outcome.ok and outcome.reason == "broken-chain"
-        assert ledger.ledger_length == 0
+        assert len(ledger.blocks) == 0
 
     def test_held_verdict_is_the_gate(self, backend):
         endorsed, _, alloc, params, owner_kp = self._endorsed_block(backend)
         ledger = Ledger(owner=owner_kp.public)
         held = VerificationOutcome.invalid(REASON_BAD_ENDORSEMENT)
         assert ledger.append_block(endorsed, held) == held
-        assert ledger.ledger_length == 0
+        assert len(ledger.blocks) == 0
         valid = VerificationOutcome.valid()
         assert ledger.append_block(endorsed, valid).ok
-        # a valid verdict does not skip the chain checks
+        # a valid verdict does not skip the chain check
         outcome = ledger.append_block(endorsed, valid)
-        assert not outcome.ok and outcome.reason == "duplicate-block"
+        assert not outcome.ok and outcome.reason == "broken-chain"
 
 
 class TestAudit:

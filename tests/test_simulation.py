@@ -20,7 +20,7 @@ from hashcast.core import (
     serialize_transaction,
 )
 from hashcast.ledger import export_ledger_lines
-from hashcast.simulation import TRAFFIC_FEE, VERIFY_COST_MS, BaselineRun, VericomRun, execute
+from hashcast.simulation import TRAFFIC_FEE, VERIFY_COST_MS, VericomRun, execute
 from hashcast.transmission import evaluate_window
 from hashcast.verification import (
     REASON_BAD_ENDORSEMENT,
@@ -118,9 +118,9 @@ class TestHonestRuns:
         assert run.metrics.routing_failures == 0
 
     def test_ledger_scans_hold(self):
-        run, records = run_keeping_records(small_config(tx_count=100, epochs=3))
-        assert sorted(run.ledgers) == sorted(records) == [0, 1, 2]
-        assert_ledgers_in_range(run, records)
+        run = execute(small_config(tx_count=100, epochs=3))
+        assert sorted(run.ledgers) == [0, 1, 2]
+        assert_ledgers_in_range(run)
 
     def test_no_double_commit(self):
         run = execute(small_config(tx_count=150))
@@ -141,8 +141,8 @@ class TestHonestRuns:
     def test_multi_epoch_honest(self):
         run = execute(small_config(tx_count=30, epochs=2))
         assert run.metrics.committed_tx == 30
-        assert len(run.ledgers) == 2
-        assert len(run.allocation_tables) == 2
+        assert len(run.epochs) == len(run.ledgers) == 2
+        assert run.epoch is run.epochs[-1]
 
     def test_delivery_counts_per_item(self):
         # every transaction reaches exactly the 2n+1 = 3 validator-set
@@ -330,7 +330,7 @@ class TestUnattachedSender:
         run = execute(cfg)
         generator = run.identities[cfg.adversary_ids[0]].display
         assert generator in run.metrics.isolated
-        assert run.epoch.tips[generator] == ""  # the unsent block is not a tip
+        assert run.epoch.ledgers[generator].tip == ""  # the unsent block is not a tip
         assert run.metrics.routing_failures >= 1
 
     def test_flush_after_rebuild_isolates_validators(self):
@@ -447,6 +447,22 @@ class TestRebuildCapacity:
         assert run.metrics.routing_failures == 0
         assert run.metrics.committed_tx == 27
 
+    @pytest.mark.parametrize("seed, lost, committed", [(2, 48, 136), (7, 60, 124), (19, 60, 130)])
+    def test_a_dropper_that_survives_a_rebuild_is_caught_later(self, seed, lost, committed):
+        # the rebuild at 120 ms excludes dropper 2 alone; dropper 6 keeps dropping
+        # and is excluded at 140 ms (a rebuild that made it honest left it in place)
+        cfg = ScenarioConfig(
+            num_iot_nodes=60, num_validators=13, num_backbone=10, trust_mode="untrusted",
+            attack="dropping", adversary_ids=(2, 6), tx_count=150, epochs=2,
+            monitor_window_ms=20.0, block_size=5, seed=seed,
+        )  # fmt: skip
+        run = execute(cfg)
+        assert [line for line in run.log_lines if "backbone-reconstructed" in line] == [
+            "120.000000 sim backbone-reconstructed excluded=[2]",
+            "140.000000 sim backbone-reconstructed excluded=[2, 6]",
+        ]
+        assert (run.metrics.lost_items, run.metrics.committed_tx) == (lost, committed)
+
     def test_a_node_isolated_at_every_join_counts_once(self):
         # capacity 7 strands 3 nodes at the first join and 10 at the join after
         # the rebuild; the 10 left unattached are the only isolated nodes
@@ -530,21 +546,6 @@ def forging_configs(draw):
         assume(False)
 
 
-def run_keeping_records(cfg):
-    """Run `cfg`; return the run and each epoch's published record."""
-    run = (BaselineRun if cfg.mode == "baseline" else VericomRun)(cfg)
-    records = {}
-    open_epoch = run._open_epoch
-
-    def open_and_keep(epoch, *args):
-        open_epoch(epoch, *args)
-        records[epoch] = run.epoch
-
-    run._open_epoch = open_and_keep
-    run.run()
-    return run, records
-
-
 def run_counting_late_copies(cfg):
     """Run `cfg` in vericom mode; return the run and a count of the endorsed copies
     reaching their generator or the auditor after the next allocation, by role."""
@@ -562,13 +563,13 @@ def run_counting_late_copies(cfg):
     return run, late
 
 
-def assert_ledgers_in_range(run, records):
+def assert_ledgers_in_range(run):
     """Each epoch's chains link up, and each block lies in its owner's range of that epoch."""
-    for epoch, ledgers in run.ledgers.items():
-        assert records[epoch].ledgers is ledgers
-        for ledger in ledgers.values():
+    assert len(run.epochs) == run.config.epochs
+    for record in run.epochs:
+        for ledger in record.ledgers.values():
             assert scan_chain_integrity(ledger)
-        assert scan_range_discipline(list(ledgers.values()), records[epoch].alloc)
+        assert scan_range_discipline(list(record.ledgers.values()), record.alloc)
 
 
 def assert_ledgers_sound(run):
@@ -711,13 +712,14 @@ class TestWholeRunProperties:
     @given(forging_configs())
     @settings(max_examples=40, deadline=None)
     def test_forging_run_reports(self, cfg):
-        run, records = run_keeping_records(cfg)
+        run = execute(cfg)
         forger = run.identities[cfg.adversary_ids[0]]
         generator = forger.display
         (forged,) = [line.split()[-1] for line in run.log_lines if "commit-forged-block" in line]
         # the forged block is cut under epoch 0's allocation
-        key = ("set", forger.public.raw, records[0].alloc.owner_index(forged))
-        expected = [pk.display for pk in records[0].memo[key].members]
+        record = run.epochs[0]
+        key = ("set", forger.public.raw, record.alloc.owner_index(forged))
+        expected = [pk.display for pk in record.memo[key].members]
         reports = [(r.kind, [pk.display for pk in r.accused]) for r in run.metrics.reports]
         if cfg.attack == "false-verification" and cfg.m >= 1:
             # the honest wing mates reject and accuse the colluding main verifier
@@ -736,6 +738,8 @@ class TestWholeRunProperties:
         run = execute(cfg)
         # an honest node forwards every copy it receives, so only droppers are flagged
         assert run.excluded_bns <= set(cfg.adversary_ids)
+        # a rebuild keeps each surviving dropper a dropper
+        assert all(run.graph[i].drop_all for i in cfg.adversary_ids if i in run.graph)
         # auto capacity is re-derived from the survivors, so nobody is stranded
         assert run.metrics.isolated == []
         assert_ledgers_sound(run)
@@ -1042,7 +1046,7 @@ class TestLongDelays:
     @given(long_delay_configs())
     @settings(max_examples=60, deadline=None)
     def test_only_forgers_are_accused_and_chains_hold(self, cfg):
-        run, records = run_keeping_records(cfg)  # a RunError fails here
+        run = execute(cfg)  # a RunError fails here
         forger = run.identities[cfg.adversary_ids[0]] if cfg.adversary_ids else None
         allowed = run.dishonest | ({forger.public.raw} if forger else set())
         for report in run.metrics.reports:
@@ -1052,7 +1056,7 @@ class TestLongDelays:
             actor, kind = line.split()[1:3]
             if kind == "append-rejected:broken-chain":
                 assert forger is not None and actor == f"node.{forger.node_id}"
-        assert_ledgers_in_range(run, records)
+        assert_ledgers_in_range(run)
         # every appended block is billed, however late it lands
         billed = [Fraction(l.split()[3]) for l in run.settlement_lines if "validator" in l]
         appended = sum(len(l.blocks) for ls in run.ledgers.values() for l in ls.values())
@@ -1096,9 +1100,9 @@ class TestNothingStranded:
     @given(stranding_configs())
     @settings(max_examples=60, deadline=None)
     def test_every_injected_transaction_is_committed(self, cfg):
-        run, records = run_keeping_records(cfg)
+        run = execute(cfg)
         assert run.metrics.committed_tx == run.metrics.injected_tx
-        assert all(len(pool) == 0 for record in records.values() for pool in record.pools.values())
+        assert all(len(pool) == 0 for record in run.epochs for pool in record.pools.values())
 
 
 class TestHostWorkCounts:
@@ -1119,7 +1123,7 @@ class TestHostWorkCounts:
     def test_each_set_derived_once_per_key(self, monkeypatch):
         validator_sets = count_calls(monkeypatch, verification.select_validator_set)
         verifier_sets = count_calls(monkeypatch, verification.select_verifier_set)
-        run, records = run_keeping_records(small_config(epochs=2, tx_count=300, block_size=1))
+        run = execute(small_config(epochs=2, tx_count=300, block_size=1))
         # the calls keep their allocations alive, so no two share an id
         validator_keys = [(id(alloc), alloc.owner_index(d)) for d, alloc, _ in validator_sets]
         verifier_keys = [
@@ -1142,7 +1146,7 @@ class TestHostWorkCounts:
             for block in ledger.blocks
         ]
         assert len(blocks) == run.metrics.blocks_committed
-        owner = {e: record.alloc.owner_index for e, record in records.items()}
+        owner = {e: record.alloc.owner_index for e, record in enumerate(run.epochs)}
         assert len(validator_sets) == len({(e, owner[e](tx_id)) for tx_id, e in epoch_of.items()})
         assert len(verifier_sets) == len(
             {(e, block.generator.raw, owner[e](block.digest)) for e, block in blocks}

@@ -344,6 +344,13 @@ class TestMonitoring:
         result = route_multicast(rebuilt, 0, {"dst": 0.5})
         assert [d.display for d in result.deliveries] == ["dst"]
 
+    def test_a_surviving_dropper_still_drops(self):
+        # only node 1 was flagged, so dropper 2 survives the rebuild and is caught later
+        graph = self._loaded_graph(dropper=1)
+        graph[2].drop_all = True
+        rebuilt = reconstruct_backbone(graph, {1}, link_delay=2.5, capacity=10)
+        assert [(i, bn.drop_all) for i, bn in rebuilt.items()] == [(0, False), (2, True)]
+
     def test_reconstruct_all_excluded_rejected(self):
         graph = self._loaded_graph()
         with pytest.raises(TopologyError):
