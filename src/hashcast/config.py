@@ -25,6 +25,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_choice(key: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+
+
 # The JSON types a field of each declared type accepts, and their name in
 # errors.  `type(...) in` rejects booleans where a number is required, and a
 # float field also takes a JSON integer.  A tuple field takes a list whose
@@ -92,23 +97,15 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.backbone_topology not in TOPOLOGIES:
-            raise ConfigError(
-                f"backbone_topology must be one of {TOPOLOGIES}, got {self.backbone_topology!r}"
-            )
-        if self.trust_mode not in TRUST_MODES:
-            raise ConfigError(
-                f"trust_mode must be one of {TRUST_MODES}, got {self.trust_mode!r}"
-            )
-        if self.attack not in ATTACKS:
-            raise ConfigError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
-        for key in ("num_iot_nodes", "num_backbone", "num_validators", "block_size", "epochs"):
+        _check_choice("mode", self.mode, MODES)
+        _check_choice("backbone_topology", self.backbone_topology, TOPOLOGIES)
+        _check_choice("trust_mode", self.trust_mode, TRUST_MODES)
+        _check_choice("attack", self.attack, ATTACKS)
+        for key in (
+            "num_iot_nodes", "num_backbone", "num_validators", "block_size", "epochs", "tx_count"
+        ):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
-        if self.tx_count <= 0:
-            raise ConfigError("tx_count must be positive")
         if self.num_validators > self.num_iot_nodes:
             raise ConfigError("num_validators cannot exceed num_iot_nodes")
         if self.backbone_capacity < 0:
@@ -213,11 +210,6 @@ class ScenarioConfig:
 SWEEP_PARAMETERS = ("num_iot_nodes", "num_backbone", "num_validators")
 
 
-def _check_parameter(parameter: str) -> None:
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"swept parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     base: ScenarioConfig
@@ -228,7 +220,7 @@ class SweepSpec:
     seed_base: int = 1
 
     def __post_init__(self):
-        _check_parameter(self.parameter)
+        _check_choice("swept parameter", self.parameter, SWEEP_PARAMETERS)
         for key in ("values", "modes"):
             if not getattr(self, key):
                 raise ConfigError(f"sweep {key} must not be empty")
@@ -260,7 +252,8 @@ class SweepSpec:
         if "base" not in data or "parameter" not in data or "values" not in data:
             raise ConfigError("sweep spec requires base, parameter, and values")
         parameter, values = typed["parameter"], typed["values"]
-        _check_parameter(parameter)  # before the base keys, one of which it names
+        # before the base keys, one of which it names
+        _check_choice("swept parameter", parameter, SWEEP_PARAMETERS)
         for key in ("mode", "seed", parameter):
             if key in data["base"]:
                 raise ConfigError(f"base must not set {key}: the sweep sets it in every run")

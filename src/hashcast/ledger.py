@@ -127,7 +127,6 @@ def grind_block(
     hashed again.
     """
     own_range = alloc.range_for(keypair.public)
-    start, end = own_range.start, own_range.end
     secret, sign = keypair.secret, backend.sign
     header = unsigned_header(keypair.public, previous_digest, txs)
     tail = block_tail(serialize_body(txs))
@@ -143,7 +142,7 @@ def grind_block(
         hasher.update(nonce_bytes + lead + signature)
         hasher.update(rest)
         sha256 = hasher.digest()
-        if start <= msch_index(sha256) <= end:
+        if msch_index(sha256) in own_range:
             block = make_block(keypair, previous_digest, txs, nonce, backend)
             # make_block signs the same header: the hashed head and tail are its content
             object.__setattr__(block, "digest", base62_digest(sha256))

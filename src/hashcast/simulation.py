@@ -719,7 +719,7 @@ class VericomRun(_RunBase):
         """
         epoch = self.epoch
         sender, signature = self.identities[-1].public, b"\x00" * 32
-        payload = b"forged:" + self.rng_payload.randbytes(self.config.payload_size)
+        payload = b"forged:" + self.make_payload()
         fake_tx = Transaction(sender, payload, signature)
         block = grind_block(
             generator.keypair,
@@ -742,13 +742,16 @@ class BaselineRun(_RunBase):
 
     The nodes form a ring laid on a seeded shuffle, and each ring link gets
     one seeded delay.  Every node verifies the first copy of an item it gets
-    and passes it on over its other ring link; a repeated copy is dropped.
-    So a flood over N nodes costs N + 1 copies and N verifications, all
-    charged by `_originate`.  A range owner pools a transaction before
-    passing it on, so a block its full pool cuts floods first.  A flood's
-    hop events share one record, `(item, is_tx, send_time, seen)`, and one
-    handler, `_hop` (`_receive` bound once); each looks up `queue.push` as
-    it runs, since a caller may rebind it after the run is built.
+    and passes it on over its other ring links; a repeated copy is dropped.
+    So a flood over N nodes costs N verifications and `flood_copies` copies:
+    the origin sends on each of its links and every other node on all but
+    the one it heard on, which is N + 1 from three nodes on, 1 for two and 0
+    for one.  `_originate` charges both.  A range owner pools a transaction
+    before passing it on, so a block its full pool cuts floods first.  A
+    flood's hop events share one record, `(item, is_tx, send_time, seen)`,
+    and one handler, `_hop` (`_receive` bound once); each looks up
+    `queue.push` as it runs, since a caller may rebind it after the run is
+    built.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -763,6 +766,7 @@ class BaselineRun(_RunBase):
             delay = self.rng_access.uniform(config.access_delay_min_ms, config.access_delay_max_ms)
             self.links[a].append((b, delay))
             self.links[b].append((a, delay))
+        self.flood_copies = 2 * len(pairs) - config.num_iot_nodes + 1
         self.onward = [
             {nb: [link for link in links if link[0] != nb] for nb, _ in links}
             for links in self.links
@@ -794,7 +798,7 @@ class BaselineRun(_RunBase):
 
     def _originate(self, node_id: int, item, is_tx: bool, size: int) -> None:
         nodes, now = self.config.num_iot_nodes, self.queue.now
-        self.metrics.packet_bytes_iot += (nodes + 1) * size
+        self.metrics.packet_bytes_iot += self.flood_copies * size
         self.metrics.verify_ops += nodes
         seen = bytearray(nodes)
         seen[node_id] = 1

@@ -61,29 +61,17 @@ def order_validators(pks: Sequence[PublicKey]) -> list[PublicKey]:
 
 
 @dataclass(frozen=True)
-class ValidationRange:
-    """Contiguous span of alphabet positions, inclusive on both ends."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start <= self.end < SLOTS):
-            raise ValueError("validation range outside the alphabet")
-
-
-@dataclass(frozen=True)
 class RangeAllocation:
     """Finalized mapping of validators to validation ranges.
 
-    `validators` is the descending key-weight list; ranges are assigned
-    contiguously over the alphabet in that order, so position 0 owns the
-    earliest symbols.  Lookups read two tables built once per allocation:
-    each symbol's owner position, and each raw key's position.
+    `validators` is the descending key-weight list; each range is a `range`
+    of alphabet positions, assigned contiguously in that order, so position
+    0 owns the earliest symbols.  Lookups read two tables built once per
+    allocation: each symbol's owner position, and each raw key's position.
     """
 
     validators: tuple[PublicKey, ...]
-    ranges: tuple[ValidationRange, ...]
+    ranges: tuple[range, ...]
     _owners: dict[str, int] = field(init=False, repr=False, compare=False)
     _positions: dict[bytes, int] = field(init=False, repr=False, compare=False)
 
@@ -91,9 +79,9 @@ class RangeAllocation:
         owners = {
             ALPHABET[idx]: pos
             for pos, rng in enumerate(self.ranges)
-            for idx in range(rng.start, rng.end + 1)
+            for idx in rng
         }
-        if len(owners) != SLOTS:
+        if "".join(owners) != ALPHABET:  # every symbol, in alphabet order
             raise AssertionError("ranges do not cover the alphabet")
         positions: dict[bytes, int] = {}
         for pos, pk in enumerate(self.validators):
@@ -119,7 +107,7 @@ class RangeAllocation:
             raise ValueError("public key is not in the allocation")
         return pos
 
-    def range_for(self, pk: PublicKey) -> ValidationRange:
+    def range_for(self, pk: PublicKey) -> range:
         return self.ranges[self.position_of(pk)]
 
     def table(self) -> str:
@@ -128,7 +116,7 @@ class RangeAllocation:
         for i, (pk, rng) in enumerate(zip(self.validators, self.ranges)):
             lines.append(
                 f"{i:<9} {pk.display[:12]}.. {float(kwm(pk.display)):<12.4f} "
-                f"{ALPHABET[rng.start]}..{ALPHABET[rng.end]}"
+                f"{ALPHABET[rng[0]]}..{ALPHABET[rng[-1]]}"
             )
         return "\n".join(lines)
 
@@ -149,7 +137,7 @@ def allocate_ranges(ordered: Sequence[PublicKey]) -> RangeAllocation:
     cursor = 0
     for i in range(count):
         size = base + (remainder if i == 0 else 0)
-        ranges.append(ValidationRange(start=cursor, end=cursor + size - 1))
+        ranges.append(range(cursor, cursor + size))
         cursor += size
     return RangeAllocation(validators=tuple(ordered), ranges=tuple(ranges))
 

@@ -104,8 +104,8 @@ BASE62 = "0123456789" + string.ascii_lowercase + string.ascii_uppercase
 
 
 def in_range(rng, symbol):
-    """Whether `symbol`'s alphabet index lies in the inclusive validation range `rng`."""
-    return rng.start <= BASE62.index(symbol) <= rng.end
+    """Whether `symbol`'s alphabet index lies in the validation range `rng`."""
+    return BASE62.index(symbol) in rng
 
 
 def base62_digest(content):

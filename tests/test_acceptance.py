@@ -173,14 +173,14 @@ def test_criterion_07_allocation_properties():
     for count in range(1, 63):
         for _ in range(200):
             alloc = build_allocation(rng.sample(pool, count))
-            sizes = [r.end - r.start + 1 for r in alloc.ranges]
+            sizes = [len(r) for r in alloc.ranges]
             assert sum(sizes) == 62
             expected = [62 // count + (62 % count if i == 0 else 0) for i in range(count)]
             assert sizes == expected
             cursor = 0
             for rng_ in alloc.ranges:  # contiguity == disjoint + complete
                 assert rng_.start == cursor
-                cursor = rng_.end + 1
+                cursor = rng_.stop
             assert cursor == 62
             kwms = [kwm(pk.display) for pk in alloc.validators]
             assert all(a >= b for a, b in zip(kwms, kwms[1:]))

@@ -326,6 +326,32 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mode", "multicast",
+             "mode must be one of ('vericom', 'baseline'), got 'multicast'"),
+            ("backbone_topology", "mesh",
+             "backbone_topology must be one of ('random-connected', 'chain', 'star'), got 'mesh'"),
+            ("trust_mode", "semi",
+             "trust_mode must be one of ('trusted', 'untrusted'), got 'semi'"),
+            ("attack", "ddos",
+             "attack must be one of ('none', 'false-verification', 'fake-transaction', "
+             "'dropping'), got 'ddos'"),
+            ("tx_count", 0, "tx_count must be positive"),
+            ("tx_count", -5, "tx_count must be positive"),
+            ("num_iot_nodes", 0, "num_iot_nodes must be positive"),
+            ("num_backbone", 0, "num_backbone must be positive"),
+            ("num_validators", 0, "num_validators must be positive"),
+            ("block_size", -1, "block_size must be positive"),
+            ("epochs", 0, "epochs must be positive"),
+        ],
+    )  # fmt: skip
+    def test_rejected_value_is_this_error_line(self, tmp_path, capsys, key, value, message):
+        config = write_json(tmp_path / "c.json", {key: value})
+        assert main(["run", "-c", config, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_float_key_takes_json_integer(self):
         assert ScenarioConfig.from_dict({"link_delay_ms": 2}).link_delay_ms == 2
 
@@ -528,6 +554,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: swept parameter must be one of") and err.count("\n") == 1
         assert "'tx_count'" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("parameter", "tx_count",
+             "swept parameter must be one of ('num_iot_nodes', 'num_backbone', "
+             "'num_validators'), got 'tx_count'"),
+            ("modes", ["baseline", "flood"], "sweep mode 'flood' is not valid"),
+        ],
+    )  # fmt: skip
+    def test_rejected_value_is_this_error_line(self, tmp_path, capsys, key, value, message):
+        data = {"base": {}, "parameter": "num_iot_nodes", "values": [12], key: value}
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["sweep", "-s", spec, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_base_is_checked_with_the_first_swept_value(self):
         # 50 validators need more than the default 30 nodes the base would have

@@ -517,6 +517,21 @@ def honest_configs(draw):
 
 
 @st.composite
+def baseline_configs(draw):
+    """Baseline configs over rings of 1 to 12 nodes, the smallest included."""
+    nodes = draw(st.integers(1, 12))
+    return ScenarioConfig(
+        mode="baseline",
+        num_iot_nodes=nodes,
+        num_validators=draw(st.integers(1, nodes)),
+        block_size=draw(st.integers(1, 5)),
+        tx_count=draw(st.integers(1, 30)),
+        epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+@st.composite
 def dropping_configs(draw):
     cfg = draw(honest_configs())
     num_backbone = max(cfg.num_backbone, 2)
@@ -650,7 +665,8 @@ class TestWholeRunProperties:
         tx_bytes = sum(len(serialize_transaction(tx)) for b in blocks for tx in b.transactions)
         assert metrics.committed_tx == metrics.injected_tx
         assert len(blocks) == metrics.blocks_committed
-        # a ring flood: two copies leave the originator and the last node gets one twice
+        # a ring flood of four or more nodes: two copies leave the originator and
+        # the last node gets one twice
         items = metrics.injected_tx + metrics.blocks_committed
         block_bytes = sum(len(serialize_block(b)) for b in blocks)
         assert metrics.packet_bytes_iot == (nodes + 1) * (tx_bytes + block_bytes)
@@ -661,7 +677,7 @@ class TestWholeRunProperties:
         assert run.queue._seq == (nodes + 1) * items + metrics.injected_tx + 2 * cfg.epochs
         assert_ledgers_sound(run)
 
-    @given(honest_configs())
+    @given(baseline_configs())
     @settings(max_examples=40, deadline=None)
     def test_baseline_flood_charges_are_the_hops_made(self, cfg):
         # the bytes and verifications charged per flood at origination equal
@@ -684,12 +700,26 @@ class TestWholeRunProperties:
             mock.patch.object(simulation.BaselineRun, "_originate", counted_originate),
             mock.patch.object(simulation.BaselineRun, "_receive", counted_receive),
         ):
-            run = execute(replace(cfg, mode="baseline"))
+            run = execute(cfg)
         metrics = run.metrics
         assert len(originations) == metrics.injected_tx + metrics.blocks_committed
         assert metrics.packet_bytes_iot == sum(copy_bytes)
         assert metrics.verify_ops == len(originations) + len(first_arrivals)
         assert len(first_arrivals) == len(metrics.delay_samples)
+
+    @pytest.mark.parametrize("nodes, copies, billed", [(1, 0, 0), (2, 1, 10_600), (3, 4, 42_400)])
+    def test_tiny_ring_flood_copies(self, nodes, copies, billed):
+        # a lone node sends no copy, the origin of two sends one, and from three on N + 1 go
+        cfg = ScenarioConfig(
+            mode="baseline", num_iot_nodes=nodes, num_validators=1, tx_count=4, block_size=1
+        )
+        run = execute(cfg)
+        blocks = [block for ledger in run.epochs[0].ledgers.values() for block in ledger.blocks]
+        item_bytes = sum(len(serialize_block(b)) for b in blocks) + sum(
+            len(serialize_transaction(tx)) for b in blocks for tx in b.transactions
+        )
+        assert (len(blocks), item_bytes) == (4, 10_600)
+        assert run.metrics.packet_bytes_iot == copies * item_bytes == billed
 
     @given(honest_configs())
     @settings(max_examples=30, deadline=None)

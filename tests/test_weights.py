@@ -135,22 +135,22 @@ class TestAllocateRanges:
     def test_ten_validators_split(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 10, "ten")]
         alloc = build_allocation(pks)
-        assert [r.end - r.start + 1 for r in alloc.ranges] == [8, 6, 6, 6, 6, 6, 6, 6, 6, 6]
+        assert [len(r) for r in alloc.ranges] == [8, 6, 6, 6, 6, 6, 6, 6, 6, 6]
 
     def test_sixty_two_validators_all_one(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 62, "all")]
         alloc = build_allocation(pks)
-        assert [r.end - r.start + 1 for r in alloc.ranges] == [1] * 62
+        assert [len(r) for r in alloc.ranges] == [1] * 62
 
     def test_four_validators_split(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 4, "four")]
         alloc = build_allocation(pks)
-        assert [r.end - r.start + 1 for r in alloc.ranges] == [17, 15, 15, 15]
+        assert [len(r) for r in alloc.ranges] == [17, 15, 15, 15]
 
     def test_single_validator_owns_alphabet(self, backend):
         pk = backend.keypair(b"solo").public
         alloc = build_allocation([pk])
-        assert (alloc.ranges[0].start, alloc.ranges[0].end) == (0, 61)
+        assert alloc.ranges[0] == range(62)
         for symbol in ALPHABET:
             assert alloc.range_of(symbol) == pk
 
@@ -165,17 +165,17 @@ class TestAllocateRanges:
         pks = [kp.public for kp in make_keypairs(backend, 62, "cover")]
         for count in range(1, 63):
             alloc = build_allocation(pks[:count])
-            assert sum(r.end - r.start + 1 for r in alloc.ranges) == 62
+            assert sum(len(r) for r in alloc.ranges) == 62
             covered = []
             for rng_ in alloc.ranges:
-                covered.extend(range(rng_.start, rng_.end + 1))
+                covered.extend(rng_)
             assert covered == list(range(62))  # disjoint, complete, in order
 
     def test_monotone_allocation(self, backend):
         pks = [kp.public for kp in make_keypairs(backend, 9, "mono")]
         alloc = build_allocation(pks)
         for earlier, later in zip(alloc.ranges, alloc.ranges[1:]):
-            assert earlier.end + 1 == later.start
+            assert earlier.stop == later.start
 
 
 class TestRangeOf:
@@ -240,7 +240,7 @@ class TestLookupTables:
         for count in range(1, 63):
             alloc = build_allocation(kp.public for kp in kps[:count])
             for idx, symbol in enumerate(ALPHABET):
-                (owner,) = [p for p, r in enumerate(alloc.ranges) if r.start <= idx <= r.end]
+                (owner,) = [p for p, r in enumerate(alloc.ranges) if idx in r]
                 assert alloc.owner_index(symbol) == owner
             for kp in kps[:count]:
                 (pos,) = [i for i, pk in enumerate(alloc.validators) if pk.raw == kp.public.raw]
